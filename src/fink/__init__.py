@@ -8,7 +8,7 @@ decomposition-graph analysis (intertwined extraction, star splitting),
 horizon smallness certificates, and a verified diagonalization engine.
 """
 
-from .blocks import Subblock, add, peak, require_block, star, tetris
+from .blocks import Subblock, add, peak, star, tetris
 from .errors import (
     ClaimViolation,
     EnumerationCapExceeded,
@@ -48,7 +48,6 @@ from .streams import (
     ExplicitStream,
     PeriodicStream,
     Stream,
-    StreamWindow,
     make_builtin,
     parse_stream_spec,
 )
@@ -78,14 +77,14 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # blocks
-    "Subblock", "tetris", "add", "star", "peak", "require_block",
+    "Subblock", "tetris", "add", "star", "peak",
     # span
     "DEFAULT_CAP_BITS", "BlockSequence", "Combination", "CommonElement",
     "HorizonValuation", "SpanEnumeration", "evaluate", "enumerate_span",
     "membership_witness", "intersect_spans", "first_common_element", "valuation",
     # streams
     "Stream", "ExplicitStream", "PeriodicStream", "BuiltinStream",
-    "StreamWindow", "BUILTIN_NAMES", "make_builtin", "parse_stream_spec",
+    "BUILTIN_NAMES", "make_builtin", "parse_stream_spec",
     # structure
     "DecompositionGraph", "decomposition_graph", "is_intertwined",
     "ExtractionResult", "extract_intertwined", "settle_intertwined", "star_split",

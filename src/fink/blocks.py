@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
 )
 
-__all__ = ["Subblock", "tetris", "add", "star", "peak", "require_block"]
+__all__ = ["Subblock", "tetris", "add", "star", "peak"]
 
 
 class Subblock:
@@ -273,10 +273,3 @@ def peak(p):
         if p.values[pos] == p.k:
             return pos
     raise NotABlock(f"value {p.k} never attained")
-
-
-def require_block(p, role="argument"):
-    """Validate the checked block predicate at an operation boundary."""
-    if not p.is_block:
-        raise NotABlock(f"{role} must attain {p.k}: {p.render()}")
-    return p

@@ -25,6 +25,7 @@ from .span import (
     evaluate,
     intersect_spans,
     membership_witness,
+    parse_block_lines,
     valuation,
 )
 from .streams import BuiltinStream, ExplicitStream, parse_stream_spec
@@ -53,6 +54,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self)
 
 
+def _at_least(lower):
+    """An argparse type: an integer no smaller than ``lower``."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lower:
+            raise argparse.ArgumentTypeError(f"must be at least {lower}, got {value}")
+        return value
+
+    return parse
+
+
 def _read(path):
     with open(path, encoding="utf-8") as handle:
         return handle.read()
@@ -67,20 +83,7 @@ def _load_sequence(path, k_flag):
 
 def _load_blocks(path, k_flag):
     """A block-set file: same format as a sequence file, ordering not required."""
-    k = None
-    blocks = []
-    for lineno, raw in enumerate(_read(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if k is None:
-            if not line.startswith("k="):
-                raise ParseError("expected k=<K> header", line=lineno)
-            k = int(line[2:])
-            continue
-        blocks.append(Subblock.parse_body(k, line))
-    if k is None:
-        raise ParseError("empty block file: missing k=<K> header", line=1)
+    k, blocks = parse_block_lines(_read(path))
     if k_flag is not None and k_flag != k:
         raise MismatchedLevel(f"--k {k_flag} but {path} declares k={k}")
     return k, blocks
@@ -318,10 +321,9 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--k", type=int, default=None, help="level; checked against inputs")
-    common.add_argument("--cap", type=float, default=DEFAULT_CAP_BITS,
+    capped = argparse.ArgumentParser(add_help=False, parents=[common])
+    capped.add_argument("--cap", type=float, default=DEFAULT_CAP_BITS,
                         help="enumeration cap in search-space bits")
-    common.add_argument("--seed", type=int, default=None,
-                        help="reserved for scripted harnesses; subcommands are deterministic")
 
     parser = _Parser(prog="fink", description="FIN_k block algebra and span computations")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
@@ -338,12 +340,12 @@ def _build_parser():
     p.add_argument("--starred", action="store_true")
     p.set_defaults(handler=_cmd_member)
 
-    p = sub.add_parser("span", parents=[common], help="enumerate a span with witnesses")
+    p = sub.add_parser("span", parents=[capped], help="enumerate a span with witnesses")
     p.add_argument("--seq", required=True)
     p.add_argument("--starred", action="store_true")
     p.set_defaults(handler=_cmd_span)
 
-    p = sub.add_parser("intersect", parents=[common], help="intersect two spans")
+    p = sub.add_parser("intersect", parents=[capped], help="intersect two spans")
     p.add_argument("--P", required=True)
     p.add_argument("--Q", required=True)
     p.set_defaults(handler=_cmd_intersect)
@@ -365,7 +367,7 @@ def _build_parser():
     p.add_argument("--block", required=True)
     p.set_defaults(handler=_cmd_intertwined)
 
-    p = sub.add_parser("extract", parents=[common], help="extract an intertwined common block")
+    p = sub.add_parser("extract", parents=[capped], help="extract an intertwined common block")
     p.add_argument("--P", required=True)
     p.add_argument("--Q", required=True)
     p.set_defaults(handler=_cmd_extract)
@@ -377,19 +379,21 @@ def _build_parser():
     p.add_argument("--other", required=True, help="common block body to star against")
     p.set_defaults(handler=_cmd_split)
 
-    p = sub.add_parser("small", parents=[common], help="smallness probe at a horizon")
+    p = sub.add_parser("small", parents=[capped], help="smallness probe at a horizon")
     p.add_argument("--P", required=True, help="stream: builtin name, spec, or file")
     p.add_argument("--Q", required=True)
-    p.add_argument("--n", type=int, required=True, help="tail index for the left stream")
-    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--n", type=_at_least(0), required=True,
+                   help="tail index for the left stream")
+    p.add_argument("--horizon", type=_at_least(0), required=True)
     p.set_defaults(handler=_cmd_small)
 
-    p = sub.add_parser("diag", parents=[common], help="validate a family and diagonalize")
+    p = sub.add_parser("diag", parents=[capped], help="validate a family and diagonalize")
     p.add_argument("--member", action="append", required=True,
                    help="stream (repeatable): builtin name, spec, or file")
-    p.add_argument("--n", type=int, default=1, help="tail index for pairwise validation")
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--cycles", type=int, default=1)
+    p.add_argument("--n", type=_at_least(0), default=1,
+                   help="tail index for pairwise validation")
+    p.add_argument("--horizon", type=_at_least(0), required=True)
+    p.add_argument("--cycles", type=_at_least(1), default=1)
     p.set_defaults(handler=_cmd_diag)
 
     return parser

@@ -11,6 +11,7 @@ failure aborts the run with ClaimViolation rather than being skipped.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .blocks import peak
@@ -59,34 +60,40 @@ class AlmostDisjointFamily:
 def validate_family(members, tail_index, horizon, cap_bits=DEFAULT_CAP_BITS):
     """Check pairwise smallness at the horizon and record pairwise bounds.
 
-    Smallness is probed in both tail directions for every pair; the first
-    failing ordered pair raises NotAlmostDisjoint(i, j).  The bounds matrix
-    holds the valuation of each pairwise intersection of full truncations.
+    Each unordered pair of full truncations is intersected once.  A stream's
+    ``tail(n).truncate(H)`` is ``truncate(H).blocks[n:]`` (supports strictly
+    increase) and witnesses are unique, so the tail of member i meets member
+    j exactly when some common element's i-side witness starts at index n or
+    later.  Ordered pairs are checked i-major; the first failing pair raises
+    NotAlmostDisjoint(i, j) with its smallness certificate.  The bounds
+    matrix holds the valuation of each pairwise intersection.
     """
     members = tuple(members)
     if not members:
         raise InvalidSequence("a family needs at least one member")
+    if tail_index < 0:
+        raise ValueError(f"tail index must be nonnegative, got {tail_index}")
     k = members[0].k
     for member in members[1:]:
         if member.k != k:
             raise MismatchedLevel(f"family levels {k} and {member.k}")
     count = len(members)
-    for i in range(count):
-        for j in range(count):
-            if i == j:
-                continue
+    truncations = tuple(member.truncate(horizon) for member in members)
+    common = {}
+    for i, j in itertools.permutations(range(count), 2):
+        if i < j:
+            common[i, j] = intersect_spans(truncations[i], truncations[j], cap_bits)
+            witnesses = [ce.left_witness for ce in common[i, j]]
+        else:
+            witnesses = [ce.right_witness for ce in common[j, i]]
+        if any(w.indices[0] >= tail_index for w in witnesses):
             certificate = smallness_check(
                 members[i], members[j], tail_index, horizon, cap_bits
             )
-            if certificate.verdict != "empty_at_horizon":
-                raise NotAlmostDisjoint(i, j, certificate)
-    truncations = tuple(member.truncate(horizon) for member in members)
+            raise NotAlmostDisjoint(i, j, certificate)
     grid = [[None] * count for _ in range(count)]
-    for i in range(count):
-        for j in range(i + 1, count):
-            common = intersect_spans(truncations[i], truncations[j], cap_bits)
-            bound = valuation((ce.block for ce in common), horizon=horizon)
-            grid[i][j] = grid[j][i] = bound
+    for (i, j), pair_common in common.items():
+        grid[i][j] = grid[j][i] = _valuation(pair_common, horizon)
     return AlmostDisjointFamily(
         members=members,
         k=k,
@@ -179,11 +186,20 @@ def choose_next(family, chosen, step_index):
     )
 
 
-def _intersection_valuation(family, chosen_blocks, member, cap_bits):
+def _valuation(common, horizon):
+    return valuation((ce.block for ce in common), horizon=horizon)
+
+
+def _common_with(family, chosen_blocks, member, cap_bits):
     seq = BlockSequence(family.k, chosen_blocks)
-    common = intersect_spans(seq, family.truncations[member], cap_bits)
-    value = valuation((ce.block for ce in common), horizon=family.horizon)
-    return common, value
+    return intersect_spans(seq, family.truncations[member], cap_bits)
+
+
+def _within_prefix(common, length):
+    """The common elements whose left witness uses only the first ``length``
+    generators: witnesses are unique, so exactly the intersection over the
+    left sequence's first ``length`` blocks."""
+    return [ce for ce in common if ce.left_witness.indices[-1] < length]
 
 
 def run_diagonalization(family, cycles=1, cap_bits=DEFAULT_CAP_BITS):
@@ -204,13 +220,12 @@ def run_diagonalization(family, cycles=1, cap_bits=DEFAULT_CAP_BITS):
         block, between = choose_next(family, chosen, n)
         if membership_witness(block, family.truncations[member]) is None:
             raise ClaimViolation("chosen block missing from its source span", step=n)
+        fresh_index = len(chosen)
         checks = []
         for i in _engaged(family, n):
-            _, before = _intersection_valuation(family, chosen, i, cap_bits)
-            after_common, after = _intersection_valuation(
-                family, chosen + [block], i, cap_bits
-            )
-            fresh_index = len(chosen)
+            after_common = _common_with(family, chosen + [block], i, cap_bits)
+            before = _valuation(_within_prefix(after_common, fresh_index), family.horizon)
+            after = _valuation(after_common, family.horizon)
             for ce in after_common:
                 meets = any(ce.block.value_at(pos) for pos in block.support)
                 if not meets:
@@ -235,11 +250,10 @@ def run_diagonalization(family, cycles=1, cap_bits=DEFAULT_CAP_BITS):
 
     finals = []
     for i in range(count):
-        _, final = _intersection_valuation(family, chosen, i, cap_bits)
+        common = _common_with(family, chosen, i, cap_bits)
+        final = _valuation(common, family.horizon)
         last_source = (cycles - 1) * count + i
-        _, reference = _intersection_valuation(
-            family, chosen[: last_source + 1], i, cap_bits
-        )
+        reference = _valuation(_within_prefix(common, last_source + 1), family.horizon)
         ceiling = [
             bound.value
             for j, bound in enumerate(family.bounds[i])

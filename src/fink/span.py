@@ -27,6 +27,7 @@ from .errors import (
     InvalidSequence,
     MismatchedLevel,
     ParseError,
+    WitnessMismatch,
 )
 
 __all__ = [
@@ -106,29 +107,7 @@ class BlockSequence:
     def parse_file(cls, text):
         """Parse the sequence file format: a ``k=<K>`` header line, then one
         block body per line.  Blank lines and ``#`` comments are skipped."""
-        k = None
-        blocks = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if k is None:
-                if not line.startswith("k="):
-                    raise ParseError("expected k=<K> header", line=lineno)
-                try:
-                    k = int(line[2:])
-                except ValueError:
-                    raise ParseError(f"bad level {line!r}", line=lineno) from None
-                if k < 1:
-                    raise ParseError(f"level must be positive, got {k}", line=lineno)
-                continue
-            try:
-                blocks.append(Subblock.parse_body(k, line))
-            except ParseError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-        if k is None:
-            raise ParseError("empty sequence file: missing k=<K> header", line=1)
-        return cls(k, blocks)
+        return cls(*parse_block_lines(text))
 
     def render_file(self):
         lines = [f"k={self.k}"]
@@ -247,9 +226,6 @@ class SpanEnumeration:
     def blocks(self):
         return tuple(block for block, _ in self.elements)
 
-    def as_dict(self):
-        return {block: witness for block, witness in self.elements}
-
     def __len__(self):
         return len(self.elements)
 
@@ -266,6 +242,37 @@ class CommonElement:
     right_witness: Combination
 
 
+def parse_block_lines(text):
+    """The level and the block bodies of a sequence or block-set file.
+
+    The first non-comment line is the ``k=<K>`` header; every later one is
+    a block body.  Blocks are returned in file order, with no ordering check.
+    """
+    k = None
+    blocks = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if k is None:
+            if not line.startswith("k="):
+                raise ParseError("expected k=<K> header", line=lineno)
+            try:
+                k = int(line[2:])
+            except ValueError:
+                raise ParseError(f"bad level {line!r}", line=lineno) from None
+            if k < 1:
+                raise ParseError(f"level must be positive, got {k}", line=lineno)
+            continue
+        try:
+            blocks.append(Subblock.parse_body(k, line))
+        except ParseError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+    if k is None:
+        raise ParseError("empty file: missing k=<K> header", line=1)
+    return k, blocks
+
+
 def evaluate(seq, comb):
     """Evaluate a combination over a sequence to the subblock it denotes."""
     total = Subblock._raw(seq.k, ())
@@ -276,6 +283,12 @@ def evaluate(seq, comb):
             raise InvalidCombination(f"exponent {exponent} not below level {seq.k}")
         total = add(total, tetris(seq.blocks[index], exponent))
     return total
+
+
+def check_witness(seq, witness, block):
+    """Re-evaluate a witness; raise WitnessMismatch unless it produces ``block``."""
+    if evaluate(seq, witness) != block:
+        raise WitnessMismatch(f"witness {witness.render()} does not produce {block.render()}")
 
 
 def _check_cap(seq, cap_bits):
@@ -386,7 +399,7 @@ def membership_witness(t, seq, starred=False):
     if terms is None:
         return None
     witness = Combination(terms, starred)
-    assert evaluate(seq, witness) == t, "witness failed to evaluate back"
+    check_witness(seq, witness, t)
     return witness
 
 
@@ -405,7 +418,7 @@ def _iter_common(left, right, cap_bits):
         block = Subblock._raw(k, tuple(arr))
         inner_comb = Combination(tuple(zip(subset, exps)), starred=False)
         outer_comb = Combination(other_terms, starred=False)
-        assert evaluate(outer, outer_comb) == block, "witness failed to evaluate back"
+        check_witness(outer, outer_comb, block)
         if swap:
             yield CommonElement(block, outer_comb, inner_comb)
         else:

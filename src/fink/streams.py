@@ -30,7 +30,6 @@ __all__ = [
     "ExplicitStream",
     "PeriodicStream",
     "BuiltinStream",
-    "StreamWindow",
     "BUILTIN_NAMES",
     "make_builtin",
     "parse_stream_spec",
@@ -73,9 +72,6 @@ class Stream:
             blocks.append(b)
             n += 1
         return BlockSequence(self.k, blocks)
-
-    def window(self, start_index, horizon):
-        return StreamWindow(self, start_index, horizon)
 
 
 class ExplicitStream(Stream):
@@ -179,20 +175,6 @@ class BuiltinStream(Stream):
 
 def make_builtin(name, k):
     return BuiltinStream(name, k)
-
-
-class StreamWindow:
-    """A stream viewed from ``start_index`` up to a support horizon."""
-
-    def __init__(self, stream, start_index, horizon):
-        if start_index < 0 or horizon < 0:
-            raise IndexError("window bounds must be nonnegative")
-        self.stream = stream
-        self.start_index = start_index
-        self.horizon = horizon
-
-    def sequence(self):
-        return self.stream.tail(self.start_index).truncate(self.horizon)
 
 
 def _parse_tokens(text):

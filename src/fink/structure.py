@@ -25,12 +25,12 @@ from .errors import (
     MinimalityViolation,
     NoIntersection,
     NotIntertwined,
-    WitnessMismatch,
 )
 from .span import (
     DEFAULT_CAP_BITS,
     Combination,
     CommonElement,
+    check_witness,
     evaluate,
     first_common_element,
     intersect_spans,
@@ -49,22 +49,6 @@ __all__ = [
 ]
 
 
-class _UnionFind:
-    def __init__(self, size):
-        self.parent = list(range(size))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 @dataclass(frozen=True)
 class DecompositionGraph:
     """Bipartite graph over the generator indices used by the two witnesses."""
@@ -74,16 +58,14 @@ class DecompositionGraph:
     edges: tuple
 
     def is_connected(self):
-        order = len(self.left) + len(self.right)
-        if order <= 1:
-            return True
-        slot = {("L", i): n for n, i in enumerate(self.left)}
-        slot.update({("R", j): len(self.left) + n for n, j in enumerate(self.right)})
-        uf = _UnionFind(order)
-        for i, j in self.edges:
-            uf.union(slot[("L", i)], slot[("R", j)])
-        roots = {uf.find(n) for n in range(order)}
-        return len(roots) == 1
+        if not self.left:
+            return len(self.right) <= 1
+        return self._covers(self.component_of_left(self.left[0]))
+
+    def _covers(self, component):
+        """True when a (left set, right set) component holds every vertex."""
+        left, right = component
+        return len(left) == len(self.left) and len(right) == len(self.right)
 
     def component_of_left(self, vertex):
         """Vertices reachable from the left vertex, as (left set, right set)."""
@@ -113,10 +95,8 @@ class DecompositionGraph:
 
 
 def _checked_witnesses(block, left_witness, right_witness, left, right):
-    if evaluate(left, left_witness) != block:
-        raise WitnessMismatch(f"left witness does not produce {block.render()}")
-    if evaluate(right, right_witness) != block:
-        raise WitnessMismatch(f"right witness does not produce {block.render()}")
+    check_witness(left, left_witness, block)
+    check_witness(right, right_witness, block)
 
 
 def decomposition_graph(block, left_witness, right_witness, left, right):
@@ -173,9 +153,10 @@ def settle_intertwined(element, left, right):
     left_w, right_w = element.left_witness, element.right_witness
     for _ in range(len(left_w.terms) + len(right_w.terms) + 1):
         graph = decomposition_graph(block, left_w, right_w, left, right)
-        if graph.is_connected():
+        component = graph.component_of_left(max(graph.left))
+        if graph._covers(component):
             return CommonElement(block, left_w, right_w)
-        comp_left, comp_right = graph.component_of_left(max(graph.left))
+        comp_left, comp_right = component
         # anything but an upward-closed component falsifies the split rule
         if comp_left != {i for i in graph.left if i >= min(comp_left)} or comp_right != {
             j for j in graph.right if j >= min(comp_right)

@@ -392,12 +392,54 @@ class TestPlumbing:
         assert code == 1
         assert "fink" in err
 
-    def test_seed_flag_is_accepted(self, capsys, files):
-        code, out, _ = run(
+    def test_seed_flag_is_rejected(self, capsys, files):
+        code, out, err = run(
             capsys, "member", "--seed", "7", "--seq", files["P.seq"], "--block", "0:2"
         )
+        assert code == 1
+        assert out == ""
+        assert "error: usage:" in err
+
+    def test_cap_only_where_spans_are_enumerated(self, capsys, files):
+        code, _, err = run(
+            capsys, "member", "--cap", "3", "--seq", files["P.seq"], "--block", "0:2"
+        )
+        assert code == 1
+        assert "error: usage:" in err
+        code, _, _ = run(capsys, "span", "--cap", "8", "--seq", files["P3.seq"])
         assert code == 0
-        assert out == "yes 0^0\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["small", "--P", "example13_P", "--Q", "example13_Q", "--k", "2",
+             "--n", "-1", "--horizon", "9"],
+            ["small", "--P", "example13_P", "--Q", "example13_Q", "--k", "2",
+             "--n", "1", "--horizon", "-3"],
+            ["diag", "--member", "example13_P", "--member", "evens", "--k", "2",
+             "--n", "-1", "--horizon", "9"],
+            ["diag", "--member", "example13_P", "--member", "evens", "--k", "2",
+             "--horizon", "-1"],
+            ["diag", "--member", "example13_P", "--member", "evens", "--k", "2",
+             "--horizon", "9", "--cycles", "0"],
+        ],
+        ids=["small-n", "small-horizon", "diag-n", "diag-horizon", "diag-cycles"],
+    )
+    def test_out_of_range_counts_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "error: usage:" in err
+
+    @pytest.mark.parametrize("header", ["k=x", "k=0"])
+    def test_bad_block_file_header(self, capsys, tmp_path, header):
+        target = tmp_path / "bad.blocks"
+        target.write_text(f"{header}\n0:2\n", encoding="utf-8")
+        code, out, err = run(capsys, "valuation", "--blocks", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ParseError: ")
+        assert err.rstrip().endswith("(line 1)")
 
     def test_repeat_runs_are_identical(self, capsys, files):
         _, first, _ = run(capsys, "intersect", "--P", files["P3.seq"], "--Q", files["Q.seq"])

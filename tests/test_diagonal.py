@@ -1,6 +1,8 @@
 """Family validation and the cycling diagonalization engine."""
 
 import functools
+import itertools
+import random
 
 import pytest
 
@@ -13,12 +15,17 @@ from fink import (
     InvalidSequence,
     MismatchedLevel,
     NotAlmostDisjoint,
+    PeriodicStream,
     Subblock,
     choose_next,
+    intersect_spans,
     make_builtin,
     run_diagonalization,
+    smallness_check,
     validate_family,
+    valuation,
 )
+from fink.diagonal import _within_prefix
 
 
 def blk(k, pairs):
@@ -77,6 +84,10 @@ class TestValidate:
             validate_family([p, p], tail_index=1, horizon=9)
         assert info.value.pair == (0, 1)
         assert info.value.certificate.verdict == "nonempty"
+
+    def test_negative_tail_index_rejected(self):
+        with pytest.raises(ValueError):
+            validate_family([make_builtin("example13_P", 2)], -1, 9)
 
     def test_overlapping_tails_fail(self):
         p = make_builtin("example13_P", 2)
@@ -197,3 +208,102 @@ class TestRun:
             run_diagonalization(family, cycles=1)
         assert info.value.step == 1
         assert info.value.member == 0
+
+
+# --- the derived smallness, stability and reference answers ----------------
+
+
+def seeded_periodic(rng):
+    """A level-2 periodic stream: one or two templates over positions 0..3."""
+    base = []
+    for start in range(0, 2 * rng.randint(1, 2), 2):
+        support = [p for p in (start, start + 1) if rng.random() < 0.7] or [start]
+        values = {p: rng.randint(1, 2) for p in support}
+        values[rng.choice(support)] = 2
+        base.append(blk(2, values.items()))
+    width = base[-1].max_support - base[0].min_support
+    return PeriodicStream(base, width + rng.randint(1, 3))
+
+
+def derivation_streams():
+    rng = random.Random(2402)
+    builtins = [make_builtin(name, 2) for name in ("example13_P", "example13_Q", "evens")]
+    return builtins + [seeded_periodic(rng) for _ in range(3)]
+
+
+def probed_failure(members, tail_index, horizon):
+    """The first ordered pair, i-major, whose smallness probe is nonempty."""
+    for i, j in itertools.permutations(range(len(members)), 2):
+        certificate = smallness_check(members[i], members[j], tail_index, horizon)
+        if certificate.verdict != "empty_at_horizon":
+            return (i, j), certificate
+    return None, None
+
+
+def test_derived_smallness_matches_probing_every_pair():
+    streams = derivation_streams()
+    families = list(itertools.permutations(streams, 2))
+    # every fourth triple keeps the run short
+    families += list(itertools.combinations(streams, 3))[::4]
+    outcomes = set()
+    for members in families:
+        for horizon in (4, 7, 10):
+            for tail_index in range(3):
+                expected = probed_failure(members, tail_index, horizon)
+                try:
+                    family = validate_family(members, tail_index, horizon)
+                except NotAlmostDisjoint as exc:
+                    got = exc.pair, exc.certificate
+                else:
+                    got = None, None
+                    for i, j in itertools.combinations(range(len(members)), 2):
+                        common = intersect_spans(
+                            members[i].truncate(horizon), members[j].truncate(horizon)
+                        )
+                        bound = valuation((ce.block for ce in common), horizon=horizon)
+                        assert family.bounds[i][j] == family.bounds[j][i] == bound
+                assert got == expected, (members, tail_index, horizon)
+                outcomes.add(got[0])
+    # the sample covers passing families and failures in both pair directions
+    assert None in outcomes
+    assert any(pair and pair[0] < pair[1] for pair in outcomes)
+    assert any(pair and pair[0] > pair[1] for pair in outcomes)
+
+
+def diagonalized_families():
+    yield three_family(), 2
+    streams = derivation_streams()
+    for members in itertools.permutations(streams, 2):
+        try:
+            family = validate_family(members, tail_index=1, horizon=12)
+        except NotAlmostDisjoint:
+            continue
+        yield family, 2
+
+
+def test_derived_before_and_reference_match_direct_intersections():
+    runs = 0
+    for family, cycles in diagonalized_families():
+        try:
+            trace = run_diagonalization(family, cycles=cycles)
+        except HorizonExhausted:
+            continue
+        runs += 1
+        chosen = trace.chosen()
+        for step in trace.steps:
+            for check in step.checks:
+                direct = intersect_spans(
+                    BlockSequence(family.k, chosen[: step.index]),
+                    family.truncations[check.member],
+                )
+                assert check.before == valuation(
+                    (ce.block for ce in direct), horizon=family.horizon
+                )
+        # every step's "before" and every member's final reference is a
+        # prefix of the chosen list: check all prefixes against direct runs
+        for member, truncation in enumerate(family.truncations):
+            full = intersect_spans(BlockSequence(family.k, chosen), truncation)
+            for length in range(len(chosen) + 1):
+                direct = intersect_spans(BlockSequence(family.k, chosen[:length]), truncation)
+                assert _within_prefix(full, length) == list(direct)
+    assert runs >= 4

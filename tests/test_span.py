@@ -19,6 +19,7 @@ from fink import (
     MismatchedLevel,
     ParseError,
     Subblock,
+    WitnessMismatch,
     enumerate_span,
     evaluate,
     first_common_element,
@@ -258,6 +259,25 @@ class TestIntersect:
             one = {ce.block for ce in intersect_spans(left, right)}
             two = {ce.block for ce in intersect_spans(right, left)}
             assert one == two
+
+
+class TestWitnessRecheck:
+    """Positive answers are rechecked by a raise, which ``python -O`` keeps."""
+
+    @pytest.fixture
+    def lying_evaluate(self, monkeypatch):
+        import fink.span
+
+        monkeypatch.setattr(fink.span, "evaluate", lambda seq, comb: blk(seq.k, [(99, seq.k)]))
+
+    def test_membership(self, lying_evaluate):
+        with pytest.raises(WitnessMismatch):
+            membership_witness(S2, seq(2, "0:2", "1:2", "3:2"))
+
+    def test_intersection(self, lying_evaluate):
+        left = seq(2, "0:2", "1:2", "3:2")
+        with pytest.raises(WitnessMismatch):
+            intersect_spans(left, left)
 
 
 class TestValuation:

@@ -11,7 +11,6 @@ from fink import (
     ParseError,
     PastEnd,
     PeriodicStream,
-    StreamWindow,
     Subblock,
     make_builtin,
     membership_witness,
@@ -87,13 +86,6 @@ class TestTailAndTruncate:
 
     def test_truncate_can_be_empty(self):
         assert len(make_builtin("example13_P", 2).tail(1).truncate(0)) == 0
-
-    def test_window(self):
-        q = make_builtin("example13_Q", 2)
-        window = StreamWindow(q, 1, 9)
-        assert window.sequence() == q.tail(1).truncate(9)
-        with pytest.raises(IndexError):
-            StreamWindow(q, -1, 9)
 
 
 class TestExplicit:

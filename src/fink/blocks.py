@@ -3,8 +3,9 @@
 A subblock at level k is a finitely supported function from the natural
 numbers to {0, ..., k}.  A block is a subblock that attains k somewhere.
 Values are immutable; every operation returns a fresh subblock.  Storage is
-a dense tuple of values starting at position 0 with trailing zeros trimmed,
-so equal functions compare equal structurally.
+the ascending tuple of (position, value) pairs over the support, so equal
+functions compare equal structurally and every operation costs time in the
+size of the support, whatever its positions.
 
 The text format for a subblock is ``k=<K>|<pos>:<val>,...`` with positions
 strictly increasing and values in 1..K; the empty subblock is ``k=<K>|-``.
@@ -13,6 +14,8 @@ context (sequence files, CLI flags).
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from .errors import (
     MismatchedLevel,
@@ -24,36 +27,49 @@ from .errors import (
 __all__ = ["Subblock", "tetris", "add", "star", "peak"]
 
 
+def _canonical_pairs(k, pairs):
+    """Validate a level and (position, value) pairs; ascending, zeros dropped."""
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"level must be a positive integer, got {k!r}")
+    seen = set()
+    kept = []
+    for pos, v in pairs:
+        if pos < 0:
+            raise ValueError(f"negative position {pos}")
+        if pos in seen:
+            raise ValueError(f"duplicate position {pos}")
+        seen.add(pos)
+        if not isinstance(v, int) or not 0 <= v <= k:
+            raise ValueError(f"value {v!r} at position {pos} outside 0..{k}")
+        if v:
+            kept.append((pos, v))
+    kept.sort()
+    return tuple(kept)
+
+
 class Subblock:
     """An element of the level-k subblock algebra.
 
-    ``values[n]`` is the value at position n; the tuple carries no trailing
-    zeros.  The same type stores blocks and proper subblocks; ``is_block``
-    is the checked "attains k" predicate and operations that need a block
-    validate it at entry.
+    ``pairs`` holds the (position, value) pairs with nonzero value, by
+    ascending position.  The same type stores blocks and proper subblocks;
+    ``is_block`` is the checked "attains k" predicate and operations that
+    need a block validate it at entry.
     """
 
-    __slots__ = ("k", "values")
+    __slots__ = ("k", "pairs")
 
     def __init__(self, k, values):
-        if not isinstance(k, int) or k < 1:
-            raise ValueError(f"level must be a positive integer, got {k!r}")
-        vals = list(values)
-        while vals and vals[-1] == 0:
-            vals.pop()
-        for pos, v in enumerate(vals):
-            if not isinstance(v, int) or not 0 <= v <= k:
-                raise ValueError(f"value {v!r} at position {pos} outside 0..{k}")
+        """Build from dense values: ``values[n]`` is the value at position n."""
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "values", tuple(vals))
+        object.__setattr__(self, "pairs", _canonical_pairs(k, enumerate(values)))
 
-    # The internal constructor trusts its caller: values must already be a
-    # canonical tuple (ints in range, no trailing zeros).
+    # The internal constructor trusts its caller: pairs must already be a
+    # canonical tuple (ascending positions, values in 1..k).
     @classmethod
-    def _raw(cls, k, values):
+    def _raw(cls, k, pairs):
         self = object.__new__(cls)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "pairs", pairs)
         return self
 
     def __setattr__(self, name, value):
@@ -62,20 +78,7 @@ class Subblock:
     @classmethod
     def from_pairs(cls, k, pairs):
         """Build from (position, value) pairs; positions may come in any order."""
-        items = list(pairs)
-        if not items:
-            return cls._raw(k, ())
-        seen = set()
-        for pos, _ in items:
-            if pos < 0:
-                raise ValueError(f"negative position {pos}")
-            if pos in seen:
-                raise ValueError(f"duplicate position {pos}")
-            seen.add(pos)
-        vals = [0] * (max(seen) + 1)
-        for pos, v in items:
-            vals[pos] = v
-        return cls(k, vals)
+        return cls._raw(k, _canonical_pairs(k, pairs))
 
     @classmethod
     def parse_body(cls, k, text):
@@ -120,38 +123,44 @@ class Subblock:
     # --- inspection ---------------------------------------------------
 
     @property
+    def values(self):
+        """Dense view: ``values[n]`` is the value at position n, with no
+        trailing zeros.  Its length is the largest position plus one."""
+        vals = [0] * (self.pairs[-1][0] + 1 if self.pairs else 0)
+        for pos, v in self.pairs:
+            vals[pos] = v
+        return tuple(vals)
+
+    @property
     def support(self):
-        return tuple(pos for pos, v in enumerate(self.values) if v)
+        return tuple(pos for pos, _ in self.pairs)
 
     @property
     def is_empty(self):
-        return not self.values
+        return not self.pairs
 
     @property
     def is_block(self):
         """True when the level k is attained somewhere."""
-        return self.k in self.values
+        return any(v == self.k for _, v in self.pairs)
 
     @property
     def min_support(self):
-        for pos, v in enumerate(self.values):
-            if v:
-                return pos
-        return None
+        return self.pairs[0][0] if self.pairs else None
 
     @property
     def max_support(self):
-        # canonical storage: the last entry is nonzero
-        return len(self.values) - 1 if self.values else None
+        return self.pairs[-1][0] if self.pairs else None
 
     def value_at(self, pos):
-        if 0 <= pos < len(self.values):
-            return self.values[pos]
+        i = bisect_left(self.pairs, (pos,))
+        if i < len(self.pairs) and self.pairs[i][0] == pos:
+            return self.pairs[i][1]
         return 0
 
     def items(self):
         """(position, value) pairs over the support, ascending."""
-        return tuple((pos, v) for pos, v in enumerate(self.values) if v)
+        return self.pairs
 
     # --- ordering and equality ----------------------------------------
 
@@ -175,10 +184,10 @@ class Subblock:
     def __eq__(self, other):
         if not isinstance(other, Subblock):
             return NotImplemented
-        return self.k == other.k and self.values == other.values
+        return self.k == other.k and self.pairs == other.pairs
 
     def __hash__(self):
-        return hash((self.k, self.values))
+        return hash((self.k, self.pairs))
 
     def __bool__(self):
         return not self.is_empty
@@ -192,33 +201,24 @@ class Subblock:
 
     def restrict_below(self, pos):
         """The part of this subblock on positions strictly below ``pos``."""
-        vals = list(self.values[: max(pos, 0)])
-        while vals and vals[-1] == 0:
-            vals.pop()
-        return Subblock._raw(self.k, tuple(vals))
+        return Subblock._raw(self.k, self.pairs[: bisect_left(self.pairs, (pos,))])
 
     def restrict_above(self, pos):
         """The part of this subblock on positions strictly above ``pos``."""
-        if pos < 0:
-            return self
-        head = (0,) * (pos + 1)
-        tail = self.values[pos + 1 :]
-        return Subblock._raw(self.k, head + tail if tail else ())
+        return Subblock._raw(self.k, self.pairs[bisect_left(self.pairs, (pos + 1,)) :])
 
     def shift(self, offset):
         """Translate every position right by ``offset`` (a nonnegative int)."""
         if offset < 0:
             raise ValueError("shift offset must be nonnegative")
-        if not self.values:
-            return self
-        return Subblock._raw(self.k, (0,) * offset + self.values)
+        return Subblock._raw(self.k, tuple((pos + offset, v) for pos, v in self.pairs))
 
     # --- rendering -----------------------------------------------------
 
     def render_body(self):
-        if not self.values:
+        if not self.pairs:
             return "-"
-        return ",".join(f"{pos}:{v}" for pos, v in enumerate(self.values) if v)
+        return ",".join(f"{pos}:{v}" for pos, v in self.pairs)
 
     def render(self):
         return f"k={self.k}|{self.render_body()}"
@@ -233,43 +233,39 @@ def tetris(p, steps=1):
         raise ValueError("tetris steps must be nonnegative")
     if steps == 0:
         return p
-    vals = [v - steps if v > steps else 0 for v in p.values]
-    while vals and vals[-1] == 0:
-        vals.pop()
-    return Subblock._raw(p.k, tuple(vals))
+    return Subblock._raw(p.k, tuple((pos, v - steps) for pos, v in p.pairs if v > steps))
 
 
 def add(p, q):
     """Partial addition: pointwise union, defined only on disjoint supports."""
     if p.k != q.k:
         raise MismatchedLevel(f"levels {p.k} and {q.k}")
-    if len(p.values) < len(q.values):
-        p, q = q, p
-    vals = list(p.values)
-    for pos, v in enumerate(q.values):
-        if v:
-            if vals[pos]:
-                raise OverlappingSupport(f"supports meet at position {pos}")
-            vals[pos] = v
-    return Subblock._raw(p.k, tuple(vals))
+    a, b = p.pairs, q.pairs
+    if not a or not b or a[-1][0] < b[0][0]:
+        return Subblock._raw(p.k, a + b)
+    if b[-1][0] < a[0][0]:
+        return Subblock._raw(p.k, b + a)
+    merged = sorted(a + b)
+    for (pos, _), (nxt, _) in zip(merged, merged[1:]):
+        if pos == nxt:
+            raise OverlappingSupport(f"supports meet at position {pos}")
+    return Subblock._raw(p.k, tuple(merged))
 
 
 def star(p, q):
     """Pointwise maximum of two subblocks at the same level."""
     if p.k != q.k:
         raise MismatchedLevel(f"levels {p.k} and {q.k}")
-    if len(p.values) < len(q.values):
-        p, q = q, p
-    vals = list(p.values)
-    for pos, v in enumerate(q.values):
-        if v > vals[pos]:
-            vals[pos] = v
-    return Subblock._raw(p.k, tuple(vals))
+    merged = dict(p.pairs)
+    for pos, v in q.pairs:
+        if v > merged.get(pos, 0):
+            merged[pos] = v
+    return Subblock._raw(p.k, tuple(sorted(merged.items())))
 
 
 def peak(p):
     """The rightmost position where the full value k is attained."""
-    for pos in range(len(p.values) - 1, -1, -1):
-        if p.values[pos] == p.k:
+    for pos, v in reversed(p.pairs):
+        if v == p.k:
             return pos
     raise NotABlock(f"value {p.k} never attained")

@@ -352,7 +352,7 @@ def _build_parser():
 
     p = sub.add_parser("valuation", parents=[common], help="valuation F of a block set")
     p.add_argument("--blocks", required=True)
-    p.add_argument("--horizon", type=int, default=None)
+    p.add_argument("--horizon", type=_at_least(0), default=None)
     p.set_defaults(handler=_cmd_valuation)
 
     p = sub.add_parser("graph", parents=[common], help="decomposition graph of a common block")

@@ -96,12 +96,13 @@ class BlockSequence:
 
     @cached_property
     def _position_index(self):
-        # position -> generator index; supports are pairwise disjoint
-        index = {}
-        for g, b in enumerate(self.blocks):
-            for pos in b.support:
-                index[pos] = g
-        return index
+        # position -> (generator index, value); supports are pairwise disjoint
+        return {pos: (g, v) for g, b in enumerate(self.blocks) for pos, v in b.pairs}
+
+    @cached_property
+    def _images(self):
+        # per generator, the pairs of its tetris image for exponents 0..k-1
+        return [[tetris(b, e).pairs for e in range(self.k)] for b in self.blocks]
 
     @classmethod
     def parse_file(cls, text):
@@ -299,90 +300,75 @@ def _check_cap(seq, cap_bits):
         )
 
 
-def _images(seq):
-    """Per generator, the tetris images for exponents 0..k-1 as (start, window)."""
-    table = []
-    for b in seq.blocks:
-        row = []
-        for e in range(seq.k):
-            img = tetris(b, e)
-            start = img.min_support
-            row.append((start, img.values[start:], start + len(img.values[start:])))
-        table.append(row)
-    return table
-
-
 def _iter_span_raw(seq, starred):
-    """Yield (values_list, subset, exponents) for every nonempty span element.
+    """Yield (pairs, subset, exponents) for every nonempty span element.
 
-    The list is freshly allocated per element and may be mutated by the
-    caller; subset and exponents are tuples safe to keep.
+    Supports are ordered, so concatenating the images of the used
+    generators gives the element's canonical ascending pairs.
     """
     n = len(seq)
     if n == 0:
         return
-    k = seq.k
-    images = _images(seq)
-    exponent_space = range(k)
+    images = seq._images
+    exponent_space = range(seq.k)
     for m in range(1, n + 1):
         for subset in itertools.combinations(range(n), m):
             rows = [images[i] for i in subset]
-            last_row = rows[-1]
             for exps in itertools.product(exponent_space, repeat=m):
                 if not starred and 0 not in exps:
                     continue
-                arr = [0] * last_row[exps[-1]][2]
+                pairs = ()
                 for row, e in zip(rows, exps):
-                    start, window, _ = row[e]
-                    arr[start : start + len(window)] = window
-                yield arr, subset, exps
+                    pairs += row[e]
+                yield pairs, subset, exps
 
 
 def enumerate_span(seq, starred=False, cap_bits=DEFAULT_CAP_BITS):
     """Materialize the whole (starred) span with one witness per element."""
     _check_cap(seq, cap_bits)
     pairs = [
-        (Subblock._raw(seq.k, tuple(arr)), Combination(tuple(zip(subset, exps)), starred))
-        for arr, subset, exps in _iter_span_raw(seq, starred)
+        (Subblock._raw(seq.k, pairs), Combination(tuple(zip(subset, exps)), starred))
+        for pairs, subset, exps in _iter_span_raw(seq, starred)
     ]
     pairs.sort(key=lambda pair: pair[1].sort_key())
     return SpanEnumeration(tuple(pairs), includes_empty=starred)
 
 
-def _witness_terms(values, seq, starred):
-    """The unique witness terms for ``values`` in seq's span, or None.
+def _witness_terms(pairs, seq, starred):
+    """The unique witness terms for ``pairs`` in seq's span, or None.
 
     Every supported position must fall in exactly one generator's support;
     that generator's exponent is forced, must be constant, and must
-    annihilate the generator's remaining positions.
+    annihilate the generator's remaining positions: the positions hit in
+    generator g are all of g's image at its forced exponent.  Supports are
+    ordered, so each generator's positions form one run of ``pairs``.
     """
     position_index = seq._position_index
-    blocks = seq.blocks
-    exponents = {}
-    for pos, v in enumerate(values):
-        if v:
-            g = position_index.get(pos)
-            if g is None:
+    images = seq._images
+    terms = []
+    g = e = None
+    hits = 0
+    for pos, v in pairs:
+        found = position_index.get(pos)
+        if found is None:
+            return None
+        h, hv = found
+        if h == g:
+            if hv - v != e:
                 return None
-            e = blocks[g].values[pos] - v
-            if e < 0:
-                return None
-            seen = exponents.get(g)
-            if seen is None:
-                exponents[g] = e
-            elif seen != e:
-                return None
-    if not exponents:
+            hits += 1
+            continue
+        if g is not None and hits != len(images[g][e]):
+            return None
+        g, e, hits = h, hv - v, 1
+        if e < 0:
+            return None
+        terms.append((g, e))
+    if g is None or hits != len(images[g][e]):
         return None
-    size = len(values)
-    for g, e in exponents.items():
-        for pos, pv in enumerate(blocks[g].values):
-            # positions the forced exponent does not annihilate must survive
-            if pv > e and (pos >= size or not values[pos]):
-                return None
-    if not starred and min(exponents.values()) != 0:
+    if not starred and min(e for _, e in terms) != 0:
         return None
-    return tuple(sorted(exponents.items()))
+    return tuple(terms)
 
 
 def membership_witness(t, seq, starred=False):
@@ -395,7 +381,7 @@ def membership_witness(t, seq, starred=False):
         raise MismatchedLevel(f"levels {t.k} and {seq.k}")
     if t.is_empty:
         return Combination((), starred=True) if starred else None
-    terms = _witness_terms(t.values, seq, starred)
+    terms = _witness_terms(t.pairs, seq, starred)
     if terms is None:
         return None
     witness = Combination(terms, starred)
@@ -411,11 +397,11 @@ def _iter_common(left, right, cap_bits):
     swap = (k + 1) ** len(right) < (k + 1) ** len(left)
     inner, outer = (right, left) if swap else (left, right)
     _check_cap(inner, cap_bits)
-    for arr, subset, exps in _iter_span_raw(inner, starred=False):
-        other_terms = _witness_terms(arr, outer, starred=False)
+    for pairs, subset, exps in _iter_span_raw(inner, starred=False):
+        other_terms = _witness_terms(pairs, outer, starred=False)
         if other_terms is None:
             continue
-        block = Subblock._raw(k, tuple(arr))
+        block = Subblock._raw(k, pairs)
         inner_comb = Combination(tuple(zip(subset, exps)), starred=False)
         outer_comb = Combination(other_terms, starred=False)
         check_witness(outer, outer_comb, block)

@@ -181,6 +181,16 @@ def settle_intertwined(element, left, right):
     raise ClaimViolation("splitting failed to terminate")
 
 
+def _value_order(block):
+    """Sort key equal to lexicographic order on the dense value vector.
+
+    The vectors first differ where one support starts later (a zero against
+    a nonzero value) or where both hold different values; negating the
+    position ranks the later start first.
+    """
+    return tuple((-pos, v) for pos, v in block.pairs)
+
+
 def extract_intertwined(left, right, cap_bits=DEFAULT_CAP_BITS):
     """Produce an intertwined block in the intersection of the two spans.
 
@@ -198,7 +208,7 @@ def extract_intertwined(left, right, cap_bits=DEFAULT_CAP_BITS):
             break
     if not common:
         raise NoIntersection(f"no common block among {len(left)} generators")
-    element = min(common, key=lambda ce: ce.block.values)
+    element = min(common, key=lambda ce: _value_order(ce.block))
     settled = settle_intertwined(element, left.prefix(length), right)
     return ExtractionResult(length, settled)
 
@@ -220,12 +230,13 @@ def star_split(anchor, other, left, right):
 
     p = anchor.block
     merged = star(p, other.block)
-    for pos in range(p.min_support, p.max_support + 1):
-        if merged.value_at(pos) != p.value_at(pos):
-            raise ClaimViolation(
-                f"star disagrees with the anchor at position {pos}: "
-                f"{merged.value_at(pos)} != {p.value_at(pos)}"
-            )
+    window = merged.restrict_above(p.min_support - 1).restrict_below(p.max_support + 1)
+    if window != p:
+        # star is pointwise at least p, so every disagreement is in window
+        pos, v = next((pos, v) for pos, v in window.pairs if v != p.value_at(pos))
+        raise ClaimViolation(
+            f"star disagrees with the anchor at position {pos}: {v} != {p.value_at(pos)}"
+        )
     below = merged.restrict_below(p.min_support)
     above = merged.restrict_above(p.max_support)
     if add(add(below, p), above) != merged:

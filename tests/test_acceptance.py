@@ -115,17 +115,26 @@ def test_criterion_2_membership_matches_enumeration():
                     assert evaluate(seq, claimed) == probe
 
 
+def _unary(k, fields):
+    """Pack (field, value) pairs with values in 0..k into one integer.
+
+    Field p holds ``(1 << v) - 1`` in k bits, so the packing is one-to-one,
+    ``|`` is the pointwise maximum and ``&`` the pointwise minimum.
+    """
+    packed = 0
+    for p, v in fields:
+        packed |= ((1 << v) - 1) << (p * k)
+    return packed
+
+
 def _closure_table(seq, starred):
-    """Padded value rows and exponent rows (sentinel k = generator unused)."""
-    elements = enumerate_span(seq, starred=starred).elements
-    length = max((b.max_support for b, _ in elements), default=-1) + 1
+    """Packed value rows and exponent rows (sentinel k = generator unused)."""
+    k = seq.k
     vals, exps, table = [], [], {}
-    for block, witness in elements:
-        row = tuple(block.values) + (0,) * (length - len(block.values))
-        evec = [seq.k] * len(seq)
-        for index, exponent in witness.terms:
-            evec[index] = exponent
-        evec = tuple(evec)
+    for block, witness in enumerate_span(seq, starred=starred).elements:
+        row = _unary(k, block.items())
+        exponents = dict(witness.terms)
+        evec = _unary(k, ((i, exponents.get(i, k)) for i in range(len(seq))))
         vals.append(row)
         exps.append(evec)
         table[evec] = row
@@ -142,10 +151,9 @@ def test_criterion_3_star_closure_and_minimum_rule():
             for i in range(len(vals)):
                 vi, ei = vals[i], exps[i]
                 for j in range(i, len(vals)):
-                    merged = tuple(map(min, ei, exps[j]))
-                    expected = table.get(merged)
+                    expected = table.get(ei & exps[j])
                     assert expected is not None
-                    assert tuple(map(max, vi, vals[j])) == expected
+                    assert vi | vals[j] == expected
             # sampled pairs over the starred span, same law
             vals, exps, table = _closure_table(seq, starred=True)
             if not vals:
@@ -153,10 +161,9 @@ def test_criterion_3_star_closure_and_minimum_rule():
             for _ in range(100):
                 i = rng.randrange(len(vals))
                 j = rng.randrange(len(vals))
-                merged = tuple(map(min, exps[i], exps[j]))
-                expected = table.get(merged)
+                expected = table.get(exps[i] & exps[j])
                 assert expected is not None
-                assert tuple(map(max, vals[i], vals[j])) == expected
+                assert vals[i] | vals[j] == expected
 
 
 def test_criterion_4_extraction_suite():

@@ -1,17 +1,21 @@
 """Block algebra: construction, parsing, tetris, addition, star, ordering."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle
 from fink import (
+    BlockSequence,
     MismatchedLevel,
     NotABlock,
     OverlappingSupport,
     ParseError,
     Subblock,
     add,
+    membership_witness,
     peak,
     star,
     tetris,
@@ -117,6 +121,9 @@ class TestAdd:
     def test_overlap_rejected(self):
         with pytest.raises(OverlappingSupport):
             add(blk(2, [(0, 2), (1, 1)]), blk(2, [(1, 2)]))
+        # interleaved supports report their least shared position
+        with pytest.raises(OverlappingSupport, match="position 3$"):
+            add(blk(2, [(0, 2), (3, 1), (5, 1)]), blk(2, [(1, 1), (3, 2), (5, 2)]))
 
     def test_level_mismatch_rejected(self):
         with pytest.raises(MismatchedLevel):
@@ -234,3 +241,33 @@ def test_render_parse_round_trip(p):
 def test_tetris_matches_oracle(p, steps):
     image = oracle.tetris_dict(oracle.to_dict(p), steps)
     assert oracle.to_dict(tetris(p, steps)) == image
+
+
+FAR = 10**12
+
+
+def test_far_positions_cost_follows_the_support():
+    tracemalloc.start()
+    try:
+        p = Subblock.parse_body(2, f"0:2,{FAR}:1")
+        assert p.render_body() == f"0:2,{FAR}:1"
+        assert p.value_at(FAR) == 1 and p.value_at(FAR - 1) == 0
+        moved = p.shift(FAR + 1)
+        assert moved.support == (FAR + 1, 2 * FAR + 1)
+        assert tetris(p) == blk(2, [(0, 1)])
+        assert add(moved, p) == blk(2, [(0, 2), (FAR, 1), (FAR + 1, 2), (2 * FAR + 1, 1)])
+        assert add(p, blk(2, [(1, 1)])) == blk(2, [(0, 2), (1, 1), (FAR, 1)])
+        with pytest.raises(OverlappingSupport, match=f"position {FAR}$"):
+            add(p, p.shift(FAR))
+        assert star(p, blk(2, [(FAR, 2)])) == blk(2, [(0, 2), (FAR, 2)])
+        assert p.restrict_below(FAR) == blk(2, [(0, 2)])
+        assert p.restrict_above(0) == blk(2, [(FAR, 1)])
+        assert peak(moved) == FAR + 1
+        generators = BlockSequence(2, [p, blk(2, [(FAR + 1, 2)])])
+        witness = membership_witness(add(tetris(p), blk(2, [(FAR + 1, 2)])), generators)
+        assert witness.render() == "0^1 + 1^0"
+        assert membership_witness(blk(2, [(FAR, 1)]), generators) is None
+        _, peak_bytes = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak_bytes < 1_000_000

@@ -53,6 +53,14 @@ class TestMember:
         assert code == 2
         assert out == "no\n"
 
+    def test_far_position_is_not_a_member(self, capsys, files):
+        code, out, _ = run(
+            capsys, "member", "--k", "2", "--seq", files["P.seq"],
+            "--block", "1000000000000:2",
+        )
+        assert code == 2
+        assert out == "no\n"
+
     def test_starred_flips_the_answer(self, capsys, files):
         code, out, _ = run(
             capsys, "member", "--k", "2", "--seq", files["P.seq"],
@@ -185,6 +193,17 @@ class TestValuation:
         assert code == 0
         assert json.loads(out) == {"value": 0, "count": 2, "horizon": 1}
 
+    @pytest.mark.parametrize("body", ["", "0:2\n"], ids=["empty", "nonempty"])
+    def test_negative_horizon_is_a_usage_error(self, capsys, tmp_path, body):
+        target = tmp_path / "set.blocks"
+        target.write_text(f"k=2\n{body}", encoding="utf-8")
+        code, out, err = run(
+            capsys, "valuation", "--blocks", str(target), "--horizon", "-5"
+        )
+        assert code == 1
+        assert out == ""
+        assert "error: usage:" in err
+
 
 class TestGraphAndIntertwined:
     def test_graph_two_components(self, capsys, files):
@@ -256,6 +275,17 @@ class TestExtractAndSplit:
         )
         assert code == 0
         assert out == "s=- r=1:1,3:1\n"
+
+    def test_split_around_a_far_anchor(self, capsys, tmp_path):
+        target = tmp_path / "far.seq"
+        target.write_text("k=2\n0:2,1000000000000:1\n1000000000001:2\n", encoding="utf-8")
+        code, out, _ = run(
+            capsys, "split", "--P", str(target), "--Q", str(target),
+            "--anchor", "0:2,1000000000000:1",
+            "--other", "0:2,1000000000000:1,1000000000001:2",
+        )
+        assert code == 0
+        assert out == "s=- r=1000000000001:2\n"
 
     def test_split_not_intertwined(self, capsys, files):
         code, _, err = run(

@@ -341,17 +341,10 @@ def _owners_to_blocks(assignment, k):
     return BlockSequence(k, kept)
 
 
-@given(generator_lists(2))
-def test_enumeration_matches_oracle_k2(s):
-    _assert_matches_oracle(s)
-
-
-@given(generator_lists(3))
-def test_enumeration_matches_oracle_k3(s):
-    _assert_matches_oracle(s)
-
-
-def _assert_matches_oracle(s):
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@given(data=st.data())
+def test_enumeration_matches_oracle(k, data):
+    s = data.draw(generator_lists(k))
     gens = [oracle.to_dict(b) for b in s]
     for starred in (False, True):
         table = oracle.span_witnesses(gens, s.k, starred)
@@ -364,6 +357,22 @@ def _assert_matches_oracle(s):
             found = membership_witness(block, s, starred=starred)
             assert found == witness
         assert got.includes_empty is starred
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@given(data=st.data())
+def test_intersection_matches_oracle(k, data):
+    left = data.draw(generator_lists(k))
+    right = data.draw(generator_lists(k))
+    common = intersect_spans(left, right)
+    expected = oracle.intersection_elements(
+        [oracle.to_dict(b) for b in left], [oracle.to_dict(b) for b in right], k
+    )
+    assert {oracle.as_key(oracle.to_dict(ce.block)) for ce in common} == expected
+    assert len(common) == len(expected)
+    for ce in common:
+        assert evaluate(left, ce.left_witness) == ce.block
+        assert evaluate(right, ce.right_witness) == ce.block
 
 
 @given(generator_lists(3))

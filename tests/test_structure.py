@@ -3,11 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracle
 from conftest import make_overlapping_pair
 from fink import (
     BlockSequence,
+    ClaimViolation,
     CommonElement,
     MinimalityViolation,
     NoIntersection,
@@ -27,6 +30,7 @@ from fink import (
     star,
     star_split,
 )
+from fink.structure import _value_order
 
 
 def blk(k, pairs):
@@ -202,6 +206,16 @@ class TestStarSplit:
         with pytest.raises(WitnessMismatch):
             star_split(bogus, anchor, P3, Q3)
 
+    def test_star_inside_the_anchor_window_is_checked(self, monkeypatch):
+        import fink.structure
+
+        s = seq(2, "0:2,3:1")
+        anchor = common(blk(2, [(0, 2), (3, 1)]), s, s)
+        lifted = blk(2, [(0, 2), (2, 1), (3, 2)])
+        monkeypatch.setattr(fink.structure, "star", lambda p, q: lifted)
+        with pytest.raises(ClaimViolation, match="at position 2: 1 != 0$"):
+            star_split(anchor, anchor, s, s)
+
 
 class TestSmallness:
     def test_interlocked_tail_is_empty_at_horizon(self):
@@ -256,3 +270,15 @@ def test_graph_observations_on_random_pairs():
                 for a2, b2 in g.edges:
                     if a < a2:
                         assert b <= b2
+
+
+def level3_subblocks():
+    return st.dictionaries(st.integers(0, 14), st.integers(1, 3), max_size=6).map(
+        lambda d: Subblock.from_pairs(3, d.items())
+    )
+
+
+@given(level3_subblocks(), level3_subblocks())
+def test_extraction_key_orders_like_the_value_vector(a, b):
+    assert (_value_order(a) < _value_order(b)) == (a.values < b.values)
+    assert (_value_order(a) == _value_order(b)) == (a.values == b.values)

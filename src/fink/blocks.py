@@ -97,6 +97,8 @@ class Subblock:
                 pos, val = int(left), int(right)
             except ValueError:
                 raise ParseError(f"non-integer entry {piece!r}") from None
+            if pos < 0:
+                raise ParseError(f"negative position at {piece!r}")
             if pos <= last:
                 raise ParseError(f"positions must strictly increase at {piece!r}")
             if not 1 <= val <= k:

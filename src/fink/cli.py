@@ -235,7 +235,7 @@ def _cmd_extract(args):
     left = _load_sequence(args.P, args.k)
     right = _load_sequence(args.Q, args.k)
     try:
-        result = extract_intertwined(left, right, cap_bits=args.cap)
+        result = extract_intertwined(left, right)
     except NoIntersection:
         print(json.dumps({"found": False}) if args.format == "json" else "none")
         return NEGATIVE
@@ -277,7 +277,7 @@ def _cmd_small(args):
     right = _load_stream(args.Q, args.k)
     if left.k != right.k:
         raise MismatchedLevel(f"stream levels {left.k} and {right.k}")
-    certificate = smallness_check(left, right, args.n, args.horizon, cap_bits=args.cap)
+    certificate = smallness_check(left, right, args.n, args.horizon)
     if args.format == "json":
         witness = certificate.witness
         _print_json(
@@ -293,8 +293,8 @@ def _cmd_small(args):
 
 def _cmd_diag(args):
     members = [_load_stream(arg, args.k) for arg in args.member]
-    family = validate_family(members, args.n, args.horizon, cap_bits=args.cap)
-    trace = run_diagonalization(family, cycles=args.cycles, cap_bits=args.cap)
+    family = validate_family(members, args.n, args.horizon)
+    trace = run_diagonalization(family, cycles=args.cycles)
     if args.format == "json":
         for step in trace.steps:
             _print_json(
@@ -323,7 +323,7 @@ def _build_parser():
     common.add_argument("--k", type=int, default=None, help="level; checked against inputs")
     capped = argparse.ArgumentParser(add_help=False, parents=[common])
     capped.add_argument("--cap", type=float, default=DEFAULT_CAP_BITS,
-                        help="enumeration cap in search-space bits")
+                        help="listing cap in bits: at most 2^BITS listed combinations")
 
     parser = _Parser(prog="fink", description="FIN_k block algebra and span computations")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
@@ -367,7 +367,7 @@ def _build_parser():
     p.add_argument("--block", required=True)
     p.set_defaults(handler=_cmd_intertwined)
 
-    p = sub.add_parser("extract", parents=[capped], help="extract an intertwined common block")
+    p = sub.add_parser("extract", parents=[common], help="extract an intertwined common block")
     p.add_argument("--P", required=True)
     p.add_argument("--Q", required=True)
     p.set_defaults(handler=_cmd_extract)
@@ -379,7 +379,7 @@ def _build_parser():
     p.add_argument("--other", required=True, help="common block body to star against")
     p.set_defaults(handler=_cmd_split)
 
-    p = sub.add_parser("small", parents=[capped], help="smallness probe at a horizon")
+    p = sub.add_parser("small", parents=[common], help="smallness probe at a horizon")
     p.add_argument("--P", required=True, help="stream: builtin name, spec, or file")
     p.add_argument("--Q", required=True)
     p.add_argument("--n", type=_at_least(0), required=True,
@@ -387,7 +387,7 @@ def _build_parser():
     p.add_argument("--horizon", type=_at_least(0), required=True)
     p.set_defaults(handler=_cmd_small)
 
-    p = sub.add_parser("diag", parents=[capped], help="validate a family and diagonalize")
+    p = sub.add_parser("diag", parents=[common], help="validate a family and diagonalize")
     p.add_argument("--member", action="append", required=True,
                    help="stream (repeatable): builtin name, spec, or file")
     p.add_argument("--n", type=_at_least(0), default=1,

@@ -7,6 +7,8 @@ non-source member.  Each step verifies that stability claim exactly (the
 valuation before and after adding the block must agree, and any new common
 element must use the fresh block with a positive tetris exponent); a
 failure aborts the run with ClaimViolation rather than being skipped.
+Every two-span question here is one position sweep (``span._Sweep``), so
+none of them enumerates a span.
 """
 
 from __future__ import annotations
@@ -22,13 +24,7 @@ from .errors import (
     MismatchedLevel,
     NotAlmostDisjoint,
 )
-from .span import (
-    DEFAULT_CAP_BITS,
-    BlockSequence,
-    intersect_spans,
-    membership_witness,
-    valuation,
-)
+from .span import _UNUSED, BlockSequence, _Sweep, membership_witness
 from .structure import smallness_check
 
 __all__ = [
@@ -57,16 +53,17 @@ class AlmostDisjointFamily:
         return len(self.members)
 
 
-def validate_family(members, tail_index, horizon, cap_bits=DEFAULT_CAP_BITS):
+def validate_family(members, tail_index, horizon):
     """Check pairwise smallness at the horizon and record pairwise bounds.
 
-    Each unordered pair of full truncations is intersected once.  A stream's
-    ``tail(n).truncate(H)`` is ``truncate(H).blocks[n:]`` (supports strictly
-    increase) and witnesses are unique, so the tail of member i meets member
-    j exactly when some common element's i-side witness starts at index n or
-    later.  Ordered pairs are checked i-major; the first failing pair raises
+    A stream's ``tail(n).truncate(H)`` is ``truncate(H).blocks[n:]``
+    (supports strictly increase) and witnesses are unique, so the tail of
+    member i meets member j exactly when the sweep of the full truncations
+    with i's generators below n forced unused finds a common element.
+    Ordered pairs are checked i-major; the first failing pair raises
     NotAlmostDisjoint(i, j) with its smallness certificate.  The bounds
-    matrix holds the valuation of each pairwise intersection.
+    matrix holds the valuation of each pairwise intersection, one sweep per
+    unordered pair.
     """
     members = tuple(members)
     if not members:
@@ -79,21 +76,14 @@ def validate_family(members, tail_index, horizon, cap_bits=DEFAULT_CAP_BITS):
             raise MismatchedLevel(f"family levels {k} and {member.k}")
     count = len(members)
     truncations = tuple(member.truncate(horizon) for member in members)
-    common = {}
     for i, j in itertools.permutations(range(count), 2):
-        if i < j:
-            common[i, j] = intersect_spans(truncations[i], truncations[j], cap_bits)
-            witnesses = [ce.left_witness for ce in common[i, j]]
-        else:
-            witnesses = [ce.right_witness for ce in common[j, i]]
-        if any(w.indices[0] >= tail_index for w in witnesses):
-            certificate = smallness_check(
-                members[i], members[j], tail_index, horizon, cap_bits
-            )
+        head = range(min(tail_index, len(truncations[i])))
+        if _Sweep(truncations[i], truncations[j], dict.fromkeys(head, _UNUSED)).count:
+            certificate = smallness_check(members[i], members[j], tail_index, horizon)
             raise NotAlmostDisjoint(i, j, certificate)
     grid = [[None] * count for _ in range(count)]
-    for (i, j), pair_common in common.items():
-        grid[i][j] = grid[j][i] = _valuation(pair_common, horizon)
+    for i, j in itertools.combinations(range(count), 2):
+        grid[i][j] = grid[j][i] = _Sweep(truncations[i], truncations[j]).valuation(horizon)
     return AlmostDisjointFamily(
         members=members,
         k=k,
@@ -186,29 +176,19 @@ def choose_next(family, chosen, step_index):
     )
 
 
-def _valuation(common, horizon):
-    return valuation((ce.block for ce in common), horizon=horizon)
-
-
-def _common_with(family, chosen_blocks, member, cap_bits):
-    seq = BlockSequence(family.k, chosen_blocks)
-    return intersect_spans(seq, family.truncations[member], cap_bits)
-
-
-def _within_prefix(common, length):
-    """The common elements whose left witness uses only the first ``length``
-    generators: witnesses are unique, so exactly the intersection over the
-    left sequence's first ``length`` blocks."""
-    return [ce for ce in common if ce.left_witness.indices[-1] < length]
-
-
-def run_diagonalization(family, cycles=1, cap_bits=DEFAULT_CAP_BITS):
+def run_diagonalization(family, cycles=1):
     """Run ``cycles`` passes over the family, verifying stability at each step.
 
     Returns the trace (chosen blocks, between indices, per-step checks and
     the final per-member valuations).  Raises ClaimViolation the moment a
     stability check or the positive-exponent condition fails, and
     HorizonExhausted when no admissible block exists.
+
+    Witnesses are unique, so forcing chosen generators unused in a sweep
+    over the whole chosen list is the intersection over the others: each
+    step sweeps "after", "before" (fresh block unused) and the fresh block
+    at exponent 0, which must find nothing; each final reference forces the
+    choices after the member's last source step unused.
     """
     if cycles < 1:
         raise ValueError("cycles must be at least 1")
@@ -220,24 +200,23 @@ def run_diagonalization(family, cycles=1, cap_bits=DEFAULT_CAP_BITS):
         block, between = choose_next(family, chosen, n)
         if membership_witness(block, family.truncations[member]) is None:
             raise ClaimViolation("chosen block missing from its source span", step=n)
-        fresh_index = len(chosen)
+        fresh = len(chosen)
+        trial = BlockSequence(family.k, chosen + [block])
         checks = []
         for i in _engaged(family, n):
-            after_common = _common_with(family, chosen + [block], i, cap_bits)
-            before = _valuation(_within_prefix(after_common, fresh_index), family.horizon)
-            after = _valuation(after_common, family.horizon)
-            for ce in after_common:
-                meets = any(ce.block.value_at(pos) for pos in block.support)
-                if not meets:
-                    continue
-                exponent = dict(ce.left_witness.terms).get(fresh_index)
-                if exponent is None or exponent <= 0:
-                    raise ClaimViolation(
-                        f"common element {ce.block.render()} uses the fresh block "
-                        f"with exponent {exponent}",
-                        step=n,
-                        member=i,
-                    )
+            truncation = family.truncations[i]
+            # a common element meets the fresh block exactly when it uses it
+            lowered = _Sweep(trial, truncation, {fresh: 0})
+            if lowered.count:
+                ce = lowered.peak_element()
+                raise ClaimViolation(
+                    f"common element {ce.block.render()} uses the fresh block "
+                    f"with exponent 0",
+                    step=n,
+                    member=i,
+                )
+            before = _Sweep(trial, truncation, {fresh: _UNUSED}).valuation(family.horizon)
+            after = _Sweep(trial, truncation).valuation(family.horizon)
             if before.value != after.value:
                 raise ClaimViolation(
                     f"valuation moved {before.render_value()} -> {after.render_value()}",
@@ -249,11 +228,13 @@ def run_diagonalization(family, cycles=1, cap_bits=DEFAULT_CAP_BITS):
         steps.append(DiagonalStep(n, member, block, between, tuple(checks)))
 
     finals = []
+    picked = BlockSequence(family.k, chosen)
     for i in range(count):
-        common = _common_with(family, chosen, i, cap_bits)
-        final = _valuation(common, family.horizon)
+        truncation = family.truncations[i]
+        final = _Sweep(picked, truncation).valuation(family.horizon)
         last_source = (cycles - 1) * count + i
-        reference = _valuation(_within_prefix(common, last_source + 1), family.horizon)
+        later = dict.fromkeys(range(last_source + 1, len(chosen)), _UNUSED)
+        reference = _Sweep(picked, truncation, later).valuation(family.horizon)
         ceiling = [
             bound.value
             for j, bound in enumerate(family.bounds[i])

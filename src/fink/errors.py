@@ -95,7 +95,7 @@ class ClaimViolation(FinkError):
 
 
 class HorizonExhausted(FinkError):
-    """No admissible next block exists within the configured horizon."""
+    """No admissible block exists within the configured horizon, or a block reaches past it."""
 
 
 class NotAlmostDisjoint(FinkError):

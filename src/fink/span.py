@@ -8,20 +8,24 @@ under further tetris moves) and additionally contains the empty subblock.
 
 Everything here is exact and deterministic: enumeration walks the
 ``(k+1)^N`` generator-exponent assignments (capped), membership is decided
-directly from the forced exponents, and every positive answer carries a
-witness combination that evaluates back to the queried subblock.
+directly from the forced exponents, questions about two spans at once are
+answered by one sweep over their support positions, in time polynomial in
+the number of positions, and every positive answer carries a witness
+combination that evaluates back to the queried subblock.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
 from .blocks import Subblock, add, peak, tetris
 from .errors import (
     EnumerationCapExceeded,
+    HorizonExhausted,
     IndexOutOfRange,
     InvalidCombination,
     InvalidSequence,
@@ -47,6 +51,9 @@ __all__ = [
 
 # Default cap on the enumeration search space: N * log2(k+1) bits.
 DEFAULT_CAP_BITS = 24.0
+
+# a position sweep's choice for a generator it does not use
+_UNUSED = -1
 
 
 class BlockSequence:
@@ -98,6 +105,19 @@ class BlockSequence:
     def _position_index(self):
         # position -> (generator index, value); supports are pairwise disjoint
         return {pos: (g, v) for g, b in enumerate(self.blocks) for pos, v in b.pairs}
+
+    @cached_property
+    def _sweep_sides(self):
+        # per support position, a sweep's view of this side: (generator,
+        # its (choice, value) moves) where a support starts, else (None, value)
+        every = range(_UNUSED, self.k)
+        sides = {}
+        for g, b in enumerate(self.blocks):
+            (pos, v), *rest = b.pairs
+            sides[pos] = (g, tuple((c, v - c if 0 <= c < v else 0) for c in every))
+            for pos, v in rest:
+                sides[pos] = (None, v)
+        return sides
 
     @cached_property
     def _images(self):
@@ -389,51 +409,323 @@ def membership_witness(t, seq, starred=False):
     return witness
 
 
-def _iter_common(left, right, cap_bits):
-    """Yield CommonElements in enumeration order of the cheaper side."""
-    if left.k != right.k:
-        raise MismatchedLevel(f"levels {left.k} and {right.k}")
-    k = left.k
-    swap = (k + 1) ** len(right) < (k + 1) ** len(left)
-    inner, outer = (right, left) if swap else (left, right)
-    _check_cap(inner, cap_bits)
-    for pairs, subset, exps in _iter_span_raw(inner, starred=False):
-        other_terms = _witness_terms(pairs, outer, starred=False)
-        if other_terms is None:
-            continue
-        block = Subblock._raw(k, pairs)
-        inner_comb = Combination(tuple(zip(subset, exps)), starred=False)
-        outer_comb = Combination(other_terms, starred=False)
-        check_witness(outer, outer_comb, block)
-        if swap:
-            yield CommonElement(block, outer_comb, inner_comb)
-        else:
-            yield CommonElement(block, inner_comb, outer_comb)
+# before the first position: no window open, no exponent 0 seen on either side
+_START = (None, False, None, False)
+# the one move of a side with no window open at a position
+_OUTSIDE = ((None, 0),)
+
+
+def _chain_terms(chain):
+    """The terms of a cons chain ``(term, rest)``, head first."""
+    terms = []
+    while chain is not None:
+        term, chain = chain
+        terms.append(term)
+    return terms
+
+
+def _side_steps(seq, positions, force):
+    """Per position, one side's ``(opened generator or None, info)``.
+
+    ``info`` holds the (choice, value) moves where a generator's support
+    starts, the open generator's value inside its window (0 off its
+    support), or None outside every window.
+    """
+    sides = seq._sweep_sides
+    blocks = seq.blocks
+    starts = [b.min_support for b in blocks]
+    steps = []
+    for pos in positions:
+        side = sides.get(pos)
+        if side is None:
+            g = bisect_right(starts, pos) - 1
+            side = (None, 0 if g >= 0 and pos < blocks[g].max_support else None)
+        elif side[0] in force:
+            g, moves = side
+            side = (g, tuple(move for move in moves if move[0] == force[g]))
+        steps.append(side)
+    return steps
+
+
+class _Sweep:
+    """Every question about the common elements of two spans, in one pass.
+
+    The sweep walks the sorted union of both sequences' support positions.
+    Supports are ordered, so on each side at most one generator window
+    ``[min_support, max_support]`` holds a position, and that generator's
+    choice (unused or an exponent) is fixed where its support starts.  A
+    state is ``(left choice, left saw exponent 0, right choice, right saw
+    exponent 0)``, the choice being None outside every window, so there are
+    at most 4(k+2)^2 states; a move is legal only where both sides give the
+    same value.  Witnesses are unique, so the accepting paths match the
+    common elements one to one.
+
+    ``force`` maps left generator indices to a fixed choice: ``_UNUSED`` or
+    one exponent.  The forward pass keeps, per state, the number of paths,
+    the largest last position of value k (with the predecessor attaining
+    it) and the smallest largest left index used, which give ``count``,
+    ``peak`` (the valuation F) and ``prefix_length``.  It records each
+    step's moves, over which listing and the least elements walk the live
+    states, growing witness terms as cons chains.  Every element handed out
+    builds its block from the left images and re-evaluates the right
+    witness.
+    """
+
+    def __init__(self, left, right, force=None):
+        if left.k != right.k:
+            raise MismatchedLevel(f"levels {left.k} and {right.k}")
+        self.left, self.right, self.k = left, right, left.k
+        positions = sorted(left._position_index.keys() | right._position_index.keys())
+        # per step: the left generator opened there, or None, and the
+        # right one; then the moves (state, next state, value)
+        self.opened = []
+        self.moves = []
+        # per state of the current layer: [paths, last position of value k,
+        # its predecessor, largest left index used, the state], -1 standing
+        # for "none yet"; earlier layers keep only state -> predecessor, so
+        # the path counts, which grow to big integers, are not stored
+        layer = {_START: [1, -1, None, -1, _START]}
+        self.preds = [{_START: None}]
+        k = self.k
+        steps = zip(
+            positions,
+            _side_steps(left, positions, force or {}),
+            _side_steps(right, positions, {}),
+        )
+        for pos, (lg, linfo), (rg, rinfo) in steps:
+            nxt = {}
+            moves = []
+            for state, (paths, top, _, last, _) in layer.items():
+                cl, zl, cr, zr = state
+                if lg is not None:
+                    lopts = linfo
+                elif linfo is None:
+                    lopts = _OUTSIDE
+                else:
+                    lopts = ((cl, linfo - cl if 0 <= cl < linfo else 0),)
+                if rg is not None:
+                    ropts = rinfo
+                elif rinfo is None:
+                    ropts = _OUTSIDE
+                else:
+                    ropts = ((cr, rinfo - cr if 0 <= cr < rinfo else 0),)
+                for c1, v1 in lopts:
+                    new_top = pos if v1 == k else top
+                    new_last = lg if lg is not None and c1 >= 0 else last
+                    for c2, v2 in ropts:
+                        if v1 != v2:
+                            continue
+                        new = (c1, zl or c1 == 0, c2, zr or c2 == 0)
+                        held = nxt.get(new)
+                        if held is None:
+                            nxt[new] = [paths, new_top, state, new_last, new]
+                        else:
+                            new = held[4]  # one object per state keeps the moves small
+                            held[0] += paths
+                            if new_top > held[1]:
+                                held[1], held[2] = new_top, state
+                            if new_last < held[3]:
+                                held[3] = new_last
+                        moves.append((state, new, v1))
+            layer = nxt
+            self.preds.append({state: held[2] for state, held in nxt.items()})
+            self.opened.append((lg, rg))
+            self.moves.append(moves)
+        accepting = [held for state, held in layer.items() if state[1] and state[3]]
+        self.accepting = {held[4] for held in accepting}
+        self.count = sum(held[0] for held in accepting)
+        self.peak = self.prefix_length = None
+        if accepting:
+            best = max(accepting, key=lambda held: held[1])
+            self.peak, self._peak_state = best[1], best[4]
+            self.prefix_length = min(held[3] for held in accepting) + 1
+        self._live_cache = {}
+
+    def _extend(self, i, state, chains):
+        """Both witnesses' term chains after entering ``state`` at step i."""
+        lg, rg = self.opened[i]
+        left, right = chains
+        if lg is not None and state[0] >= 0:
+            left = ((lg, state[0]), left)
+        if rg is not None and state[2] >= 0:
+            right = ((rg, state[2]), right)
+        return left, right
+
+    def _element(self, left_terms, right_terms):
+        images = self.left._images
+        block = Subblock._raw(self.k, tuple(p for g, e in left_terms for p in images[g][e]))
+        element = CommonElement(block, Combination(left_terms), Combination(right_terms))
+        check_witness(self.right, element.right_witness, block)
+        return element
+
+    def _walked(self, chains):
+        """The element whose witnesses a forward walk grew as ``chains``."""
+        left, right = chains
+        return self._element(
+            tuple(reversed(_chain_terms(left))), tuple(reversed(_chain_terms(right)))
+        )
+
+    def _live(self, limit):
+        """Per layer, the states that reach acceptance using no left
+        generator from ``limit`` on, and those that reach it using no
+        further left generator at all."""
+        if limit not in self._live_cache:
+            live = idle = self.accepting
+            lives, idles = [live], [idle]
+            for (lg, _), moves in zip(reversed(self.opened), reversed(self.moves)):
+                live_here, idle_here = set(), set()
+                for state, new, _ in moves:
+                    if lg is not None and new[0] >= 0:
+                        if lg < limit and new in live:
+                            live_here.add(state)
+                    else:
+                        if new in live:
+                            live_here.add(state)
+                        if new in idle:
+                            idle_here.add(state)
+                live, idle = live_here, idle_here
+                lives.append(live)
+                idles.append(idle)
+            self._live_cache[limit] = lives[::-1], idles[::-1]
+        return self._live_cache[limit]
+
+    def elements(self):
+        """Every common element, in no particular order.
+
+        Walks the moves backward from the accepting states: every recorded
+        state is reachable from the start, so no partial path dies.
+        """
+        suffixes = {state: [(None, None)] for state in self.accepting}
+        for i in range(len(self.moves) - 1, -1, -1):
+            lg, rg = self.opened[i]
+            before = {}
+            for state, new, _ in self.moves[i]:
+                found = suffixes.get(new)
+                if found is None:
+                    continue
+                if lg is not None and new[0] >= 0 or rg is not None and new[2] >= 0:
+                    found = [self._extend(i, new, chains) for chains in found]
+                before.setdefault(state, []).extend(found)
+            suffixes = before
+        return [
+            self._element(tuple(_chain_terms(left)), tuple(_chain_terms(right)))
+            for left, right in suffixes.get(_START, ())
+        ]
+
+    def least(self, by_value, limit=None):
+        """The least common element using left generators below ``limit``
+        (default: all), or None when there is none.
+
+        ``by_value`` orders elements by their dense value vectors, otherwise
+        by their left witnesses as tuples of (index, exponent) terms.  A
+        greedy walk over live states takes the least-ranked move at each
+        position: by value, the value; by witness, the exponent where a left
+        generator starts (unused ranks last), once no state can end the
+        witness there.  States that share the walk's choices so far share
+        their witness terms so far (witnesses are unique).
+        """
+        # A move onto a left generator at or past ``limit`` can lead to a
+        # live state, but it never wins: by value it only ties with the 0
+        # the allowed paths take on its window, then loses at its peak; by
+        # witness, every live state can end the witness before it starts.
+        limit = len(self.left) if limit is None else limit
+        live, idle = self._live(limit)
+        if _START not in live[0]:
+            return None
+        frontier = {_START: (None, None)}
+        ended = False
+        for i, moves in enumerate(self.moves):
+            if not (by_value or ended):
+                done = {state: terms for state, terms in frontier.items() if state in idle[i]}
+                if done:
+                    frontier, ended = done, True
+            lg = self.opened[i][0]
+            best, chosen = None, {}
+            for state, new, value in moves:
+                if state not in frontier:
+                    continue
+                uses = lg is not None and new[0] >= 0
+                if ended:
+                    if uses or new not in idle[i + 1]:
+                        continue
+                    rank = 0
+                elif new not in live[i + 1]:
+                    continue
+                elif by_value:
+                    rank = value
+                else:
+                    rank = new[0] if uses else self.k if lg is not None else 0
+                if best is None or rank < best:
+                    best, chosen = rank, {}
+                if rank == best and new not in chosen:
+                    chosen[new] = self._extend(i, new, frontier[state])
+            frontier = chosen
+        return self._walked(next(iter(frontier.values())))
+
+    def peak_element(self):
+        """The recorded element attaining F, both witnesses re-evaluated."""
+        path = [self._peak_state]
+        for preds in reversed(self.preds[1:]):
+            path.append(preds[path[-1]])
+        chains = (None, None)
+        for i, state in enumerate(reversed(path[:-1])):
+            chains = self._extend(i, state, chains)
+        element = self._walked(chains)
+        check_witness(self.left, element.left_witness, element.block)
+        if peak(element.block) != self.peak:
+            raise WitnessMismatch(
+                f"element {element.block.render()} does not attain F={self.peak}"
+            )
+        return element
+
+    def valuation(self, horizon):
+        """F over the common elements, backed by its rechecked element."""
+        if self.count:
+            self.peak_element()
+        return HorizonValuation(self.peak, horizon, self.count)
 
 
 def intersect_spans(left, right, cap_bits=DEFAULT_CAP_BITS):
     """All blocks common to both spans, each with a witness per side.
 
     Results are sorted by the left witness (index tuple, then exponents).
+    The exact count is known before listing: more than ``2^cap_bits``
+    elements raise EnumerationCapExceeded.
     """
-    common = list(_iter_common(left, right, cap_bits))
+    sweep = _Sweep(left, right)
+    if sweep.count and math.log2(sweep.count) > cap_bits:
+        raise EnumerationCapExceeded(
+            f"{sweep.count} common elements need {math.log2(sweep.count):.1f} bits,"
+            f" cap is {cap_bits}"
+        )
+    common = sweep.elements()
     common.sort(key=lambda ce: ce.left_witness.sort_key())
     return tuple(common)
 
 
-def first_common_element(left, right, cap_bits=DEFAULT_CAP_BITS):
-    """The first common element found, or None; cheap emptiness probe."""
-    return next(_iter_common(left, right, cap_bits), None)
+def first_common_element(left, right):
+    """The common element with the least left witness, or None.
+
+    Witnesses compare as tuples of (index, exponent) terms, so the answer
+    does not depend on which side is larger.
+    """
+    return _Sweep(left, right).least(by_value=False)
 
 
 def valuation(blocks, horizon=None):
-    """The valuation F of a finite set of blocks as a HorizonValuation."""
+    """The valuation F of a finite set of blocks as a HorizonValuation.
+
+    The horizon defaults to the widest support; a block reaching past an
+    explicit horizon raises HorizonExhausted.
+    """
     blocks = list(blocks)
     value = None
     widest = 0
     for b in blocks:
         value = peak(b) if value is None else max(value, peak(b))
         widest = max(widest, b.max_support)
+        if horizon is not None and b.max_support > horizon:
+            raise HorizonExhausted(f"block {b.render_body()} reaches past horizon {horizon}")
     if horizon is None:
         horizon = widest
     return HorizonValuation(value=value, horizon=horizon, element_count=len(blocks))

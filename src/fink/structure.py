@@ -27,13 +27,12 @@ from .errors import (
     NotIntertwined,
 )
 from .span import (
-    DEFAULT_CAP_BITS,
     Combination,
     CommonElement,
+    _Sweep,
     check_witness,
     evaluate,
     first_common_element,
-    intersect_spans,
     membership_witness,
 )
 
@@ -181,34 +180,21 @@ def settle_intertwined(element, left, right):
     raise ClaimViolation("splitting failed to terminate")
 
 
-def _value_order(block):
-    """Sort key equal to lexicographic order on the dense value vector.
-
-    The vectors first differ where one support starts later (a zero against
-    a nonzero value) or where both hold different values; negating the
-    position ranks the later start first.
-    """
-    return tuple((-pos, v) for pos, v in block.pairs)
-
-
-def extract_intertwined(left, right, cap_bits=DEFAULT_CAP_BITS):
+def extract_intertwined(left, right):
     """Produce an intertwined block in the intersection of the two spans.
 
-    Finds the minimal prefix of ``left`` whose span meets ``right``'s span,
-    takes the least common block in canonical order (lexicographic on the
-    value vector), and settles it with the component-split rule.  Raises
-    NoIntersection when the full spans are disjoint; MinimalityViolation
-    from the split would contradict the minimality of the prefix.
+    One sweep gives the minimal prefix of ``left`` whose span meets
+    ``right``'s span and the least common block over that prefix in
+    canonical order (lexicographic on the value vector), which is settled
+    with the component-split rule.  Raises NoIntersection when the full
+    spans are disjoint; MinimalityViolation from the split would contradict
+    the minimality of the prefix.
     """
-    common = ()
-    length = 0
-    for length in range(1, len(left) + 1):
-        common = intersect_spans(left.prefix(length), right, cap_bits)
-        if common:
-            break
-    if not common:
+    sweep = _Sweep(left, right)
+    length = sweep.prefix_length
+    if length is None:
         raise NoIntersection(f"no common block among {len(left)} generators")
-    element = min(common, key=lambda ce: _value_order(ce.block))
+    element = sweep.least(by_value=True, limit=length)
     settled = settle_intertwined(element, left.prefix(length), right)
     return ExtractionResult(length, settled)
 
@@ -273,11 +259,11 @@ class SmallnessCertificate:
         return f"small? n={self.tail_index} H={self.horizon} verdict={self.verdict}"
 
 
-def smallness_check(left_stream, right_stream, tail_index, horizon, cap_bits=DEFAULT_CAP_BITS):
+def smallness_check(left_stream, right_stream, tail_index, horizon):
     """Probe whether the left tail's span misses the right span at the horizon."""
     left_seq = left_stream.tail(tail_index).truncate(horizon)
     right_seq = right_stream.truncate(horizon)
-    found = first_common_element(left_seq, right_seq, cap_bits)
+    found = first_common_element(left_seq, right_seq)
     if found is None:
         return SmallnessCertificate(tail_index, horizon, "empty_at_horizon")
     return SmallnessCertificate(tail_index, horizon, "nonempty", witness=found)

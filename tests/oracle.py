@@ -77,3 +77,48 @@ def valuation_value(dicts, k):
     tops = [peak_dict(d, k) for d in dicts]
     tops = [t for t in tops if t is not None]
     return max(tops) if tops else None
+
+
+def member_witnesses(d, generators, k):
+    """Every witness of the sparse dict ``d`` in the unstarred span.
+
+    Supports are disjoint, so each generator's k+1 codes are tried on its
+    own support; the witnesses are the products of the codes that match.
+    """
+    covered = set()
+    codes = []
+    for gen in generators:
+        covered |= gen.keys()
+        here = {pos: d[pos] for pos in gen if pos in d}
+        fits = [] if here else [0]
+        fits += [c for c in range(1, k + 1) if tetris_dict(gen, c - 1) == here]
+        codes.append(fits)
+    if not d or any(pos not in covered for pos in d):
+        return []
+    witnesses = []
+    for choice in itertools.product(*codes):
+        terms = tuple((i, c - 1) for i, c in enumerate(choice) if c)
+        if terms and min(e for _, e in terms) == 0:
+            witnesses.append(terms)
+    return witnesses
+
+
+def iter_common(gens_a, gens_b, k):
+    """The enumerate-then-filter reference for every two-span question.
+
+    Yields ``(element key, witness over a, witness over b)`` for each common
+    element: a's whole span is enumerated, then each element is matched
+    against b's generators.  Pass the side with fewer generators as ``a``.
+    """
+    for key, witnesses_a in span_witnesses(gens_a, k, False).items():
+        for terms_b in member_witnesses(dict(key), gens_b, k):
+            for terms_a in witnesses_a:
+                yield key, terms_a, terms_b
+
+
+def value_vector(d):
+    """The dense value vector of a sparse dict, without trailing zeros."""
+    values = [0] * (max(d) + 1 if d else 0)
+    for pos, val in d.items():
+        values[pos] = val
+    return tuple(values)

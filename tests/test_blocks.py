@@ -91,6 +91,11 @@ class TestParseRender:
         with pytest.raises(ParseError):
             Subblock.parse("k=x|0:2")
 
+    @pytest.mark.parametrize("body", ["-3:1", "0:2,-3:1"])
+    def test_negative_position_is_named(self, body):
+        with pytest.raises(ParseError, match="^negative position at '-3:1'$"):
+            Subblock.parse_body(2, body)
+
 
 class TestTetris:
     def test_single_step(self):

@@ -1,11 +1,13 @@
 """Command-line behavior: golden outputs, exit codes, JSON mode."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import fink
 from fink.cli import main
 
 P_SEQ = "k=2\n0:2\n1:2\n3:2\n5:2\n7:2\n9:2\n"
@@ -60,6 +62,14 @@ class TestMember:
         )
         assert code == 2
         assert out == "no\n"
+
+    def test_negative_position_is_named(self, capsys, files):
+        code, out, err = run(
+            capsys, "member", "--seq", files["P.seq"], "--block=0:2,-3:1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: ParseError: negative position at '-3:1'\n"
 
     def test_starred_flips_the_answer(self, capsys, files):
         code, out, _ = run(
@@ -192,6 +202,19 @@ class TestValuation:
         )
         assert code == 0
         assert json.loads(out) == {"value": 0, "count": 2, "horizon": 1}
+
+    @pytest.mark.parametrize(
+        "body", ["5:2", "0:2,5:1"], ids=["peak-past", "support-past"]
+    )
+    def test_block_past_the_horizon(self, capsys, tmp_path, body):
+        target = tmp_path / "set.blocks"
+        target.write_text(f"k=2\n{body}\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "valuation", "--blocks", str(target), "--horizon", "0"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: HorizonExhausted: block {body} reaches past horizon 0\n"
 
     @pytest.mark.parametrize("body", ["", "0:2\n"], ids=["empty", "nonempty"])
     def test_negative_horizon_is_a_usage_error(self, capsys, tmp_path, body):
@@ -438,6 +461,27 @@ class TestPlumbing:
         assert "error: usage:" in err
         code, _, _ = run(capsys, "span", "--cap", "8", "--seq", files["P3.seq"])
         assert code == 0
+        # only listings are capped: small, diag and extract sweep, not enumerate
+        for argv in (
+            ["small", "--P", "example13_P", "--Q", "example13_Q", "--k", "2",
+             "--n", "1", "--horizon", "9"],
+            ["diag", "--member", "example13_P", "--member", "evens", "--k", "2",
+             "--horizon", "9"],
+            ["extract", "--P", files["P3.seq"], "--Q", files["Q.seq"]],
+        ):
+            code, out, err = run(capsys, *argv, "--cap", "30")
+            assert (code, out) == (1, "")
+            assert "error: usage: unrecognized arguments: --cap 30" in err
+        # intersect caps the number of listed elements, from the exact count
+        argv = ["intersect", "--P", files["P3.seq"], "--Q", files["Q.seq"]]
+        code, out, err = run(capsys, *argv, "--cap", "1.9")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: EnumerationCapExceeded: 4 common elements need 2.0 bits, cap is 1.9\n"
+        )
+        code, out, _ = run(capsys, *argv, "--cap", "2")
+        assert code == 0
+        assert len(out.splitlines()) == 4
 
     @pytest.mark.parametrize(
         "argv",
@@ -488,3 +532,51 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "yes 0^0 + 1^1 + 2^1\n"
+
+
+def run_module(*argv, optimize=False):
+    """``python [-O] -m fink`` with the package under test on the path."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fink.__file__)))
+    flags = ["-O"] if optimize else []
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "fink", *argv], capture_output=True, text=True, env=env
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["intersect", "--P", "P3.seq", "--Q", "Q.seq"],
+        ["diag", "--member", "example13_P", "--member", "example13_Q",
+         "--member", "evens", "--k", "2", "--n", "1", "--horizon", "201"],
+    ],
+    ids=["intersect", "diag-201"],
+)
+def test_optimized_interpreter_gives_the_same_answers(files, argv):
+    argv = [files.get(arg, arg) for arg in argv]
+    plain = run_module(*argv)
+    optimized = run_module(*argv, optimize=True)
+    assert plain.returncode == 0 and plain.stdout
+    assert (optimized.stdout, optimized.returncode) == (plain.stdout, plain.returncode)
+
+
+def test_optimized_interpreter_keeps_the_witness_rechecks():
+    # a lying evaluate must still be caught when asserts are compiled away
+    script = (
+        "import fink.span as span\n"
+        "from fink import BlockSequence, Subblock, WitnessMismatch\n"
+        "seq = BlockSequence(2, [Subblock.parse_body(2, b) for b in ('0:2', '1:2')])\n"
+        "span.evaluate = lambda s, c: Subblock.parse_body(2, '99:2')\n"
+        "for ask in (span.intersect_spans, span.first_common_element,\n"
+        "            lambda a, b: span._Sweep(a, b).valuation(9)):\n"
+        "    try:\n"
+        "        ask(seq, seq)\n"
+        "    except WitnessMismatch:\n"
+        "        print('caught')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fink.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "caught\n" * 3

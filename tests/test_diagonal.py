@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import oracle
 from fink import (
     AlmostDisjointFamily,
     BlockSequence,
@@ -25,7 +26,7 @@ from fink import (
     validate_family,
     valuation,
 )
-from fink.diagonal import _within_prefix
+from fink.span import _UNUSED, _Sweep
 
 
 def blk(k, pairs):
@@ -281,6 +282,16 @@ def diagonalized_families():
         yield family, 2
 
 
+def oracle_valuation(k, blocks, truncation, horizon):
+    """The valuation of span(blocks) meeting span(truncation), by the oracle."""
+    gens_a = [oracle.to_dict(b) for b in blocks]
+    gens_b = [oracle.to_dict(b) for b in truncation]
+    keys = {key for key, _, _ in oracle.iter_common(gens_a, gens_b, k)}
+    return HorizonValuation(
+        oracle.valuation_value([dict(key) for key in keys], k), horizon, len(keys)
+    )
+
+
 def test_derived_before_and_reference_match_direct_intersections():
     runs = 0
     for family, cycles in diagonalized_families():
@@ -290,20 +301,22 @@ def test_derived_before_and_reference_match_direct_intersections():
             continue
         runs += 1
         chosen = trace.chosen()
-        for step in trace.steps:
-            for check in step.checks:
-                direct = intersect_spans(
-                    BlockSequence(family.k, chosen[: step.index]),
-                    family.truncations[check.member],
-                )
-                assert check.before == valuation(
-                    (ce.block for ce in direct), horizon=family.horizon
-                )
-        # every step's "before" and every member's final reference is a
-        # prefix of the chosen list: check all prefixes against direct runs
+        picked = BlockSequence(family.k, chosen)
+        # every step's "before" and "after" and every member's final
+        # reference is a prefix of the chosen list: check all prefixes, and
+        # the sweep that forces the later choices unused, against the oracle
         for member, truncation in enumerate(family.truncations):
-            full = intersect_spans(BlockSequence(family.k, chosen), truncation)
-            for length in range(len(chosen) + 1):
-                direct = intersect_spans(BlockSequence(family.k, chosen[:length]), truncation)
-                assert _within_prefix(full, length) == list(direct)
+            direct = [
+                oracle_valuation(family.k, chosen[:length], truncation, family.horizon)
+                for length in range(len(chosen) + 1)
+            ]
+            for length, expected in enumerate(direct):
+                later = dict.fromkeys(range(length, len(chosen)), _UNUSED)
+                assert _Sweep(picked, truncation, later).valuation(family.horizon) == expected
+            assert trace.finals[member] == direct[-1]
+            for step in trace.steps:
+                for check in step.checks:
+                    if check.member == member:
+                        assert check.before == direct[step.index]
+                        assert check.after == direct[step.index + 1]
     assert runs >= 4

@@ -30,6 +30,7 @@ from fink import (
     tetris,
     valuation,
 )
+from fink.span import _UNUSED, _Sweep
 
 
 def blk(k, pairs):
@@ -373,6 +374,84 @@ def test_intersection_matches_oracle(k, data):
     for ce in common:
         assert evaluate(left, ce.left_witness) == ce.block
         assert evaluate(right, ce.right_witness) == ce.block
+
+
+def partners(left):
+    """A sequence of left's span elements, so the two spans meet."""
+    pool = list(enumerate_span(left).blocks())
+
+    def assemble(picks):
+        kept = []
+        for b in picks:
+            if all(c.before(b) or b.before(c) for c in kept):
+                kept.append(b)
+        return BlockSequence(left.k, sorted(kept, key=lambda b: b.min_support))
+
+    return st.lists(st.sampled_from(pool), min_size=1, max_size=4).map(assemble)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@given(data=st.data())
+def test_sweep_matches_oracle(k, data):
+    left = data.draw(generator_lists(k))
+    right = data.draw(st.one_of(generator_lists(k), partners(left)))
+    gens_l = [oracle.to_dict(b) for b in left]
+    gens_r = [oracle.to_dict(b) for b in right]
+    table = {key: (a, b) for key, a, b in oracle.iter_common(gens_l, gens_r, k)}
+    assert set(table) == oracle.intersection_elements(gens_l, gens_r, k)
+
+    sweep = _Sweep(left, right)
+    assert sweep.count == len(table)
+    assert sweep.peak == oracle.valuation_value([dict(key) for key in table], k)
+    if table:
+        assert peak(sweep.peak_element().block) == sweep.peak
+    # the tail verdict for every n, and every forced choice of one generator
+    for n in range(len(left) + 1):
+        tail = _Sweep(left, right, dict.fromkeys(range(n), _UNUSED))
+        assert bool(tail.count) == bool(oracle.intersection_elements(gens_l[n:], gens_r, k))
+    for g in range(len(left)):
+        for choice in range(_UNUSED, k):
+            expected = sum(dict(a).get(g, _UNUSED) == choice for a, _ in table.values())
+            assert _Sweep(left, right, {g: choice}).count == expected
+    meets = [
+        n for n in range(1, len(left) + 1)
+        if oracle.intersection_elements(gens_l[:n], gens_r, k)
+    ]
+    assert sweep.prefix_length == (meets[0] if meets else None)
+
+    listing = intersect_spans(left, right)
+    assert {
+        (oracle.as_key(oracle.to_dict(ce.block)), ce.left_witness.terms, ce.right_witness.terms)
+        for ce in listing
+    } == {(key, a, b) for key, (a, b) in table.items()}
+    assert [ce.left_witness.sort_key() for ce in listing] == sorted(
+        ce.left_witness.sort_key() for ce in listing
+    )
+    first = first_common_element(left, right)
+    least = sweep.least(by_value=True)
+    if not table:
+        assert first is None and least is None and not listing
+        return
+    assert first.left_witness.terms == min(a for a, _ in table.values())
+    assert oracle.as_key(oracle.to_dict(least.block)) == min(
+        table, key=lambda key: oracle.value_vector(dict(key))
+    )
+    for ce in (first, least):
+        assert table[oracle.as_key(oracle.to_dict(ce.block))] == (
+            ce.left_witness.terms, ce.right_witness.terms
+        )
+    # the least elements over every prefix of left, from the same sweep
+    for n in range(1, len(left) + 1):
+        within = [key for key, (a, _) in table.items() if a[-1][0] < n]
+        by_value = sweep.least(by_value=True, limit=n)
+        by_witness = sweep.least(by_value=False, limit=n)
+        if not within:
+            assert by_value is None and by_witness is None
+            continue
+        assert oracle.as_key(oracle.to_dict(by_value.block)) == min(
+            within, key=lambda key: oracle.value_vector(dict(key))
+        )
+        assert by_witness.left_witness.terms == min(table[key][0] for key in within)
 
 
 @given(generator_lists(3))

@@ -3,8 +3,6 @@
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import oracle
 from conftest import make_overlapping_pair
@@ -30,7 +28,6 @@ from fink import (
     star,
     star_split,
 )
-from fink.structure import _value_order
 
 
 def blk(k, pairs):
@@ -271,14 +268,3 @@ def test_graph_observations_on_random_pairs():
                     if a < a2:
                         assert b <= b2
 
-
-def level3_subblocks():
-    return st.dictionaries(st.integers(0, 14), st.integers(1, 3), max_size=6).map(
-        lambda d: Subblock.from_pairs(3, d.items())
-    )
-
-
-@given(level3_subblocks(), level3_subblocks())
-def test_extraction_key_orders_like_the_value_vector(a, b):
-    assert (_value_order(a) < _value_order(b)) == (a.values < b.values)
-    assert (_value_order(a) == _value_order(b)) == (a.values == b.values)

@@ -412,10 +412,7 @@ def main(argv=None):
         return ERROR
     try:
         return args.handler(args)
-    except FinkError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return ERROR
-    except (OSError, ValueError) as exc:
+    except (FinkError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return ERROR
 

@@ -8,7 +8,9 @@ valuation before and after adding the block must agree, and any new common
 element must use the fresh block with a positive tetris exponent); a
 failure aborts the run with ClaimViolation rather than being skipped.
 Every two-span question here is one position sweep (``span._Sweep``), so
-none of them enumerates a span.
+none of them enumerates a span: a member's tail is the sweep of its whole
+truncation with the head forced unused, and a prefix of the chosen blocks
+is a sweep over that prefix.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import (
     NotAlmostDisjoint,
 )
 from .span import _UNUSED, BlockSequence, _Sweep, membership_witness
-from .structure import smallness_check
+from .structure import _tail_certificate
 
 __all__ = [
     "AlmostDisjointFamily",
@@ -56,14 +58,11 @@ class AlmostDisjointFamily:
 def validate_family(members, tail_index, horizon):
     """Check pairwise smallness at the horizon and record pairwise bounds.
 
-    A stream's ``tail(n).truncate(H)`` is ``truncate(H).blocks[n:]``
-    (supports strictly increase) and witnesses are unique, so the tail of
-    member i meets member j exactly when the sweep of the full truncations
-    with i's generators below n forced unused finds a common element.
-    Ordered pairs are checked i-major; the first failing pair raises
-    NotAlmostDisjoint(i, j) with its smallness certificate.  The bounds
-    matrix holds the valuation of each pairwise intersection, one sweep per
-    unordered pair.
+    Each ordered pair, i-major, gets the smallness certificate of member
+    i's tail against member j from one sweep of the two truncations, and
+    the first nonempty one raises NotAlmostDisjoint(i, j) with that same
+    certificate.  The bounds matrix holds the valuation of each pairwise
+    intersection, one sweep per unordered pair.
     """
     members = tuple(members)
     if not members:
@@ -77,9 +76,8 @@ def validate_family(members, tail_index, horizon):
     count = len(members)
     truncations = tuple(member.truncate(horizon) for member in members)
     for i, j in itertools.permutations(range(count), 2):
-        head = range(min(tail_index, len(truncations[i])))
-        if _Sweep(truncations[i], truncations[j], dict.fromkeys(head, _UNUSED)).count:
-            certificate = smallness_check(members[i], members[j], tail_index, horizon)
+        certificate = _tail_certificate(truncations[i], truncations[j], tail_index, horizon)
+        if certificate.verdict != "empty_at_horizon":
             raise NotAlmostDisjoint(i, j, certificate)
     grid = [[None] * count for _ in range(count)]
     for i, j in itertools.combinations(range(count), 2):
@@ -158,19 +156,15 @@ def choose_next(family, chosen, step_index):
         for i in _engaged(family, step_index)
     ]
     floors = [b.value for b in bounds if b is not None and b.value is not None]
-    for position, candidate in enumerate(candidates):
-        if not previous.before(candidate):
-            continue
-        between = None
-        for j in range(position):
-            if previous.before(candidates[j]) and candidates[j].before(candidate):
-                between = j
-                break
-        if between is None:
-            continue
-        if any(peak(candidate) <= floor for floor in floors):
-            continue
-        return candidate, between
+    # candidates are ordered: the first one after ``previous`` lies between
+    # it and every later candidate
+    between = next(
+        (j for j, candidate in enumerate(candidates) if previous.before(candidate)),
+        len(candidates),
+    )
+    for candidate in candidates[between + 1:]:
+        if all(peak(candidate) > floor for floor in floors):
+            return candidate, between
     raise HorizonExhausted(
         f"no admissible block for member {member} at step {step_index}"
     )
@@ -187,8 +181,8 @@ def run_diagonalization(family, cycles=1):
     Witnesses are unique, so forcing chosen generators unused in a sweep
     over the whole chosen list is the intersection over the others: each
     step sweeps "after", "before" (fresh block unused) and the fresh block
-    at exponent 0, which must find nothing; each final reference forces the
-    choices after the member's last source step unused.
+    at exponent 0, which must find nothing; each final reference sweeps the
+    choices up to the member's last source step.
     """
     if cycles < 1:
         raise ValueError("cycles must be at least 1")
@@ -233,8 +227,7 @@ def run_diagonalization(family, cycles=1):
         truncation = family.truncations[i]
         final = _Sweep(picked, truncation).valuation(family.horizon)
         last_source = (cycles - 1) * count + i
-        later = dict.fromkeys(range(last_source + 1, len(chosen)), _UNUSED)
-        reference = _Sweep(picked, truncation, later).valuation(family.horizon)
+        reference = _Sweep(picked.prefix(last_source + 1), truncation).valuation(family.horizon)
         ceiling = [
             bound.value
             for j, bound in enumerate(family.bounds[i])

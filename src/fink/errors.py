@@ -56,7 +56,7 @@ class IndexOutOfRange(FinkError):
 
 
 class EnumerationCapExceeded(FinkError):
-    """The requested span enumeration is larger than the configured search-space cap."""
+    """A span enumeration or listing, or a stream truncation, is larger than its cap."""
 
 
 class PastEnd(FinkError):
@@ -108,15 +108,8 @@ class NotAlmostDisjoint(FinkError):
 
 
 class ParseError(FinkError):
-    """Malformed textual input; carries the line and column when known."""
+    """Malformed textual input; carries the line when known."""
 
-    def __init__(self, message, line=None, column=None):
-        location = ""
-        if line is not None:
-            location = f"line {line}"
-            if column is not None:
-                location += f", column {column}"
-            location = f" ({location})"
-        super().__init__(f"{message}{location}")
+    def __init__(self, message, line=None):
+        super().__init__(message if line is None else f"{message} (line {line})")
         self.line = line
-        self.column = column

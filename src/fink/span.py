@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -105,19 +104,6 @@ class BlockSequence:
     def _position_index(self):
         # position -> (generator index, value); supports are pairwise disjoint
         return {pos: (g, v) for g, b in enumerate(self.blocks) for pos, v in b.pairs}
-
-    @cached_property
-    def _sweep_sides(self):
-        # per support position, a sweep's view of this side: (generator,
-        # its (choice, value) moves) where a support starts, else (None, value)
-        every = range(_UNUSED, self.k)
-        sides = {}
-        for g, b in enumerate(self.blocks):
-            (pos, v), *rest = b.pairs
-            sides[pos] = (g, tuple((c, v - c if 0 <= c < v else 0) for c in every))
-            for pos, v in rest:
-                sides[pos] = (None, v)
-        return sides
 
     @cached_property
     def _images(self):
@@ -416,7 +402,7 @@ _OUTSIDE = ((None, 0),)
 
 
 def _chain_terms(chain):
-    """The terms of a cons chain ``(term, rest)``, head first."""
+    """The items of a cons chain ``(item, rest)``, head first."""
     terms = []
     while chain is not None:
         term, chain = chain
@@ -431,19 +417,26 @@ def _side_steps(seq, positions, force):
     starts, the open generator's value inside its window (0 off its
     support), or None outside every window.
     """
-    sides = seq._sweep_sides
-    blocks = seq.blocks
-    starts = [b.min_support for b in blocks]
+    index = seq._position_index
+    # per value v of a starting position, its (choice, value) moves
+    every = range(_UNUSED, seq.k)
+    options = [tuple((c, v - c if 0 <= c < v else 0) for c in every) for v in range(seq.k + 1)]
     steps = []
+    opened, end = None, -1  # the open generator and its window's last position
     for pos in positions:
-        side = sides.get(pos)
-        if side is None:
-            g = bisect_right(starts, pos) - 1
-            side = (None, 0 if g >= 0 and pos < blocks[g].max_support else None)
-        elif side[0] in force:
-            g, moves = side
-            side = (g, tuple(move for move in moves if move[0] == force[g]))
-        steps.append(side)
+        found = index.get(pos)
+        if found is None:
+            steps.append((None, 0 if pos < end else None))
+            continue
+        g, v = found
+        if g == opened:
+            steps.append((None, v))
+            continue
+        opened, end = g, seq.blocks[g].max_support
+        moves = options[v]
+        if g in force:
+            moves = tuple(move for move in moves if move[0] == force[g])
+        steps.append((g, moves))
     return steps
 
 
@@ -462,13 +455,14 @@ class _Sweep:
 
     ``force`` maps left generator indices to a fixed choice: ``_UNUSED`` or
     one exponent.  The forward pass keeps, per state, the number of paths,
-    the largest last position of value k (with the predecessor attaining
-    it) and the smallest largest left index used, which give ``count``,
-    ``peak`` (the valuation F) and ``prefix_length``.  It records each
-    step's moves, over which listing and the least elements walk the live
-    states, growing witness terms as cons chains.  Every element handed out
-    builds its block from the left images and re-evaluates the right
-    witness.
+    the largest last position of value k (with the states of a path
+    attaining it) and the smallest largest left index used, which give
+    ``count``, ``peak`` (the valuation F) and ``prefix_length``.  It records
+    each step's moves, over which listing and the least elements walk the
+    live states.  Witness terms grow as cons chains.  Every element handed
+    out builds its block from the left images and re-evaluates the right
+    witness.  Questions about a prefix of ``left`` are asked of a sweep over
+    ``left.prefix(n)``.
     """
 
     def __init__(self, left, right, force=None):
@@ -481,11 +475,11 @@ class _Sweep:
         self.opened = []
         self.moves = []
         # per state of the current layer: [paths, last position of value k,
-        # its predecessor, largest left index used, the state], -1 standing
-        # for "none yet"; earlier layers keep only state -> predecessor, so
-        # the path counts, which grow to big integers, are not stored
+        # the states of a path attaining it (a cons chain, latest first),
+        # largest left index used, the state], -1 standing for "none yet";
+        # earlier layers are not kept, so the path counts, which grow to big
+        # integers, are not stored
         layer = {_START: [1, -1, None, -1, _START]}
-        self.preds = [{_START: None}]
         k = self.k
         steps = zip(
             positions,
@@ -493,9 +487,10 @@ class _Sweep:
             _side_steps(right, positions, {}),
         )
         for pos, (lg, linfo), (rg, rinfo) in steps:
+            self.opened.append((lg, rg))
             nxt = {}
             moves = []
-            for state, (paths, top, _, last, _) in layer.items():
+            for state, (paths, top, path, last, _) in layer.items():
                 cl, zl, cr, zr = state
                 if lg is not None:
                     lopts = linfo
@@ -518,18 +513,16 @@ class _Sweep:
                         new = (c1, zl or c1 == 0, c2, zr or c2 == 0)
                         held = nxt.get(new)
                         if held is None:
-                            nxt[new] = [paths, new_top, state, new_last, new]
+                            nxt[new] = [paths, new_top, (new, path), new_last, new]
                         else:
                             new = held[4]  # one object per state keeps the moves small
                             held[0] += paths
                             if new_top > held[1]:
-                                held[1], held[2] = new_top, state
+                                held[1], held[2] = new_top, (new, path)
                             if new_last < held[3]:
                                 held[3] = new_last
                         moves.append((state, new, v1))
             layer = nxt
-            self.preds.append({state: held[2] for state, held in nxt.items()})
-            self.opened.append((lg, rg))
             self.moves.append(moves)
         accepting = [held for state, held in layer.items() if state[1] and state[3]]
         self.accepting = {held[4] for held in accepting}
@@ -537,9 +530,8 @@ class _Sweep:
         self.peak = self.prefix_length = None
         if accepting:
             best = max(accepting, key=lambda held: held[1])
-            self.peak, self._peak_state = best[1], best[4]
+            self.peak, self._peak_path = best[1], best[2]
             self.prefix_length = min(held[3] for held in accepting) + 1
-        self._live_cache = {}
 
     def _extend(self, i, state, chains):
         """Both witnesses' term chains after entering ``state`` at step i."""
@@ -565,29 +557,23 @@ class _Sweep:
             tuple(reversed(_chain_terms(left))), tuple(reversed(_chain_terms(right)))
         )
 
-    def _live(self, limit):
-        """Per layer, the states that reach acceptance using no left
-        generator from ``limit`` on, and those that reach it using no
-        further left generator at all."""
-        if limit not in self._live_cache:
-            live = idle = self.accepting
-            lives, idles = [live], [idle]
-            for (lg, _), moves in zip(reversed(self.opened), reversed(self.moves)):
-                live_here, idle_here = set(), set()
-                for state, new, _ in moves:
-                    if lg is not None and new[0] >= 0:
-                        if lg < limit and new in live:
-                            live_here.add(state)
-                    else:
-                        if new in live:
-                            live_here.add(state)
-                        if new in idle:
-                            idle_here.add(state)
-                live, idle = live_here, idle_here
-                lives.append(live)
-                idles.append(idle)
-            self._live_cache[limit] = lives[::-1], idles[::-1]
-        return self._live_cache[limit]
+    @cached_property
+    def _live(self):
+        """Per layer, the states that reach acceptance, and those that
+        reach it using no further left generator."""
+        live = idle = self.accepting
+        lives, idles = [live], [idle]
+        for (lg, _), moves in zip(reversed(self.opened), reversed(self.moves)):
+            live_here, idle_here = set(), set()
+            for state, new, _ in moves:
+                if new in live:
+                    live_here.add(state)
+                if new in idle and (lg is None or new[0] < 0):
+                    idle_here.add(state)
+            live, idle = live_here, idle_here
+            lives.append(live)
+            idles.append(idle)
+        return lives[::-1], idles[::-1]
 
     def elements(self):
         """Every common element, in no particular order.
@@ -612,9 +598,8 @@ class _Sweep:
             for left, right in suffixes.get(_START, ())
         ]
 
-    def least(self, by_value, limit=None):
-        """The least common element using left generators below ``limit``
-        (default: all), or None when there is none.
+    def least(self, by_value):
+        """The least common element, or None when there is none.
 
         ``by_value`` orders elements by their dense value vectors, otherwise
         by their left witnesses as tuples of (index, exponent) terms.  A
@@ -624,14 +609,9 @@ class _Sweep:
         witness there.  States that share the walk's choices so far share
         their witness terms so far (witnesses are unique).
         """
-        # A move onto a left generator at or past ``limit`` can lead to a
-        # live state, but it never wins: by value it only ties with the 0
-        # the allowed paths take on its window, then loses at its peak; by
-        # witness, every live state can end the witness before it starts.
-        limit = len(self.left) if limit is None else limit
-        live, idle = self._live(limit)
-        if _START not in live[0]:
+        if not self.count:
             return None
+        live, idle = self._live
         frontier = {_START: (None, None)}
         ended = False
         for i, moves in enumerate(self.moves):
@@ -664,11 +644,8 @@ class _Sweep:
 
     def peak_element(self):
         """The recorded element attaining F, both witnesses re-evaluated."""
-        path = [self._peak_state]
-        for preds in reversed(self.preds[1:]):
-            path.append(preds[path[-1]])
         chains = (None, None)
-        for i, state in enumerate(reversed(path[:-1])):
+        for i, state in enumerate(reversed(_chain_terms(self._peak_path))):
             chains = self._extend(i, state, chains)
         element = self._walked(chains)
         check_witness(self.left, element.left_witness, element.block)

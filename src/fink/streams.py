@@ -7,8 +7,10 @@ sequence on demand.  Three kinds exist:
 * ``periodic``  - base templates repeated with a fixed support shift.
 * ``builtin``   - named families used throughout the tests and the CLI.
 
-``tail(n)`` drops the first n blocks and ``truncate(h)`` collects every
-block whose support fits below the horizon into a BlockSequence.
+``truncate(h)`` collects every block whose support fits below the horizon
+into a BlockSequence, and refuses a horizon holding more than 2^16
+blocks.  A tail of a stream is never built: the blocks from n on are
+``truncate(h).blocks[n:]``, since supports strictly increase.
 
 The stream spec text format (one line, ``key=value`` tokens):
 
@@ -22,7 +24,7 @@ Periodic bases with several templates separate the bodies with ``;``.
 from __future__ import annotations
 
 from .blocks import Subblock
-from .errors import InvalidSequence, ParseError, PastEnd
+from .errors import EnumerationCapExceeded, InvalidSequence, ParseError, PastEnd
 from .span import BlockSequence
 
 __all__ = [
@@ -36,12 +38,16 @@ __all__ = [
 ]
 
 
+# A truncation costs a few microseconds per block, so this many take well
+# under a second; a horizon past it is refused rather than walked.
+_MAX_TRUNCATION = 2**16
+
+
 class Stream:
     """Base class: an immutable on-demand block sequence."""
 
-    def __init__(self, k, offset=0):
+    def __init__(self, k):
         self.k = k
-        self.offset = offset
 
     def _source_block(self, n):
         raise NotImplementedError
@@ -50,16 +56,14 @@ class Stream:
         """The n-th block of this stream (0-based)."""
         if n < 0:
             raise IndexError(f"negative stream index {n}")
-        return self._source_block(self.offset + n)
-
-    def tail(self, n):
-        """The stream with its first n blocks dropped."""
-        if n < 0:
-            raise IndexError(f"negative tail length {n}")
-        return self._with_offset(self.offset + n)
+        return self._source_block(n)
 
     def truncate(self, horizon):
-        """Every block with support inside [0, horizon], as a sequence."""
+        """Every block with support inside [0, horizon], as a sequence.
+
+        Raises EnumerationCapExceeded when more than 2^16 blocks fit,
+        before collecting the rest.
+        """
         blocks = []
         n = 0
         while True:
@@ -69,6 +73,10 @@ class Stream:
                 break
             if b.max_support > horizon:
                 break
+            if n == _MAX_TRUNCATION:
+                raise EnumerationCapExceeded(
+                    f"more than {_MAX_TRUNCATION} blocks fit below horizon {horizon}"
+                )
             blocks.append(b)
             n += 1
         return BlockSequence(self.k, blocks)
@@ -77,12 +85,9 @@ class Stream:
 class ExplicitStream(Stream):
     """A finite stream backed by a stored block sequence."""
 
-    def __init__(self, sequence, offset=0):
-        super().__init__(sequence.k, offset)
+    def __init__(self, sequence):
+        super().__init__(sequence.k)
         self.sequence = sequence
-
-    def _with_offset(self, offset):
-        return ExplicitStream(self.sequence, offset)
 
     def _source_block(self, n):
         if n >= len(self.sequence):
@@ -90,13 +95,13 @@ class ExplicitStream(Stream):
         return self.sequence[n]
 
     def describe(self):
-        return f"kind=explicit k={self.k} length={len(self.sequence)} offset={self.offset}"
+        return f"kind=explicit k={self.k} length={len(self.sequence)}"
 
 
 class PeriodicStream(Stream):
     """Base templates repeated forever, shifted right by ``shift`` per cycle."""
 
-    def __init__(self, base, shift, offset=0):
+    def __init__(self, base, shift):
         base = tuple(base)
         if not base:
             raise InvalidSequence("periodic base must not be empty")
@@ -107,12 +112,9 @@ class PeriodicStream(Stream):
             raise InvalidSequence(
                 f"shift {shift} must exceed the base support width {width}"
             )
-        super().__init__(k, offset)
+        super().__init__(k)
         self.base = base
         self.shift = shift
-
-    def _with_offset(self, offset):
-        return PeriodicStream(self.base, self.shift, offset)
 
     def _source_block(self, n):
         cycle, slot = divmod(n, len(self.base))
@@ -156,15 +158,12 @@ BUILTIN_NAMES = tuple(sorted(_BUILTINS))
 class BuiltinStream(Stream):
     """A named stream from the builtin registry."""
 
-    def __init__(self, name, k, offset=0):
+    def __init__(self, name, k):
         if name not in _BUILTINS:
             raise ParseError(f"unknown builtin stream {name!r}; known: {', '.join(BUILTIN_NAMES)}")
-        super().__init__(k, offset)
+        super().__init__(k)
         self.name = name
         self._formula = _BUILTINS[name]
-
-    def _with_offset(self, offset):
-        return BuiltinStream(self.name, self.k, offset)
 
     def _source_block(self, n):
         return self._formula(self.k, n)

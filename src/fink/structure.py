@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import Subblock, add, star, tetris
+from .blocks import add, star, tetris
 from .errors import (
     ClaimViolation,
     MinimalityViolation,
@@ -27,12 +27,12 @@ from .errors import (
     NotIntertwined,
 )
 from .span import (
+    _UNUSED,
     Combination,
     CommonElement,
     _Sweep,
     check_witness,
     evaluate,
-    first_common_element,
     membership_witness,
 )
 
@@ -184,19 +184,18 @@ def extract_intertwined(left, right):
     """Produce an intertwined block in the intersection of the two spans.
 
     One sweep gives the minimal prefix of ``left`` whose span meets
-    ``right``'s span and the least common block over that prefix in
-    canonical order (lexicographic on the value vector), which is settled
-    with the component-split rule.  Raises NoIntersection when the full
-    spans are disjoint; MinimalityViolation from the split would contradict
-    the minimality of the prefix.
+    ``right``'s span, and a sweep over that prefix gives the least common
+    block in canonical order (lexicographic on the value vector), which is
+    settled with the component-split rule.  Raises NoIntersection when the
+    full spans are disjoint; MinimalityViolation from the split would
+    contradict the minimality of the prefix.
     """
-    sweep = _Sweep(left, right)
-    length = sweep.prefix_length
+    length = _Sweep(left, right).prefix_length
     if length is None:
         raise NoIntersection(f"no common block among {len(left)} generators")
-    element = sweep.least(by_value=True, limit=length)
-    settled = settle_intertwined(element, left.prefix(length), right)
-    return ExtractionResult(length, settled)
+    prefix = left.prefix(length)
+    element = _Sweep(prefix, right).least(by_value=True)
+    return ExtractionResult(length, settle_intertwined(element, prefix, right))
 
 
 def star_split(anchor, other, left, right):
@@ -207,11 +206,11 @@ def star_split(anchor, other, left, right):
     starred spans of both sequences, and
     ``add(add(below, anchor.block), above) == star(anchor.block, other.block)``.
     """
-    _checked_witnesses(anchor.block, anchor.left_witness, anchor.right_witness, left, right)
-    _checked_witnesses(other.block, other.left_witness, other.right_witness, left, right)
-    if not is_intertwined(
+    graph = decomposition_graph(
         anchor.block, anchor.left_witness, anchor.right_witness, left, right
-    ):
+    )
+    _checked_witnesses(other.block, other.left_witness, other.right_witness, left, right)
+    if not graph.is_connected():
         raise NotIntertwined(f"anchor {anchor.block.render()} is not intertwined")
 
     p = anchor.block
@@ -247,7 +246,8 @@ class SmallnessCertificate:
     ``empty_at_horizon`` certifies that after dropping ``tail_index`` blocks
     from the left stream, the two truncated spans share nothing below the
     horizon; ``witness`` carries a common element when the verdict is
-    ``nonempty``.
+    ``nonempty``, its left witness indexing the whole left truncation (every
+    index at least ``tail_index``).
     """
 
     tail_index: int
@@ -259,11 +259,28 @@ class SmallnessCertificate:
         return f"small? n={self.tail_index} H={self.horizon} verdict={self.verdict}"
 
 
+def _tail_certificate(left, right, tail_index, horizon):
+    """The smallness certificate of two truncations at the horizon.
+
+    Supports strictly increase, so the left tail from block n on is
+    ``left.blocks[n:]``, and witnesses are unique: the tail meets ``right``
+    exactly when the sweep with left generators below n forced unused finds
+    a common element.  The witness is the one with the least left witness,
+    indexed over the whole of ``left``.
+    """
+    if tail_index < 0:
+        raise ValueError(f"tail index must be nonnegative, got {tail_index}")
+    head = dict.fromkeys(range(min(tail_index, len(left))), _UNUSED)
+    sweep = _Sweep(left, right, head)
+    if not sweep.count:
+        return SmallnessCertificate(tail_index, horizon, "empty_at_horizon")
+    return SmallnessCertificate(
+        tail_index, horizon, "nonempty", witness=sweep.least(by_value=False)
+    )
+
+
 def smallness_check(left_stream, right_stream, tail_index, horizon):
     """Probe whether the left tail's span misses the right span at the horizon."""
-    left_seq = left_stream.tail(tail_index).truncate(horizon)
-    right_seq = right_stream.truncate(horizon)
-    found = first_common_element(left_seq, right_seq)
-    if found is None:
-        return SmallnessCertificate(tail_index, horizon, "empty_at_horizon")
-    return SmallnessCertificate(tail_index, horizon, "nonempty", witness=found)
+    return _tail_certificate(
+        left_stream.truncate(horizon), right_stream.truncate(horizon), tail_index, horizon
+    )

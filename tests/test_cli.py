@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -504,6 +505,25 @@ class TestPlumbing:
         assert code == 1
         assert out == ""
         assert "error: usage:" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["small", "--P", "example13_P", "--Q", "example13_Q", "--k", "2", "--n", "1"],
+            ["diag", "--member", "example13_P", "--member", "evens", "--k", "2"],
+        ],
+        ids=["small", "diag"],
+    )
+    def test_far_horizon_is_refused_quickly(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--horizon", str(10**12))
+        assert time.perf_counter() - start < 2
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: EnumerationCapExceeded: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        code, out, _ = run(capsys, *argv, "--horizon", "2001")
+        assert code == 0 and out
 
     @pytest.mark.parametrize("header", ["k=x", "k=0"])
     def test_bad_block_file_header(self, capsys, tmp_path, header):

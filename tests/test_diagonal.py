@@ -11,18 +11,21 @@ from fink import (
     AlmostDisjointFamily,
     BlockSequence,
     ClaimViolation,
+    Combination,
+    CommonElement,
     HorizonExhausted,
     HorizonValuation,
     InvalidSequence,
     MismatchedLevel,
     NotAlmostDisjoint,
     PeriodicStream,
+    SmallnessCertificate,
     Subblock,
     choose_next,
+    first_common_element,
     intersect_spans,
     make_builtin,
     run_diagonalization,
-    smallness_check,
     validate_family,
     valuation,
 )
@@ -233,11 +236,21 @@ def derivation_streams():
 
 
 def probed_failure(members, tail_index, horizon):
-    """The first ordered pair, i-major, whose smallness probe is nonempty."""
+    """The first ordered pair, i-major, whose sliced tail meets the other.
+
+    The tail is ``truncate(H).blocks[n:]`` swept with nothing forced; its
+    least-witness element, shifted back by n, is the expected certificate.
+    """
     for i, j in itertools.permutations(range(len(members)), 2):
-        certificate = smallness_check(members[i], members[j], tail_index, horizon)
-        if certificate.verdict != "empty_at_horizon":
-            return (i, j), certificate
+        left = members[i].truncate(horizon)
+        tail = BlockSequence(left.k, left.blocks[tail_index:])
+        found = first_common_element(tail, members[j].truncate(horizon))
+        if found is not None:
+            shifted = Combination(
+                tuple((g + tail_index, e) for g, e in found.left_witness.terms)
+            )
+            witness = CommonElement(found.block, shifted, found.right_witness)
+            return (i, j), SmallnessCertificate(tail_index, horizon, "nonempty", witness)
     return None, None
 
 

@@ -440,11 +440,12 @@ def test_sweep_matches_oracle(k, data):
         assert table[oracle.as_key(oracle.to_dict(ce.block))] == (
             ce.left_witness.terms, ce.right_witness.terms
         )
-    # the least elements over every prefix of left, from the same sweep
+    # the least elements over every prefix of left
     for n in range(1, len(left) + 1):
         within = [key for key, (a, _) in table.items() if a[-1][0] < n]
-        by_value = sweep.least(by_value=True, limit=n)
-        by_witness = sweep.least(by_value=False, limit=n)
+        prefix = _Sweep(left.prefix(n), right)
+        by_value = prefix.least(by_value=True)
+        by_witness = prefix.least(by_value=False)
         if not within:
             assert by_value is None and by_witness is None
             continue

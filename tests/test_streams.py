@@ -1,4 +1,4 @@
-"""Lazy streams: builtins, periodic/explicit kinds, tails, truncation."""
+"""Lazy streams: builtins, periodic/explicit kinds, truncation."""
 
 import pytest
 
@@ -6,6 +6,7 @@ from fink import (
     BUILTIN_NAMES,
     BlockSequence,
     BuiltinStream,
+    EnumerationCapExceeded,
     ExplicitStream,
     InvalidSequence,
     ParseError,
@@ -75,17 +76,16 @@ class TestTailAndTruncate:
         assert len(q.truncate(9)) == 5
         assert q.truncate(9)[4] == blk(2, [(7, 2), (8, 1)])
 
-    def test_tail_shifts_indexing(self):
-        p = make_builtin("example13_P", 2)
-        assert p.tail(1).block(0) == p.block(1)
-        assert p.tail(2).tail(3).block(0) == p.block(5)
-
-    def test_tail_truncate_composition(self):
-        q = make_builtin("example13_Q", 2)
-        assert q.tail(1).truncate(9) == seq(2, "1:2,2:1", "3:2,4:1", "5:2,6:1", "7:2,8:1")
-
     def test_truncate_can_be_empty(self):
-        assert len(make_builtin("example13_P", 2).tail(1).truncate(0)) == 0
+        s = PeriodicStream([blk(2, [(3, 2)])], shift=2)
+        assert len(s.truncate(2)) == 0
+        assert len(s.truncate(3)) == 1
+
+    def test_truncate_refuses_more_than_two_to_the_sixteen_blocks(self):
+        evens = make_builtin("evens", 2)
+        assert len(evens.truncate(2 * (2**16 - 1))) == 2**16
+        with pytest.raises(EnumerationCapExceeded):
+            evens.truncate(2 * 2**16)
 
 
 class TestExplicit:
@@ -98,11 +98,6 @@ class TestExplicit:
     def test_truncate_stops_at_end(self):
         s = ExplicitStream(seq(2, "0:2", "2:2"))
         assert s.truncate(50) == seq(2, "0:2", "2:2")
-
-    def test_tail_past_end(self):
-        s = ExplicitStream(seq(2, "0:2"))
-        with pytest.raises(PastEnd):
-            s.tail(3).block(0)
 
 
 class TestPeriodic:

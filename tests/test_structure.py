@@ -251,6 +251,22 @@ class TestSmallness:
             cert = smallness_check(p, p, tail_index=n, horizon=15)
             assert cert.verdict == "nonempty"
 
+    def test_witness_indexes_the_whole_left_truncation(self):
+        p = make_builtin("example13_P", 2)
+        q = make_builtin("example13_Q", 2)
+        for left, right, n in ((p, p, 3), (p, q, 0), (q, q, 2)):
+            cert = smallness_check(left, right, tail_index=n, horizon=15)
+            witness = cert.witness
+            assert cert.verdict == "nonempty"
+            assert min(witness.left_witness.indices) >= n
+            assert evaluate(left.truncate(15), witness.left_witness) == witness.block
+            assert evaluate(right.truncate(15), witness.right_witness) == witness.block
+
+    def test_negative_tail_index_rejected(self):
+        p = make_builtin("example13_P", 2)
+        with pytest.raises(ValueError):
+            smallness_check(p, p, tail_index=-1, horizon=9)
+
 
 def test_graph_observations_on_random_pairs():
     rng = random.Random(2024)

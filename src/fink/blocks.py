@@ -53,15 +53,11 @@ class Subblock:
     ``pairs`` holds the (position, value) pairs with nonzero value, by
     ascending position.  The same type stores blocks and proper subblocks;
     ``is_block`` is the checked "attains k" predicate and operations that
-    need a block validate it at entry.
+    need a block validate it at entry.  Build one with ``from_pairs``,
+    ``parse`` or ``parse_body``.
     """
 
     __slots__ = ("k", "pairs")
-
-    def __init__(self, k, values):
-        """Build from dense values: ``values[n]`` is the value at position n."""
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "pairs", _canonical_pairs(k, enumerate(values)))
 
     # The internal constructor trusts its caller: pairs must already be a
     # canonical tuple (ascending positions, values in 1..k).
@@ -123,15 +119,6 @@ class Subblock:
         return cls.parse_body(k, body)
 
     # --- inspection ---------------------------------------------------
-
-    @property
-    def values(self):
-        """Dense view: ``values[n]`` is the value at position n, with no
-        trailing zeros.  Its length is the largest position plus one."""
-        vals = [0] * (self.pairs[-1][0] + 1 if self.pairs else 0)
-        for pos, v in self.pairs:
-            vals[pos] = v
-        return tuple(vals)
 
     @property
     def support(self):

@@ -48,7 +48,7 @@ __all__ = [
     "valuation",
 ]
 
-# Default cap on the enumeration search space: N * log2(k+1) bits.
+# Default cap on a listing: at most 2^24 listed items.
 DEFAULT_CAP_BITS = 24.0
 
 # a position sweep's choice for a generator it does not use
@@ -94,10 +94,15 @@ class BlockSequence:
         return f"BlockSequence(k={self.k}, n={len(self.blocks)})"
 
     def prefix(self, n):
-        """The first n blocks as a sequence (no revalidation needed)."""
+        """The first n blocks as a sequence (no revalidation needed).
+
+        Tetris images already computed for this sequence are shared.
+        """
         clone = object.__new__(BlockSequence)
         clone.k = self.k
         clone.blocks = self.blocks[:n]
+        if "_images" in self.__dict__:
+            clone._images = self._images[:n]
         return clone
 
     @cached_property
@@ -298,11 +303,12 @@ def check_witness(seq, witness, block):
         raise WitnessMismatch(f"witness {witness.render()} does not produce {block.render()}")
 
 
-def _check_cap(seq, cap_bits):
-    bits = len(seq) * math.log2(seq.k + 1)
-    if bits > cap_bits:
+def _check_listing(count, noun, cap_bits):
+    """Refuse to list more than 2^cap_bits items, judged on their exact count."""
+    if count and math.log2(count) > cap_bits:
+        shown = count if count < 2**64 else "over 2^64"
         raise EnumerationCapExceeded(
-            f"{len(seq)} generators at level {seq.k} need {bits:.1f} bits, cap is {cap_bits}"
+            f"{shown} {noun} need {math.log2(count):.1f} bits, cap is {cap_bits}"
         )
 
 
@@ -331,7 +337,10 @@ def _iter_span_raw(seq, starred):
 
 def enumerate_span(seq, starred=False, cap_bits=DEFAULT_CAP_BITS):
     """Materialize the whole (starred) span with one witness per element."""
-    _check_cap(seq, cap_bits)
+    k, n = seq.k, len(seq)
+    # each generator unused or at one of k exponents, less the k^N choices
+    # with no exponent 0, or less the empty one when starred
+    _check_listing((k + 1) ** n - (1 if starred else k**n), "combinations", cap_bits)
     pairs = [
         (Subblock._raw(seq.k, pairs), Combination(tuple(zip(subset, exps)), starred))
         for pairs, subset, exps in _iter_span_raw(seq, starred)
@@ -670,11 +679,7 @@ def intersect_spans(left, right, cap_bits=DEFAULT_CAP_BITS):
     elements raise EnumerationCapExceeded.
     """
     sweep = _Sweep(left, right)
-    if sweep.count and math.log2(sweep.count) > cap_bits:
-        raise EnumerationCapExceeded(
-            f"{sweep.count} common elements need {math.log2(sweep.count):.1f} bits,"
-            f" cap is {cap_bits}"
-        )
+    _check_listing(sweep.count, "common elements", cap_bits)
     common = sweep.elements()
     common.sort(key=lambda ce: ce.left_witness.sort_key())
     return tuple(common)

@@ -1,16 +1,16 @@
 """Lazy block-sequence streams.
 
-A stream produces the n-th block of an infinite (or explicitly finite)
-sequence on demand.  Three kinds exist:
+Every stream is eventually periodic: a finite ``head`` of blocks, then the
+``base`` templates repeated forever, shifted right by ``shift`` per cycle.
+With no base the stream is finite, and asking past its end raises PastEnd.
+It is written one of three ways: ``explicit`` (a stored list, all head),
+``periodic`` (all base) or ``builtin`` (a named family, stored in the same
+form with ``K`` for the level).
 
-* ``explicit``  - a stored finite list; asking past the end raises PastEnd.
-* ``periodic``  - base templates repeated with a fixed support shift.
-* ``builtin``   - named families used throughout the tests and the CLI.
-
-``truncate(h)`` collects every block whose support fits below the horizon
-into a BlockSequence, and refuses a horizon holding more than 2^16
-blocks.  A tail of a stream is never built: the blocks from n on are
-``truncate(h).blocks[n:]``, since supports strictly increase.
+``truncate(h)`` counts the blocks whose support fits below the horizon,
+refuses more than 2^16, and collects them into a BlockSequence.  A tail of
+a stream is never built: the blocks from n on are ``truncate(h).blocks[n:]``,
+since supports strictly increase.
 
 The stream spec text format (one line, ``key=value`` tokens):
 
@@ -44,58 +44,63 @@ _MAX_TRUNCATION = 2**16
 
 
 class Stream:
-    """Base class: an immutable on-demand block sequence."""
+    """An immutable eventually periodic block sequence: ``head``, then
+    ``base`` repeated forever, each cycle shifted right by ``shift``."""
 
-    def __init__(self, k):
+    def __init__(self, k, head, base=(), shift=0):
+        head, base = tuple(head), tuple(base)
+        BlockSequence(k, head + base)  # validates blocks, level, ordering
+        if base:
+            width = base[-1].max_support - base[0].min_support
+            if shift <= width:
+                raise InvalidSequence(
+                    f"shift {shift} must exceed the base support width {width}"
+                )
         self.k = k
-
-    def _source_block(self, n):
-        raise NotImplementedError
+        self.head = head
+        self.base = base
+        self.shift = shift
 
     def block(self, n):
         """The n-th block of this stream (0-based)."""
         if n < 0:
             raise IndexError(f"negative stream index {n}")
-        return self._source_block(n)
+        if n < len(self.head):
+            return self.head[n]
+        if not self.base:
+            raise PastEnd(f"index {n} beyond the {len(self.head)} stored blocks")
+        cycle, slot = divmod(n - len(self.head), len(self.base))
+        return self.base[slot].shift(cycle * self.shift)
 
     def truncate(self, horizon):
         """Every block with support inside [0, horizon], as a sequence.
 
-        Raises EnumerationCapExceeded when more than 2^16 blocks fit,
-        before collecting the rest.
+        Supports increase, so the blocks that fit are a prefix: the head
+        blocks that fit, plus one block per cycle for each base template
+        that still fits.  Raises EnumerationCapExceeded when more than 2^16
+        blocks fit, before building any.
         """
-        blocks = []
-        n = 0
-        while True:
-            try:
-                b = self.block(n)
-            except PastEnd:
-                break
-            if b.max_support > horizon:
-                break
-            if n == _MAX_TRUNCATION:
-                raise EnumerationCapExceeded(
-                    f"more than {_MAX_TRUNCATION} blocks fit below horizon {horizon}"
-                )
-            blocks.append(b)
-            n += 1
-        return BlockSequence(self.k, blocks)
+        count = sum(b.max_support <= horizon for b in self.head)
+        count += sum(
+            (horizon - b.max_support) // self.shift + 1
+            for b in self.base
+            if b.max_support <= horizon
+        )
+        if count > _MAX_TRUNCATION:
+            raise EnumerationCapExceeded(
+                f"more than {_MAX_TRUNCATION} blocks fit below horizon {horizon}"
+            )
+        return BlockSequence(self.k, [self.block(n) for n in range(count)])
 
 
 class ExplicitStream(Stream):
     """A finite stream backed by a stored block sequence."""
 
     def __init__(self, sequence):
-        super().__init__(sequence.k)
-        self.sequence = sequence
-
-    def _source_block(self, n):
-        if n >= len(self.sequence):
-            raise PastEnd(f"index {n} beyond the {len(self.sequence)} stored blocks")
-        return self.sequence[n]
+        super().__init__(sequence.k, sequence.blocks)
 
     def describe(self):
-        return f"kind=explicit k={self.k} length={len(self.sequence)}"
+        return f"kind=explicit k={self.k} length={len(self.head)}"
 
 
 class PeriodicStream(Stream):
@@ -105,51 +110,21 @@ class PeriodicStream(Stream):
         base = tuple(base)
         if not base:
             raise InvalidSequence("periodic base must not be empty")
-        k = base[0].k
-        BlockSequence(k, base)  # validates blocks, level, ordering
-        width = base[-1].max_support - base[0].min_support
-        if shift <= width:
-            raise InvalidSequence(
-                f"shift {shift} must exceed the base support width {width}"
-            )
-        super().__init__(k)
-        self.base = base
-        self.shift = shift
-
-    def _source_block(self, n):
-        cycle, slot = divmod(n, len(self.base))
-        return self.base[slot].shift(cycle * self.shift)
+        super().__init__(base[0].k, (), base, shift)
 
     def describe(self):
         body = ";".join(b.render_body() for b in self.base)
         return f"kind=periodic shift={self.shift} k={self.k} base={body}"
 
 
-def _interlocked_singletons(k, n):
-    # one block of full value k at position 0, then at each odd position
-    if n == 0:
-        return Subblock.from_pairs(k, [(0, k)])
-    return Subblock.from_pairs(k, [(2 * n - 1, k)])
-
-
-def _interlocked_tagged(k, n):
-    # as above, but every odd-position block carries a value-1 tag just after
-    if n == 0:
-        return Subblock.from_pairs(k, [(0, k)])
-    return Subblock.from_pairs(k, [(2 * n - 1, k), (2 * n, 1)])
-
-
-def _even_singletons(k, n):
-    return Subblock.from_pairs(k, [(2 * n, k)])
-
-
-# The two interlocked families span infinitely many common blocks, yet their
+# (head, base, shift) per builtin, K standing for the level.  The two
+# interlocked families span infinitely many common blocks, yet their
 # intersection is small (empty after dropping one block from either side);
 # the even singletons are disjoint in support from both families' odd parts.
 _BUILTINS = {
-    "example13_P": _interlocked_singletons,
-    "example13_Q": _interlocked_tagged,
-    "evens": _even_singletons,
+    "evens": ((), ("0:K",), 2),
+    "example13_P": (("0:K",), ("1:K",), 2),
+    "example13_Q": (("0:K",), ("1:K,2:1",), 2),
 }
 
 BUILTIN_NAMES = tuple(sorted(_BUILTINS))
@@ -161,12 +136,14 @@ class BuiltinStream(Stream):
     def __init__(self, name, k):
         if name not in _BUILTINS:
             raise ParseError(f"unknown builtin stream {name!r}; known: {', '.join(BUILTIN_NAMES)}")
-        super().__init__(k)
+        Subblock.from_pairs(k, ())  # rejects a bad level before it fills in K
+        head, base, shift = _BUILTINS[name]
+        head, base = (
+            [Subblock.parse_body(k, body.replace("K", str(k))) for body in bodies]
+            for bodies in (head, base)
+        )
+        super().__init__(k, head, base, shift)
         self.name = name
-        self._formula = _BUILTINS[name]
-
-    def _source_block(self, n):
-        return self._formula(self.k, n)
 
     def describe(self):
         return f"kind=builtin name={self.name} k={self.k}"

@@ -39,7 +39,7 @@ class TestConstruction:
         assert p.value_at(4) == 1
 
     def test_empty_subblock(self):
-        e = Subblock(2, ())
+        e = Subblock.from_pairs(2, ())
         assert e.is_empty
         assert not e.is_block
         assert not e
@@ -68,7 +68,7 @@ class TestConstruction:
 class TestParseRender:
     def test_parse_body(self):
         assert Subblock.parse_body(2, "0:2,3:1") == blk(2, [(0, 2), (3, 1)])
-        assert Subblock.parse_body(2, "-") == Subblock(2, ())
+        assert Subblock.parse_body(2, "-") == Subblock.from_pairs(2, ())
 
     def test_parse_full_literal(self):
         assert Subblock.parse("k=2|0:2,1:1") == blk(2, [(0, 2), (1, 1)])
@@ -77,7 +77,7 @@ class TestParseRender:
         p = blk(3, [(0, 3), (2, 1), (5, 2)])
         assert Subblock.parse(p.render()) == p
         assert p.render() == "k=3|0:3,2:1,5:2"
-        assert Subblock(2, ()).render_body() == "-"
+        assert Subblock.from_pairs(2, ()).render_body() == "-"
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):
@@ -103,7 +103,7 @@ class TestTetris:
 
     def test_full_level_clears(self):
         p = blk(2, [(1, 2), (2, 1)])
-        assert tetris(p, 2) == Subblock(2, ())
+        assert tetris(p, 2) == Subblock.from_pairs(2, ())
 
     def test_zero_steps_is_identity(self):
         p = blk(2, [(0, 2)])
@@ -136,7 +136,7 @@ class TestAdd:
 
     def test_empty_is_identity(self):
         p = blk(2, [(0, 2)])
-        assert add(p, Subblock(2, ())) == p
+        assert add(p, Subblock.from_pairs(2, ())) == p
 
 
 class TestStar:
@@ -160,7 +160,7 @@ class TestPeak:
         with pytest.raises(NotABlock):
             peak(blk(2, [(1, 1)]))
         with pytest.raises(NotABlock):
-            peak(Subblock(2, ()))
+            peak(Subblock.from_pairs(2, ()))
 
 
 class TestOrdering:
@@ -170,7 +170,7 @@ class TestOrdering:
         assert blk(2, [(0, 2)]) < blk(2, [(3, 2)])
 
     def test_empty_compares_both_ways(self):
-        e = Subblock(2, ())
+        e = Subblock.from_pairs(2, ())
         p = blk(2, [(0, 2)])
         assert e.before(p)
         assert p.before(e)

@@ -138,7 +138,7 @@ class TestEvalAndSpan:
     def test_span_cap(self, capsys, files):
         code, _, err = run(capsys, "span", "--seq", files["P.seq"], "--cap", "1.0")
         assert code == 1
-        assert "EnumerationCapExceeded" in err
+        assert err == "error: EnumerationCapExceeded: 665 combinations need 9.4 bits, cap is 1.0\n"
 
 
 class TestIntersect:

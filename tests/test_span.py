@@ -69,6 +69,13 @@ class TestBlockSequence:
         assert s.prefix(2) == seq(2, "0:2", "1:2")
         assert s.prefix(0) == BlockSequence(2, [])
 
+    def test_prefix_shares_computed_images(self):
+        s = seq(2, "0:2", "1:2", "3:2")
+        assert "_images" not in s.prefix(2).__dict__
+        images = s._images
+        assert s.prefix(2)._images == images[:2]
+        assert all(a is b for a, b in zip(s.prefix(2)._images, images))
+
     def test_parse_file_round_trip(self):
         text = "# generators\nk=2\n0:2\n\n1:2,2:1\n"
         s = BlockSequence.parse_file(text)
@@ -173,6 +180,21 @@ class TestEnumerate:
         with pytest.raises(EnumerationCapExceeded):
             enumerate_span(seq(2, "0:2", "1:2"), cap_bits=1.0)
 
+    def test_cap_counts_the_listing_exactly(self):
+        # 3^2 - 2^2 = 5 unstarred elements, 3^2 - 1 = 8 nonempty starred ones
+        s = seq(2, "0:2", "1:2")
+        assert len(enumerate_span(s, cap_bits=2.33)) == 5
+        with pytest.raises(EnumerationCapExceeded, match="^5 combinations need 2.3 bits"):
+            enumerate_span(s, cap_bits=2.3)
+        assert len(enumerate_span(s, starred=True, cap_bits=3)) == 8
+        with pytest.raises(EnumerationCapExceeded, match="^8 combinations need 3.0 bits"):
+            enumerate_span(s, starred=True, cap_bits=2.99)
+
+    def test_cap_message_names_a_huge_count_by_its_size(self):
+        s = seq(2, *[f"{2 * i}:2" for i in range(50)])
+        with pytest.raises(EnumerationCapExceeded, match=r"^over 2\^64 common elements need 79\.2 bits"):
+            intersect_spans(s, s)
+
 
 class TestMembership:
     def test_witness_format(self):
@@ -190,8 +212,8 @@ class TestMembership:
 
     def test_empty_subblock(self):
         s = seq(2, "0:2")
-        assert membership_witness(Subblock(2, ()), s) is None
-        w = membership_witness(Subblock(2, ()), s, starred=True)
+        assert membership_witness(Subblock.from_pairs(2, ()), s) is None
+        w = membership_witness(Subblock.from_pairs(2, ()), s, starred=True)
         assert w.terms == () and w.starred
 
     def test_unsupported_position_fails(self):

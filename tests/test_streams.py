@@ -1,7 +1,11 @@
 """Lazy streams: builtins, periodic/explicit kinds, truncation."""
 
+import random
+from pathlib import Path
+
 import pytest
 
+from conftest import make_random_sequence
 from fink import (
     BUILTIN_NAMES,
     BlockSequence,
@@ -12,11 +16,14 @@ from fink import (
     ParseError,
     PastEnd,
     PeriodicStream,
+    Stream,
     Subblock,
     make_builtin,
     membership_witness,
     parse_stream_spec,
 )
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def blk(k, pairs):
@@ -87,6 +94,16 @@ class TestTailAndTruncate:
         with pytest.raises(EnumerationCapExceeded):
             evens.truncate(2 * 2**16)
 
+    def test_refused_truncation_builds_no_block(self, monkeypatch):
+        calls = []
+        block = Stream.block
+        monkeypatch.setattr(Stream, "block", lambda s, n: calls.append(n) or block(s, n))
+        evens = make_builtin("evens", 2)
+        with pytest.raises(EnumerationCapExceeded):
+            evens.truncate(10**18)
+        assert calls == []
+        assert len(evens.truncate(4)) == 3 and calls == [0, 1, 2]
+
 
 class TestExplicit:
     def test_finite_access(self):
@@ -121,6 +138,14 @@ class TestPeriodic:
         with pytest.raises(InvalidSequence):
             PeriodicStream([], shift=1)
 
+    def test_head_precedes_the_base(self):
+        s = Stream(2, [blk(2, [(0, 2)]), blk(2, [(1, 2), (2, 1)])], [blk(2, [(4, 2)])], 3)
+        assert [s.block(n) for n in range(4)] == [
+            blk(2, [(0, 2)]), blk(2, [(1, 2), (2, 1)]), blk(2, [(4, 2)]), blk(2, [(7, 2)]),
+        ]
+        with pytest.raises(InvalidSequence):
+            Stream(2, [blk(2, [(4, 2)])], [blk(2, [(4, 2)])], 3)
+
     def test_blocks_stay_ordered(self):
         s = PeriodicStream([blk(3, [(0, 3), (1, 1)])], shift=2)
         for n in range(30):
@@ -154,6 +179,18 @@ class TestSpecParsing:
             assert again.describe() == stream.describe()
             assert again.block(3) == stream.block(3)
 
+    def test_readme_spec_block_parses(self):
+        text = README.read_text(encoding="utf-8")
+        section = text[text.index("### Stream spec") :]
+        block = section[section.index("```") + 3 :]
+        lines = block[block.index("\n") + 1 : block.index("```")].splitlines()
+        assert [line.split()[0] for line in lines] == [
+            "kind=builtin", "kind=periodic", "kind=explicit",
+        ]
+        files = {"path/to/file.seq": "k=2\n0:2\n1:2\n"}
+        for line in lines:
+            assert parse_stream_spec(line, read_file=files.get).k == 2
+
     def test_errors(self):
         with pytest.raises(ParseError):
             parse_stream_spec("kind=builtin name=evens")  # no k
@@ -165,6 +202,55 @@ class TestSpecParsing:
             parse_stream_spec("kind=builtin kind=builtin name=evens k=2")
         with pytest.raises(ParseError):
             parse_stream_spec("builtin evens")
+
+
+def walked(stream, horizon):
+    """The truncation found block by block: stop at the first block past the
+    horizon or at the end of a finite stream."""
+    blocks = []
+    try:
+        while stream.block(len(blocks)).max_support <= horizon:
+            blocks.append(stream.block(len(blocks)))
+    except PastEnd:
+        pass
+    return BlockSequence(stream.k, blocks)
+
+
+def seeded_streams(seed, count=40):
+    """Periodic streams with and without a head, and explicit ones, k 1..4."""
+    rng = random.Random(seed)
+    streams = []
+    for _ in range(count):
+        k = rng.randint(1, 4)
+        blocks = make_random_sequence(rng, k, max_generators=6).blocks
+        split = rng.randrange(len(blocks))
+        head, base = blocks[:split], blocks[split:]
+        shift = base[-1].max_support - base[0].min_support + rng.randint(1, 4)
+        streams.append(Stream(k, head, base, shift))
+        streams.append(PeriodicStream(base, shift))
+        streams.append(ExplicitStream(BlockSequence(k, blocks)))
+    return streams
+
+
+def assert_truncations_match_the_walk(stream):
+    # from below the first block to several periods past the head
+    n = len(stream.head) + 4 * len(stream.base)
+    last = stream.block(n).max_support if stream.base else stream.head[-1].max_support + 3
+    for horizon in range(-1, last + 2):
+        assert stream.truncate(horizon) == walked(stream, horizon)
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_truncate_matches_the_block_walk(name, k):
+    # at k=1, example13_Q's value-1 tag equals the level
+    assert_truncations_match_the_walk(make_builtin(name, k))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_seeded_truncate_matches_the_block_walk(seed):
+    for stream in seeded_streams(seed):
+        assert_truncations_match_the_walk(stream)
 
 
 def interlocked_mix(m):

@@ -242,14 +242,26 @@ def add(p, q):
 
 
 def star(p, q):
-    """Pointwise maximum of two subblocks at the same level."""
+    """Pointwise maximum of two subblocks at the same level.
+
+    Only the longer operand's pairs inside the shorter one's window
+    ``[min_support, max_support]`` are merged; the rest of the longer one
+    is copied as tuple slices, so the cost is one pass over the support.
+    """
     if p.k != q.k:
         raise MismatchedLevel(f"levels {p.k} and {q.k}")
-    merged = dict(p.pairs)
-    for pos, v in q.pairs:
+    a, b = p.pairs, q.pairs
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return Subblock._raw(p.k, a)
+    lo = bisect_left(a, (b[0][0],))
+    hi = bisect_left(a, (b[-1][0] + 1,))
+    merged = dict(a[lo:hi])
+    for pos, v in b:
         if v > merged.get(pos, 0):
             merged[pos] = v
-    return Subblock._raw(p.k, tuple(sorted(merged.items())))
+    return Subblock._raw(p.k, a[:lo] + tuple(sorted(merged.items())) + a[hi:])
 
 
 def peak(p):

@@ -182,7 +182,8 @@ def run_diagonalization(family, cycles=1):
     over the whole chosen list is the intersection over the others: each
     step sweeps "after", "before" (fresh block unused) and the fresh block
     at exponent 0, which must find nothing; each final reference sweeps the
-    choices up to the member's last source step.
+    choices up to the member's last source step, which for the last member
+    is the final sweep itself.
     """
     if cycles < 1:
         raise ValueError("cycles must be at least 1")
@@ -227,7 +228,10 @@ def run_diagonalization(family, cycles=1):
         truncation = family.truncations[i]
         final = _Sweep(picked, truncation).valuation(family.horizon)
         last_source = (cycles - 1) * count + i
-        reference = _Sweep(picked.prefix(last_source + 1), truncation).valuation(family.horizon)
+        reference = final
+        if last_source + 1 < len(picked):
+            sources = picked.prefix(last_source + 1)
+            reference = _Sweep(sources, truncation).valuation(family.horizon)
         ceiling = [
             bound.value
             for j, bound in enumerate(family.bounds[i])

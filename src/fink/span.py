@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 from .blocks import Subblock, add, peak, tetris
 from .errors import (
@@ -112,7 +114,10 @@ class BlockSequence:
 
     @cached_property
     def _images(self):
-        # per generator, the pairs of its tetris image for exponents 0..k-1
+        # per generator, the pairs of its tetris image for exponents 0..k-1;
+        # read only by enumeration (``_iter_span_raw``) and by the blocks a
+        # sweep hands out (``_Sweep._element``), never by membership or
+        # ``evaluate``
         return [[tetris(b, e).pairs for e in range(self.k)] for b in self.blocks]
 
     @classmethod
@@ -286,15 +291,27 @@ def parse_block_lines(text):
 
 
 def evaluate(seq, comb):
-    """Evaluate a combination over a sequence to the subblock it denotes."""
-    total = Subblock._raw(seq.k, ())
+    """Evaluate a combination over a sequence to the subblock it denotes.
+
+    Each term's tetris image is appended to one list of pairs, so ordered
+    supports cost one pass; an image that does not start after the pairs
+    gathered so far goes through ``add``, which reports an overlap.  No
+    cache of ``seq`` is read, so ``check_witness`` is an independent recheck.
+    """
+    k, blocks = seq.k, seq.blocks
+    pairs = []
     for index, exponent in comb.terms:
-        if not 0 <= index < len(seq):
-            raise IndexOutOfRange(f"index {index} outside 0..{len(seq) - 1}")
-        if exponent >= seq.k:
-            raise InvalidCombination(f"exponent {exponent} not below level {seq.k}")
-        total = add(total, tetris(seq.blocks[index], exponent))
-    return total
+        if not 0 <= index < len(blocks):
+            raise IndexOutOfRange(f"index {index} outside 0..{len(blocks) - 1}")
+        if exponent >= k:
+            raise InvalidCombination(f"exponent {exponent} not below level {k}")
+        image = [(pos, v - exponent) for pos, v in blocks[index].pairs if v > exponent]
+        if pairs and image and image[0][0] <= pairs[-1][0]:
+            total = add(Subblock._raw(k, tuple(pairs)), Subblock._raw(k, tuple(image)))
+            pairs = list(total.pairs)
+        else:
+            pairs += image
+    return Subblock._raw(k, tuple(pairs))
 
 
 def check_witness(seq, witness, block):
@@ -355,11 +372,11 @@ def _witness_terms(pairs, seq, starred):
     Every supported position must fall in exactly one generator's support;
     that generator's exponent is forced, must be constant, and must
     annihilate the generator's remaining positions: the positions hit in
-    generator g are all of g's image at its forced exponent.  Supports are
-    ordered, so each generator's positions form one run of ``pairs``.
+    generator g number the pairs of g above its forced exponent.  Supports
+    are ordered, so each generator's positions form one run of ``pairs``.
     """
     position_index = seq._position_index
-    images = seq._images
+    blocks = seq.blocks
     terms = []
     g = e = None
     hits = 0
@@ -373,17 +390,22 @@ def _witness_terms(pairs, seq, starred):
                 return None
             hits += 1
             continue
-        if g is not None and hits != len(images[g][e]):
+        if g is not None and hits != _image_size(blocks[g], e):
             return None
         g, e, hits = h, hv - v, 1
         if e < 0:
             return None
         terms.append((g, e))
-    if g is None or hits != len(images[g][e]):
+    if g is None or hits != _image_size(blocks[g], e):
         return None
     if not starred and min(e for _, e in terms) != 0:
         return None
     return tuple(terms)
+
+
+def _image_size(block, exponent):
+    """The number of pairs of ``tetris(block, exponent)``."""
+    return sum(v > exponent for _, v in block.pairs)
 
 
 def membership_witness(t, seq, starred=False):
@@ -419,6 +441,37 @@ def _chain_terms(chain):
     return terms
 
 
+def _positions_within(seq, lo, hi):
+    """The support positions of ``seq`` inside ``[lo, hi]``, ascending."""
+    blocks = seq.blocks
+    first = bisect_left(blocks, lo, key=attrgetter("max_support"))
+    last = bisect_right(blocks, hi, key=attrgetter("min_support"))
+    positions = [pos for b in blocks[first:last] for pos, _ in b.pairs]
+    return positions[bisect_left(positions, lo) : bisect_right(positions, hi)]
+
+
+def _sweep_positions(left, right, force):
+    """The positions a sweep walks: the hull of the left generators not
+    forced unused, widened to every right window it cuts.
+
+    Outside the hull every left value is 0, and a used right generator is
+    nonzero somewhere in its window, so every right generator whose window
+    misses the hull is unused.
+    """
+    usable = [g for g in range(len(left)) if force.get(g) != _UNUSED]
+    if not usable:
+        return []
+    lo, hi = left.blocks[usable[0]].min_support, left.blocks[usable[-1]].max_support
+    blocks = right.blocks
+    g = bisect_left(blocks, lo, key=attrgetter("max_support"))
+    if g < len(blocks):
+        lo = min(lo, blocks[g].min_support)
+    g = bisect_right(blocks, hi, key=attrgetter("min_support")) - 1
+    if g >= 0:
+        hi = max(hi, blocks[g].max_support)
+    return sorted(set(_positions_within(left, lo, hi)).union(_positions_within(right, lo, hi)))
+
+
 def _side_steps(seq, positions, force):
     """Per position, one side's ``(opened generator or None, info)``.
 
@@ -452,7 +505,8 @@ def _side_steps(seq, positions, force):
 class _Sweep:
     """Every question about the common elements of two spans, in one pass.
 
-    The sweep walks the sorted union of both sequences' support positions.
+    The sweep walks the sorted union of both sequences' support positions
+    inside the hull of the left generators it may use (``_sweep_positions``).
     Supports are ordered, so on each side at most one generator window
     ``[min_support, max_support]`` holds a position, and that generator's
     choice (unused or an exponent) is fixed where its support starts.  A
@@ -478,7 +532,8 @@ class _Sweep:
         if left.k != right.k:
             raise MismatchedLevel(f"levels {left.k} and {right.k}")
         self.left, self.right, self.k = left, right, left.k
-        positions = sorted(left._position_index.keys() | right._position_index.keys())
+        force = force or {}
+        positions = _sweep_positions(left, right, force)
         # per step: the left generator opened there, or None, and the
         # right one; then the moves (state, next state, value)
         self.opened = []
@@ -492,7 +547,7 @@ class _Sweep:
         k = self.k
         steps = zip(
             positions,
-            _side_steps(left, positions, force or {}),
+            _side_steps(left, positions, force),
             _side_steps(right, positions, {}),
         )
         for pos, (lg, linfo), (rg, rinfo) in steps:

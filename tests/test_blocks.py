@@ -232,6 +232,19 @@ def test_tetris_distributes(triple, steps):
     assert tetris(star(p, q), steps) == star(tetris(p, steps), tetris(q, steps))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@given(data=st.data())
+def test_star_matches_oracle(k, data):
+    wide = data.draw(st.dictionaries(st.integers(0, 40), st.integers(1, k), max_size=24))
+    narrow = data.draw(st.dictionaries(st.integers(0, 40), st.integers(1, k), max_size=4))
+    past = {pos + max(wide, default=-1) + 1: v for pos, v in narrow.items()}
+    # interleaved, disjoint and empty operands of unequal length, in both orders
+    for a, b in ((wide, narrow), (wide, past), (wide, {}), (narrow, {})):
+        expected = oracle.as_key(oracle.star_dicts(a, b))
+        for p, q in ((a, b), (b, a)):
+            assert star(blk(k, p.items()), blk(k, q.items())).pairs == expected
+
+
 @given(subblocks(3), st.integers(0, 2), st.integers(0, 2))
 def test_tetris_composes(p, i, j):
     assert tetris(tetris(p, i), j) == tetris(p, i + j)

@@ -1,6 +1,7 @@
 """Span enumeration, membership witnesses, intersections, valuation."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -17,6 +18,7 @@ from fink import (
     InvalidCombination,
     InvalidSequence,
     MismatchedLevel,
+    OverlappingSupport,
     ParseError,
     Subblock,
     WitnessMismatch,
@@ -24,6 +26,7 @@ from fink import (
     evaluate,
     first_common_element,
     intersect_spans,
+    make_builtin,
     membership_witness,
     peak,
     star,
@@ -140,6 +143,16 @@ class TestEvaluate:
     def test_empty_combination(self):
         assert evaluate(seq(2, "0:2"), Combination((), starred=True)).is_empty
 
+    def test_images_out_of_order_go_through_add(self):
+        # built without validation, so a later image may start before an earlier one
+        unordered = object.__new__(BlockSequence)
+        unordered.k, unordered.blocks = 2, (blk(2, [(3, 2)]), blk(2, [(0, 2), (5, 1)]))
+        both = Combination(((0, 0), (1, 0)))
+        assert evaluate(unordered, both) == blk(2, [(0, 2), (3, 2), (5, 1)])
+        unordered.blocks = (blk(2, [(0, 2), (3, 2)]), blk(2, [(1, 1), (3, 2)]))
+        with pytest.raises(OverlappingSupport, match="position 3$"):
+            evaluate(unordered, both)
+
 
 class TestEnumerate:
     def test_two_generator_span(self):
@@ -236,6 +249,33 @@ class TestMembership:
         assert membership_witness(blk(3, [(0, 3), (1, 2)]), s) is None
         w = membership_witness(blk(3, [(0, 3), (1, 2), (2, 1)]), s)
         assert w.terms == ((0, 0), (1, 1))
+
+    def test_partly_hit_generator_fails(self):
+        s = seq(2, "0:2,1:1", "3:2,4:2,5:1")
+        assert membership_witness(blk(2, [(0, 2), (1, 1), (3, 2), (4, 2), (5, 1)]), s)
+        # the first generator's image at exponent 0 also holds 1:1
+        assert membership_witness(blk(2, [(0, 2)]), s) is None
+        # the last generator's image at exponent 0 also holds 5:1, or 4:2 inside
+        assert membership_witness(blk(2, [(0, 2), (1, 1), (3, 2), (4, 2)]), s) is None
+        assert membership_witness(blk(2, [(0, 2), (1, 1), (3, 2), (5, 1)]), s) is None
+        # at exponent 1 the last image is 3:1,4:1, so both must be hit
+        w = membership_witness(blk(2, [(0, 1), (3, 1), (4, 1)]), s, starred=True)
+        assert w.terms == ((0, 1), (1, 1))
+        assert membership_witness(blk(2, [(0, 1), (3, 1)]), s, starred=True) is None
+
+    def test_wide_block_builds_no_images(self):
+        s = make_builtin("evens", 2).truncate(20001)
+        comb = Combination(tuple((i, i % 2) for i in range(len(s))))
+        tracemalloc.start()
+        try:
+            assert membership_witness(evaluate(s, comb), s) == comb
+            _, peak_bytes = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "_images" not in s.__dict__
+        # the element, its recheck and the position index: about 3.1 MB for
+        # these 10001 generators; the k tetris images of each add 1.5 MB more
+        assert peak_bytes < 3_500_000
 
     def test_inconsistent_forced_exponents_fail(self):
         s = seq(2, "0:2,1:2")
@@ -364,6 +404,44 @@ def _owners_to_blocks(assignment, k):
     return BlockSequence(k, kept)
 
 
+def followed_by(seq, blocks, gap):
+    """``seq`` then ``blocks`` moved to start ``gap`` positions past its end."""
+    start = seq.blocks[-1].max_support + 1 + gap
+    return BlockSequence(seq.k, seq.blocks + tuple(b.shift(start) for b in blocks))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@given(data=st.data())
+def test_evaluate_matches_oracle(k, data):
+    first = data.draw(generator_lists(k))
+    s = followed_by(first, data.draw(generator_lists(k)).blocks, data.draw(st.integers(0, 3)))
+    codes = data.draw(st.lists(st.integers(0, k), min_size=len(s), max_size=len(s)))
+    terms = tuple((i, c - 1) for i, c in enumerate(codes) if c)
+    gens = [oracle.to_dict(b) for b in s]
+    expected = oracle.add_dicts([oracle.tetris_dict(gens[i], e) for i, e in terms])
+    for starred in (False, True):
+        if not starred and (not terms or min(e for _, e in terms)):
+            continue
+        assert evaluate(s, Combination(terms, starred)).pairs == oracle.as_key(expected)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@given(data=st.data())
+def test_membership_of_partial_hits_matches_oracle(k, data):
+    s = data.draw(generator_lists(k))
+    gens = [oracle.to_dict(b) for b in s]
+    for starred in (False, True):
+        table = oracle.span_witnesses(gens, k, starred)
+        # drop one pair of each element: a generator it used is then only partly hit
+        for key in list(table):
+            for drop in range(len(key)):
+                part = key[:drop] + key[drop + 1 :]
+                if not part:
+                    continue
+                found = membership_witness(blk(k, part), s, starred=starred)
+                assert (None if found is None else [found.terms]) == table.get(part)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @given(data=st.data())
 def test_enumeration_matches_oracle(k, data):
@@ -417,6 +495,13 @@ def partners(left):
 def test_sweep_matches_oracle(k, data):
     left = data.draw(generator_lists(k))
     right = data.draw(st.one_of(generator_lists(k), partners(left)))
+    # one side may reach far past the other, where the sweep does not walk
+    reach = data.draw(st.sampled_from(["neither", "right", "left"]))
+    gap = data.draw(st.one_of(st.integers(0, 12), st.just(10**9)))
+    if reach == "right":
+        right = followed_by(right, data.draw(generator_lists(k)).blocks[:2], gap)
+    elif reach == "left":
+        left = followed_by(left, data.draw(generator_lists(k)).blocks[:1], gap)
     gens_l = [oracle.to_dict(b) for b in left]
     gens_r = [oracle.to_dict(b) for b in right]
     table = {key: (a, b) for key, a, b in oracle.iter_common(gens_l, gens_r, k)}
@@ -475,6 +560,20 @@ def test_sweep_matches_oracle(k, data):
             within, key=lambda key: oracle.value_vector(dict(key))
         )
         assert by_witness.left_witness.terms == min(table[key][0] for key in within)
+
+
+def test_sweep_walks_only_the_usable_left_hull():
+    evens = make_builtin("evens", 2).truncate(20001)
+    left = seq(2, "0:2", "2:2,3:1", "40000:2")
+    # the hull of the first two generators is [0, 3]: positions 0, 2 and 3
+    sweep = _Sweep(left, evens, {2: _UNUSED})
+    assert len(sweep.moves) == 3
+    assert {ce.block for ce in sweep.elements()} == {blk(2, [(0, 2)]), blk(2, [(0, 2), (2, 1)])}
+    # with the last generator usable: every evens position, then 3 and 40000
+    assert len(_Sweep(left, evens).moves) == 10001 + 2
+    # the right window [0, 2] cuts the hull [1, 1], which widens to it
+    assert len(_Sweep(seq(2, "1:2"), seq(2, "0:2,2:1", "5:2")).moves) == 3
+    assert len(_Sweep(seq(2, "1:2", "4:2"), evens, {0: _UNUSED}).moves) == 1
 
 
 @given(generator_lists(3))

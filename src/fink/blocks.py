@@ -60,12 +60,13 @@ class Subblock:
     __slots__ = ("k", "pairs")
 
     # The internal constructor trusts its caller: pairs must already be a
-    # canonical tuple (ascending positions, values in 1..k).
+    # canonical tuple (ascending positions, values in 1..k).  It fills the
+    # slots through their member descriptors, past ``__setattr__``.
     @classmethod
     def _raw(cls, k, pairs):
         self = object.__new__(cls)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "pairs", pairs)
+        _set_k(self, k)
+        _set_pairs(self, pairs)
         return self
 
     def __setattr__(self, name, value):
@@ -214,6 +215,10 @@ class Subblock:
 
     def __repr__(self):
         return f"Subblock[{self.render()}]"
+
+
+_set_k = Subblock.k.__set__
+_set_pairs = Subblock.pairs.__set__
 
 
 def tetris(p, steps=1):

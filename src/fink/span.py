@@ -75,6 +75,15 @@ class BlockSequence:
         self.k = k
         self.blocks = blocks
 
+    @classmethod
+    def _trusted(cls, k, blocks):
+        """A sequence built without checks: ``blocks`` must already be a
+        tuple of level-k blocks with strictly increasing supports."""
+        seq = object.__new__(cls)
+        seq.k = k
+        seq.blocks = blocks
+        return seq
+
     def __len__(self):
         return len(self.blocks)
 
@@ -100,9 +109,7 @@ class BlockSequence:
 
         Tetris images already computed for this sequence are shared.
         """
-        clone = object.__new__(BlockSequence)
-        clone.k = self.k
-        clone.blocks = self.blocks[:n]
+        clone = BlockSequence._trusted(self.k, self.blocks[:n])
         if "_images" in self.__dict__:
             clone._images = self._images[:n]
         return clone
@@ -404,7 +411,12 @@ def _witness_terms(pairs, seq, starred):
 
 
 def _image_size(block, exponent):
-    """The number of pairs of ``tetris(block, exponent)``."""
+    """The number of pairs of ``tetris(block, exponent)``.
+
+    Stored pairs hold no zeros, so exponent 0 keeps all of them.
+    """
+    if not exponent:
+        return len(block.pairs)
     return sum(v > exponent for _, v in block.pairs)
 
 
@@ -430,6 +442,18 @@ def membership_witness(t, seq, starred=False):
 _START = (None, False, None, False)
 # the one move of a side with no window open at a position
 _OUTSIDE = ((None, 0),)
+
+
+def _grow(lg, rg, state, chains):
+    """Both witnesses' term chains after entering ``state`` at a position
+    where left generator ``lg`` and right generator ``rg`` open (None for
+    no generator)."""
+    left, right = chains
+    if lg is not None and state[0] >= 0:
+        left = ((lg, state[0]), left)
+    if rg is not None and state[2] >= 0:
+        right = ((rg, state[2]), right)
+    return left, right
 
 
 def _chain_terms(chain):
@@ -518,32 +542,34 @@ class _Sweep:
 
     ``force`` maps left generator indices to a fixed choice: ``_UNUSED`` or
     one exponent.  The forward pass keeps, per state, the number of paths,
-    the largest last position of value k (with the states of a path
+    the largest last position of value k (with the witness terms of a path
     attaining it) and the smallest largest left index used, which give
-    ``count``, ``peak`` (the valuation F) and ``prefix_length``.  It records
-    each step's moves, over which listing and the least elements walk the
-    live states.  Witness terms grow as cons chains.  Every element handed
-    out builds its block from the left images and re-evaluates the right
-    witness.  Questions about a prefix of ``left`` are asked of a sweep over
+    ``count``, ``peak`` (the valuation F), ``peak_element`` and
+    ``prefix_length``.  With ``walk`` it also records each step's moves,
+    over which listing (``elements``) and ``least`` walk the live states;
+    without it no step is kept, so memory does not grow with the positions.
+    Witness terms grow as cons chains.  Every element handed out builds its
+    block from the left images and re-evaluates the right witness.
+    Questions about a prefix of ``left`` are asked of a sweep over
     ``left.prefix(n)``.
     """
 
-    def __init__(self, left, right, force=None):
+    def __init__(self, left, right, force=None, walk=False):
         if left.k != right.k:
             raise MismatchedLevel(f"levels {left.k} and {right.k}")
         self.left, self.right, self.k = left, right, left.k
         force = force or {}
         positions = _sweep_positions(left, right, force)
-        # per step: the left generator opened there, or None, and the
-        # right one; then the moves (state, next state, value)
-        self.opened = []
-        self.moves = []
+        # with ``walk``, per step: the left generator opened there, or
+        # None, and the right one; then the moves (state, next state, value)
+        self.opened = [] if walk else None
+        self.moves = [] if walk else None
         # per state of the current layer: [paths, last position of value k,
-        # the states of a path attaining it (a cons chain, latest first),
-        # largest left index used, the state], -1 standing for "none yet";
-        # earlier layers are not kept, so the path counts, which grow to big
-        # integers, are not stored
-        layer = {_START: [1, -1, None, -1, _START]}
+        # both witnesses' term chains on a path attaining it, largest left
+        # index used, the state], -1 standing for "none yet"; earlier layers
+        # are not kept, so the path counts, which grow to big integers, are
+        # not stored
+        layer = {_START: [1, -1, (None, None), -1, _START]}
         k = self.k
         steps = zip(
             positions,
@@ -551,10 +577,9 @@ class _Sweep:
             _side_steps(right, positions, {}),
         )
         for pos, (lg, linfo), (rg, rinfo) in steps:
-            self.opened.append((lg, rg))
             nxt = {}
             moves = []
-            for state, (paths, top, path, last, _) in layer.items():
+            for state, (paths, top, chains, last, _) in layer.items():
                 cl, zl, cr, zr = state
                 if lg is not None:
                     lopts = linfo
@@ -577,35 +602,35 @@ class _Sweep:
                         new = (c1, zl or c1 == 0, c2, zr or c2 == 0)
                         held = nxt.get(new)
                         if held is None:
-                            nxt[new] = [paths, new_top, (new, path), new_last, new]
+                            grown = _grow(lg, rg, new, chains)
+                            nxt[new] = [paths, new_top, grown, new_last, new]
                         else:
                             new = held[4]  # one object per state keeps the moves small
                             held[0] += paths
                             if new_top > held[1]:
-                                held[1], held[2] = new_top, (new, path)
+                                held[1] = new_top
+                                held[2] = _grow(lg, rg, new, chains)
                             if new_last < held[3]:
                                 held[3] = new_last
-                        moves.append((state, new, v1))
+                        if walk:
+                            moves.append((state, new, v1))
             layer = nxt
-            self.moves.append(moves)
+            if walk:
+                self.opened.append((lg, rg))
+                self.moves.append(moves)
         accepting = [held for state, held in layer.items() if state[1] and state[3]]
         self.accepting = {held[4] for held in accepting}
         self.count = sum(held[0] for held in accepting)
         self.peak = self.prefix_length = None
         if accepting:
             best = max(accepting, key=lambda held: held[1])
-            self.peak, self._peak_path = best[1], best[2]
+            self.peak, self._peak_chains = best[1], best[2]
             self.prefix_length = min(held[3] for held in accepting) + 1
 
     def _extend(self, i, state, chains):
         """Both witnesses' term chains after entering ``state`` at step i."""
         lg, rg = self.opened[i]
-        left, right = chains
-        if lg is not None and state[0] >= 0:
-            left = ((lg, state[0]), left)
-        if rg is not None and state[2] >= 0:
-            right = ((rg, state[2]), right)
-        return left, right
+        return _grow(lg, rg, state, chains)
 
     def _element(self, left_terms, right_terms):
         images = self.left._images
@@ -708,10 +733,7 @@ class _Sweep:
 
     def peak_element(self):
         """The recorded element attaining F, both witnesses re-evaluated."""
-        chains = (None, None)
-        for i, state in enumerate(reversed(_chain_terms(self._peak_path))):
-            chains = self._extend(i, state, chains)
-        element = self._walked(chains)
+        element = self._walked(self._peak_chains)
         check_witness(self.left, element.left_witness, element.block)
         if peak(element.block) != self.peak:
             raise WitnessMismatch(
@@ -733,7 +755,7 @@ def intersect_spans(left, right, cap_bits=DEFAULT_CAP_BITS):
     The exact count is known before listing: more than ``2^cap_bits``
     elements raise EnumerationCapExceeded.
     """
-    sweep = _Sweep(left, right)
+    sweep = _Sweep(left, right, walk=True)
     _check_listing(sweep.count, "common elements", cap_bits)
     common = sweep.elements()
     common.sort(key=lambda ce: ce.left_witness.sort_key())
@@ -746,7 +768,7 @@ def first_common_element(left, right):
     Witnesses compare as tuples of (index, exponent) terms, so the answer
     does not depend on which side is larger.
     """
-    return _Sweep(left, right).least(by_value=False)
+    return _Sweep(left, right, walk=True).least(by_value=False)
 
 
 def valuation(blocks, horizon=None):

@@ -194,7 +194,7 @@ def extract_intertwined(left, right):
     if length is None:
         raise NoIntersection(f"no common block among {len(left)} generators")
     prefix = left.prefix(length)
-    element = _Sweep(prefix, right).least(by_value=True)
+    element = _Sweep(prefix, right, walk=True).least(by_value=True)
     return ExtractionResult(length, settle_intertwined(element, prefix, right))
 
 
@@ -266,17 +266,16 @@ def _tail_certificate(left, right, tail_index, horizon):
     ``left.blocks[n:]``, and witnesses are unique: the tail meets ``right``
     exactly when the sweep with left generators below n forced unused finds
     a common element.  The witness is the one with the least left witness,
-    indexed over the whole of ``left``.
+    indexed over the whole of ``left``; only then is the sweep repeated
+    with its moves recorded, so an empty verdict keeps no step.
     """
     if tail_index < 0:
         raise ValueError(f"tail index must be nonnegative, got {tail_index}")
     head = dict.fromkeys(range(min(tail_index, len(left))), _UNUSED)
-    sweep = _Sweep(left, right, head)
-    if not sweep.count:
+    if not _Sweep(left, right, head).count:
         return SmallnessCertificate(tail_index, horizon, "empty_at_horizon")
-    return SmallnessCertificate(
-        tail_index, horizon, "nonempty", witness=sweep.least(by_value=False)
-    )
+    witness = _Sweep(left, right, head, walk=True).least(by_value=False)
+    return SmallnessCertificate(tail_index, horizon, "nonempty", witness=witness)
 
 
 def smallness_check(left_stream, right_stream, tail_index, horizon):

@@ -60,6 +60,15 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             p.k = 3
 
+    def test_trusted_constructor_builds_the_same_immutable_value(self):
+        pairs = ((1, 2), (4, 1))
+        p = Subblock._raw(2, pairs)
+        assert p == blk(2, pairs) and hash(p) == hash(blk(2, pairs))
+        assert p.k == 2 and p.pairs is pairs
+        for name in ("k", "pairs"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, None)
+
     def test_is_block_requires_full_value(self):
         assert blk(2, [(0, 2), (1, 1)]).is_block
         assert not blk(2, [(0, 1), (1, 1)]).is_block

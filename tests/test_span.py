@@ -512,6 +512,14 @@ def test_sweep_matches_oracle(k, data):
     assert sweep.peak == oracle.valuation_value([dict(key) for key in table], k)
     if table:
         assert peak(sweep.peak_element().block) == sweep.peak
+    # only a walking sweep keeps its steps; both agree on everything else
+    walking = _Sweep(left, right, walk=True)
+    assert sweep.moves is None and len(walking.moves) == len(walking.opened)
+    assert (walking.count, walking.peak, walking.prefix_length) == (
+        sweep.count, sweep.peak, sweep.prefix_length
+    )
+    if table:
+        assert walking.peak_element() == sweep.peak_element()
     # the tail verdict for every n, and every forced choice of one generator
     for n in range(len(left) + 1):
         tail = _Sweep(left, right, dict.fromkeys(range(n), _UNUSED))
@@ -535,7 +543,7 @@ def test_sweep_matches_oracle(k, data):
         ce.left_witness.sort_key() for ce in listing
     )
     first = first_common_element(left, right)
-    least = sweep.least(by_value=True)
+    least = walking.least(by_value=True)
     if not table:
         assert first is None and least is None and not listing
         return
@@ -550,7 +558,7 @@ def test_sweep_matches_oracle(k, data):
     # the least elements over every prefix of left
     for n in range(1, len(left) + 1):
         within = [key for key, (a, _) in table.items() if a[-1][0] < n]
-        prefix = _Sweep(left.prefix(n), right)
+        prefix = _Sweep(left.prefix(n), right, walk=True)
         by_value = prefix.least(by_value=True)
         by_witness = prefix.least(by_value=False)
         if not within:
@@ -566,14 +574,14 @@ def test_sweep_walks_only_the_usable_left_hull():
     evens = make_builtin("evens", 2).truncate(20001)
     left = seq(2, "0:2", "2:2,3:1", "40000:2")
     # the hull of the first two generators is [0, 3]: positions 0, 2 and 3
-    sweep = _Sweep(left, evens, {2: _UNUSED})
+    sweep = _Sweep(left, evens, {2: _UNUSED}, walk=True)
     assert len(sweep.moves) == 3
     assert {ce.block for ce in sweep.elements()} == {blk(2, [(0, 2)]), blk(2, [(0, 2), (2, 1)])}
     # with the last generator usable: every evens position, then 3 and 40000
-    assert len(_Sweep(left, evens).moves) == 10001 + 2
+    assert len(_Sweep(left, evens, walk=True).moves) == 10001 + 2
     # the right window [0, 2] cuts the hull [1, 1], which widens to it
-    assert len(_Sweep(seq(2, "1:2"), seq(2, "0:2,2:1", "5:2")).moves) == 3
-    assert len(_Sweep(seq(2, "1:2", "4:2"), evens, {0: _UNUSED}).moves) == 1
+    assert len(_Sweep(seq(2, "1:2"), seq(2, "0:2,2:1", "5:2"), walk=True).moves) == 3
+    assert len(_Sweep(seq(2, "1:2", "4:2"), evens, {0: _UNUSED}, walk=True).moves) == 1
 
 
 @given(generator_lists(3))

@@ -95,14 +95,16 @@ class TestTailAndTruncate:
             evens.truncate(2 * 2**16)
 
     def test_refused_truncation_builds_no_block(self, monkeypatch):
-        calls = []
-        block = Stream.block
-        monkeypatch.setattr(Stream, "block", lambda s, n: calls.append(n) or block(s, n))
         evens = make_builtin("evens", 2)
+        built = []
+        raw = Subblock._raw
+        counted = classmethod(lambda cls, k, pairs: built.append(pairs) or raw(k, pairs))
+        monkeypatch.setattr(Subblock, "_raw", counted)
         with pytest.raises(EnumerationCapExceeded):
             evens.truncate(10**18)
-        assert calls == []
-        assert len(evens.truncate(4)) == 3 and calls == [0, 1, 2]
+        assert built == []
+        assert len(evens.truncate(4)) == 3
+        assert built == [((0, 2),), ((2, 2),), ((4, 2),)]
 
 
 class TestExplicit:
@@ -237,7 +239,15 @@ def assert_truncations_match_the_walk(stream):
     n = len(stream.head) + 4 * len(stream.base)
     last = stream.block(n).max_support if stream.base else stream.head[-1].max_support + 3
     for horizon in range(-1, last + 2):
-        assert stream.truncate(horizon) == walked(stream, horizon)
+        assert_truncation_is_valid(stream, horizon)
+
+
+def assert_truncation_is_valid(stream, horizon):
+    """The truncation equals the block walk, and its blocks pass the full
+    checks of the validating constructor it skips."""
+    truncation = stream.truncate(horizon)
+    assert truncation == walked(stream, horizon)
+    assert BlockSequence(stream.k, truncation.blocks) == truncation
 
 
 @pytest.mark.parametrize("k", range(1, 5))
@@ -251,6 +261,16 @@ def test_builtin_truncate_matches_the_block_walk(name, k):
 def test_seeded_truncate_matches_the_block_walk(seed):
     for stream in seeded_streams(seed):
         assert_truncations_match_the_walk(stream)
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_far_shift_truncation_around_the_second_cycle(k):
+    shift = 10**12
+    base = [blk(k, [(2, k), (3, 1)]), blk(k, [(5, 1), (7, k)])]
+    stream = Stream(k, [blk(k, [(0, k)])], base, shift)
+    for horizon in range(shift, shift + 9):
+        assert_truncation_is_valid(stream, horizon)
+    assert len(stream.truncate(shift + 7)) == 5
 
 
 def interlocked_mix(m):

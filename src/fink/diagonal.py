@@ -9,14 +9,17 @@ element must use the fresh block with a positive tetris exponent); a
 failure aborts the run with ClaimViolation rather than being skipped.
 Every two-span question here is one position sweep (``span._Sweep``), so
 none of them enumerates a span: a member's tail is the sweep of its whole
-truncation with the head forced unused, and a prefix of the chosen blocks
-is a sweep over that prefix.
+truncation with the head forced unused, and each member keeps one sweep
+over the blocks chosen so far, which a step resumes past the blocks it has
+already walked instead of sweeping the chosen prefix again.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .blocks import peak
 from .errors import (
@@ -26,7 +29,7 @@ from .errors import (
     MismatchedLevel,
     NotAlmostDisjoint,
 )
-from .span import _UNUSED, BlockSequence, _Sweep, membership_witness
+from .span import BlockSequence, _Sweep, membership_witness
 from .structure import _tail_certificate
 
 __all__ = [
@@ -158,11 +161,8 @@ def choose_next(family, chosen, step_index):
     floors = [b.value for b in bounds if b is not None and b.value is not None]
     # candidates are ordered: the first one after ``previous`` lies between
     # it and every later candidate
-    between = next(
-        (j for j, candidate in enumerate(candidates) if previous.before(candidate)),
-        len(candidates),
-    )
-    for candidate in candidates[between + 1:]:
+    between = bisect_right(candidates, previous.max_support, key=attrgetter("min_support"))
+    for candidate in itertools.islice(candidates, between + 1, None):
         if all(peak(candidate) > floor for floor in floors):
             return candidate, between
     raise HorizonExhausted(
@@ -178,30 +178,48 @@ def run_diagonalization(family, cycles=1):
     stability check or the positive-exponent condition fails, and
     HorizonExhausted when no admissible block exists.
 
-    Witnesses are unique, so forcing chosen generators unused in a sweep
-    over the whole chosen list is the intersection over the others: each
-    step sweeps "after", "before" (fresh block unused) and the fresh block
-    at exponent 0, which must find nothing; each final reference sweeps the
-    choices up to the member's last source step, which for the last member
-    is the final sweep itself.
+    Each member keeps one sweep over the blocks chosen so far and that
+    sweep's valuation, brought up to date lazily by resuming it over the
+    blocks chosen since (``_Sweep(..., resume=...)``), so no step walks
+    the chosen prefix again.  At each step the kept valuation is "before";
+    the fresh block at exponent 0, which must find nothing, and "after"
+    each resume from the kept sweep, and "after" is kept.  Witnesses are
+    unique, so "before" is the intersection with the fresh block unused.
+    The finals are the kept sweeps after the last step, and each member's
+    ceiling reference is its "before" just after its last source step.
     """
     if cycles < 1:
         raise ValueError("cycles must be at least 1")
     count = len(family)
-    chosen = []
+    horizon = family.horizon
+    picked = BlockSequence._trusted(family.k, ())
+    # per member: a sweep over the first blocks of ``picked``, and its valuation
+    kept = [(_Sweep(picked, truncation), None) for truncation in family.truncations]
+    references = {}
+
+    def caught_up(i, seq):
+        sweep, value = kept[i]
+        if len(sweep.left) < len(seq):
+            sweep = _Sweep(seq, family.truncations[i], resume=sweep)
+            value = sweep.valuation(horizon)
+            kept[i] = sweep, value
+        return sweep, value
+
     steps = []
     for n in range(cycles * count):
         member = n % count
-        block, between = choose_next(family, chosen, n)
+        block, between = choose_next(family, picked.blocks, n)
         if membership_witness(block, family.truncations[member]) is None:
             raise ClaimViolation("chosen block missing from its source span", step=n)
-        fresh = len(chosen)
-        trial = BlockSequence(family.k, chosen + [block])
+        trial = picked.appended(block)
         checks = []
         for i in _engaged(family, n):
             truncation = family.truncations[i]
+            sweep, before = caught_up(i, picked)
+            if n == (cycles - 1) * count + i + 1:
+                references[i] = before
             # a common element meets the fresh block exactly when it uses it
-            lowered = _Sweep(trial, truncation, {fresh: 0})
+            lowered = _Sweep(trial, truncation, {n: 0}, resume=sweep)
             if lowered.count:
                 ce = lowered.peak_element()
                 raise ClaimViolation(
@@ -210,28 +228,24 @@ def run_diagonalization(family, cycles=1):
                     step=n,
                     member=i,
                 )
-            before = _Sweep(trial, truncation, {fresh: _UNUSED}).valuation(family.horizon)
-            after = _Sweep(trial, truncation).valuation(family.horizon)
+            sweep = _Sweep(trial, truncation, resume=sweep)
+            after = sweep.valuation(horizon)
             if before.value != after.value:
                 raise ClaimViolation(
                     f"valuation moved {before.render_value()} -> {after.render_value()}",
                     step=n,
                     member=i,
                 )
+            kept[i] = sweep, after
             checks.append(StabilityCheck(i, before, after))
-        chosen.append(block)
+        picked = trial
         steps.append(DiagonalStep(n, member, block, between, tuple(checks)))
 
     finals = []
-    picked = BlockSequence(family.k, chosen)
     for i in range(count):
-        truncation = family.truncations[i]
-        final = _Sweep(picked, truncation).valuation(family.horizon)
+        _, final = caught_up(i, picked)
         last_source = (cycles - 1) * count + i
-        reference = final
-        if last_source + 1 < len(picked):
-            sources = picked.prefix(last_source + 1)
-            reference = _Sweep(sources, truncation).valuation(family.horizon)
+        reference = references[i] if last_source + 1 < len(picked) else final
         ceiling = [
             bound.value
             for j, bound in enumerate(family.bounds[i])

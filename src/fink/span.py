@@ -105,14 +105,15 @@ class BlockSequence:
         return f"BlockSequence(k={self.k}, n={len(self.blocks)})"
 
     def prefix(self, n):
-        """The first n blocks as a sequence (no revalidation needed).
+        """The first n blocks as a sequence (no revalidation needed)."""
+        return BlockSequence._trusted(self.k, self.blocks[:n])
 
-        Tetris images already computed for this sequence are shared.
-        """
-        clone = BlockSequence._trusted(self.k, self.blocks[:n])
-        if "_images" in self.__dict__:
-            clone._images = self._images[:n]
-        return clone
+    def appended(self, block):
+        """This sequence with ``block`` appended, checking only the join:
+        the block's level, that it is a block, and that it lies after the
+        last one."""
+        BlockSequence(self.k, self.blocks[-1:] + (block,))
+        return BlockSequence._trusted(self.k, self.blocks + (block,))
 
     @cached_property
     def _position_index(self):
@@ -122,9 +123,7 @@ class BlockSequence:
     @cached_property
     def _images(self):
         # per generator, the pairs of its tetris image for exponents 0..k-1;
-        # read only by enumeration (``_iter_span_raw``) and by the blocks a
-        # sweep hands out (``_Sweep._element``), never by membership or
-        # ``evaluate``
+        # read only by enumeration (``_iter_span_raw``)
         return [[tetris(b, e).pairs for e in range(self.k)] for b in self.blocks]
 
     @classmethod
@@ -474,18 +473,23 @@ def _positions_within(seq, lo, hi):
     return positions[bisect_left(positions, lo) : bisect_right(positions, hi)]
 
 
-def _sweep_positions(left, right, force):
-    """The positions a sweep walks: the hull of the left generators not
-    forced unused, widened to every right window it cuts.
+def _sweep_hull(left, right, force):
+    """The positions ``[lo, hi]`` a sweep may walk, or None: the hull of the
+    left generators not forced unused, widened to every right window it cuts.
 
     Outside the hull every left value is 0, and a used right generator is
     nonzero somewhere in its window, so every right generator whose window
-    misses the hull is unused.
+    misses the hull is unused.  Only generators forced unused are skipped
+    to find the first and last usable one.
     """
-    usable = [g for g in range(len(left)) if force.get(g) != _UNUSED]
-    if not usable:
-        return []
-    lo, hi = left.blocks[usable[0]].min_support, left.blocks[usable[-1]].max_support
+    first, last = 0, len(left) - 1
+    while first <= last and force.get(first) == _UNUSED:
+        first += 1
+    if first > last:
+        return None
+    while force.get(last) == _UNUSED:
+        last -= 1
+    lo, hi = left.blocks[first].min_support, left.blocks[last].max_support
     blocks = right.blocks
     g = bisect_left(blocks, lo, key=attrgetter("max_support"))
     if g < len(blocks):
@@ -493,36 +497,49 @@ def _sweep_positions(left, right, force):
     g = bisect_right(blocks, hi, key=attrgetter("min_support")) - 1
     if g >= 0:
         hi = max(hi, blocks[g].max_support)
-    return sorted(set(_positions_within(left, lo, hi)).union(_positions_within(right, lo, hi)))
+    return lo, hi
 
 
-def _side_steps(seq, positions, force):
+# what a side's support walk yields once it is used up
+_NO_PAIR = (None, None, None)
+
+
+def _side_steps(seq, positions, force, options, straddled):
     """Per position, one side's ``(opened generator or None, info)``.
 
     ``info`` holds the (choice, value) moves where a generator's support
     starts, the open generator's value inside its window (0 off its
-    support), or None outside every window.
+    support), or None outside every window.  ``positions`` holds every
+    support position of ``seq`` between its ends, which are merged with
+    the blocks found by bisecting; ``options`` holds the moves per
+    starting value.  With ``straddled``, a window that holds positions on
+    both sides of the first position is already open there.
     """
-    index = seq._position_index
-    # per value v of a starting position, its (choice, value) moves
-    every = range(_UNUSED, seq.k)
-    options = [tuple((c, v - c if 0 <= c < v else 0) for c in every) for v in range(seq.k + 1)]
     steps = []
+    if not positions:
+        return steps
+    blocks = seq.blocks
+    first = bisect_left(blocks, positions[0], key=attrgetter("max_support"))
     opened, end = None, -1  # the open generator and its window's last position
+    if straddled and first < len(blocks) and blocks[first].min_support < positions[0]:
+        opened, end = first, blocks[first].max_support
+    support = ((pos, g, v) for g in range(first, len(blocks)) for pos, v in blocks[g].pairs)
+    at, g, v = next(support, _NO_PAIR)
+    while at is not None and at < positions[0]:
+        at, g, v = next(support, _NO_PAIR)
     for pos in positions:
-        found = index.get(pos)
-        if found is None:
+        if pos != at:
             steps.append((None, 0 if pos < end else None))
             continue
-        g, v = found
         if g == opened:
             steps.append((None, v))
-            continue
-        opened, end = g, seq.blocks[g].max_support
-        moves = options[v]
-        if g in force:
-            moves = tuple(move for move in moves if move[0] == force[g])
-        steps.append((g, moves))
+        else:
+            opened, end = g, blocks[g].max_support
+            moves = options[v]
+            if g in force:
+                moves = tuple(move for move in moves if move[0] == force[g])
+            steps.append((g, moves))
+        at, g, v = next(support, _NO_PAIR)
     return steps
 
 
@@ -530,7 +547,7 @@ class _Sweep:
     """Every question about the common elements of two spans, in one pass.
 
     The sweep walks the sorted union of both sequences' support positions
-    inside the hull of the left generators it may use (``_sweep_positions``).
+    inside the hull of the left generators it may use (``_sweep_hull``).
     Supports are ordered, so on each side at most one generator window
     ``[min_support, max_support]`` holds a position, and that generator's
     choice (unused or an exponent) is fixed where its support starts.  A
@@ -549,17 +566,31 @@ class _Sweep:
     over which listing (``elements``) and ``least`` walk the live states;
     without it no step is kept, so memory does not grow with the positions.
     Witness terms grow as cons chains.  Every element handed out builds its
-    block from the left images and re-evaluates the right witness.
-    Questions about a prefix of ``left`` are asked of a sweep over
-    ``left.prefix(n)``.
+    block from the tetris images of its left terms and re-evaluates the
+    right witness.  Questions about a prefix of ``left`` are asked of a
+    sweep over ``left.prefix(n)``.
+
+    A sweep without ``walk`` keeps one layer: the states after the last
+    position at or below ``left``'s last ``max_support``.  Every later
+    block of a longer left sequence starts past that position, so the
+    layer is the same in a sweep over the longer sequence.  The layer at
+    the end of the hull is not kept: a right window can widen the hull
+    past that position, and the next left block can start inside it.
+    ``resume`` takes such a sweep over a prefix of ``left`` against the
+    same ``right``, with ``force`` agreeing on the prefix, and walks only
+    the positions past its kept layer, with the windows that straddle
+    that position already open on both sides (on the left, only a
+    generator forced unused can straddle it).  A fresh sweep opens no
+    window before its first position: its hull may start inside the
+    window of a left generator forced unused, which opens at its first
+    walked support position.
     """
 
-    def __init__(self, left, right, force=None, walk=False):
+    def __init__(self, left, right, force=None, walk=False, resume=None):
         if left.k != right.k:
             raise MismatchedLevel(f"levels {left.k} and {right.k}")
         self.left, self.right, self.k = left, right, left.k
         force = force or {}
-        positions = _sweep_positions(left, right, force)
         # with ``walk``, per step: the left generator opened there, or
         # None, and the right one; then the moves (state, next state, value)
         self.opened = [] if walk else None
@@ -568,14 +599,31 @@ class _Sweep:
         # both witnesses' term chains on a path attaining it, largest left
         # index used, the state], -1 standing for "none yet"; earlier layers
         # are not kept, so the path counts, which grow to big integers, are
-        # not stored
-        layer = {_START: [1, -1, (None, None), -1, _START]}
+        # not stored, and a kept layer is only read
+        walked, layer = None, {_START: [1, -1, (None, None), -1, _START]}
+        if resume is not None:
+            walked, layer = resume._kept
+        self._kept = walked, layer
         k = self.k
-        steps = zip(
-            positions,
-            _side_steps(left, positions, force),
-            _side_steps(right, positions, {}),
-        )
+        steps = ()
+        hull = _sweep_hull(left, right, force)
+        if hull is not None:
+            lo, hi = hull if walked is None else (walked + 1, hull[1])
+            positions = sorted(
+                set(_positions_within(left, lo, hi)).union(_positions_within(right, lo, hi))
+            )
+            # per value v of a starting position, its (choice, value) moves
+            options = [
+                tuple((c, v - c if 0 <= c < v else 0) for c in range(_UNUSED, k))
+                for v in range(k + 1)
+            ]
+            resumed = walked is not None
+            steps = zip(
+                positions,
+                _side_steps(left, positions, force, options, resumed),
+                _side_steps(right, positions, {}, options, resumed),
+            )
+        boundary = left.blocks[-1].max_support if left.blocks else -1
         for pos, (lg, linfo), (rg, rinfo) in steps:
             nxt = {}
             moves = []
@@ -615,6 +663,8 @@ class _Sweep:
                         if walk:
                             moves.append((state, new, v1))
             layer = nxt
+            if pos <= boundary:
+                self._kept = pos, layer
             if walk:
                 self.opened.append((lg, rg))
                 self.moves.append(moves)
@@ -633,8 +683,10 @@ class _Sweep:
         return _grow(lg, rg, state, chains)
 
     def _element(self, left_terms, right_terms):
-        images = self.left._images
-        block = Subblock._raw(self.k, tuple(p for g, e in left_terms for p in images[g][e]))
+        blocks = self.left.blocks
+        block = Subblock._raw(
+            self.k, tuple(p for g, e in left_terms for p in tetris(blocks[g], e).pairs)
+        )
         element = CommonElement(block, Combination(left_terms), Combination(right_terms))
         check_witness(self.right, element.right_witness, block)
         return element

@@ -13,6 +13,7 @@ from fink import (
     ClaimViolation,
     Combination,
     CommonElement,
+    DiagonalStep,
     HorizonExhausted,
     HorizonValuation,
     InvalidSequence,
@@ -20,6 +21,7 @@ from fink import (
     NotAlmostDisjoint,
     PeriodicStream,
     SmallnessCertificate,
+    StabilityCheck,
     Subblock,
     choose_next,
     first_common_element,
@@ -333,3 +335,35 @@ def test_derived_before_and_reference_match_direct_intersections():
                         assert check.before == direct[step.index]
                         assert check.after == direct[step.index + 1]
     assert runs >= 4
+
+
+def diagonalized_by_fresh_sweeps(family, cycles):
+    """The step renders and finals of ``run_diagonalization``, with every
+    check a fresh sweep over the whole trial sequence, the fresh block
+    forced unused for "before"."""
+    count, horizon = len(family), family.horizon
+    chosen, lines = [], []
+    for n in range(cycles * count):
+        block, between = choose_next(family, chosen, n)
+        trial = BlockSequence(family.k, chosen + [block])
+        checks = []
+        for i in range(min(n, count)):
+            if i == n % count:
+                continue
+            truncation = family.truncations[i]
+            assert not _Sweep(trial, truncation, {n: 0}).count
+            before = _Sweep(trial, truncation, {n: _UNUSED}).valuation(horizon)
+            after = _Sweep(trial, truncation).valuation(horizon)
+            checks.append(StabilityCheck(i, before, after))
+        chosen.append(block)
+        lines.append(DiagonalStep(n, n % count, block, between, tuple(checks)).render())
+    picked = BlockSequence(family.k, chosen)
+    finals = tuple(_Sweep(picked, t).valuation(horizon) for t in family.truncations)
+    return lines, finals
+
+
+def test_resumed_sweeps_match_fresh_sweeps_on_a_long_run():
+    family = three_family(horizon=20001)
+    trace = run_diagonalization(family, cycles=40)
+    assert len(trace.steps) == 120
+    assert (trace.render_lines(), trace.finals) == diagonalized_by_fresh_sweeps(family, 40)

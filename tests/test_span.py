@@ -33,6 +33,7 @@ from fink import (
     tetris,
     valuation,
 )
+from fink import span
 from fink.span import _UNUSED, _Sweep
 
 
@@ -72,12 +73,16 @@ class TestBlockSequence:
         assert s.prefix(2) == seq(2, "0:2", "1:2")
         assert s.prefix(0) == BlockSequence(2, [])
 
-    def test_prefix_shares_computed_images(self):
-        s = seq(2, "0:2", "1:2", "3:2")
-        assert "_images" not in s.prefix(2).__dict__
-        images = s._images
-        assert s.prefix(2)._images == images[:2]
-        assert all(a is b for a, b in zip(s.prefix(2)._images, images))
+    def test_appended_checks_only_the_join(self):
+        s = seq(2, "0:2", "1:2")
+        assert s.appended(blk(2, [(3, 2)])) == seq(2, "0:2", "1:2", "3:2")
+        assert BlockSequence(2, []).appended(blk(2, [(0, 2)])) == seq(2, "0:2")
+        with pytest.raises(MismatchedLevel):
+            s.appended(blk(3, [(3, 3)]))
+        with pytest.raises(InvalidSequence):
+            s.appended(blk(2, [(3, 1)]))
+        with pytest.raises(InvalidSequence):
+            s.appended(blk(2, [(1, 2)]))
 
     def test_parse_file_round_trip(self):
         text = "# generators\nk=2\n0:2\n\n1:2,2:1\n"
@@ -582,6 +587,73 @@ def test_sweep_walks_only_the_usable_left_hull():
     # the right window [0, 2] cuts the hull [1, 1], which widens to it
     assert len(_Sweep(seq(2, "1:2"), seq(2, "0:2,2:1", "5:2"), walk=True).moves) == 3
     assert len(_Sweep(seq(2, "1:2", "4:2"), evens, {0: _UNUSED}, walk=True).moves) == 1
+
+
+def sweep_answers(sweep, horizon=99):
+    element = sweep.peak_element() if sweep.count else None
+    return (
+        sweep.count, sweep.peak, sweep.prefix_length, element, sweep.valuation(horizon)
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@given(data=st.data())
+def test_resumed_sweep_matches_a_fresh_one(k, data):
+    left = data.draw(generator_lists(k))
+    # a partner's generators are sums of left generators, so their windows
+    # straddle left blocks and widen a prefix's hull past its last block
+    right = data.draw(st.one_of(generator_lists(k), partners(left)))
+    g = data.draw(st.integers(0, len(left) - 1))
+    choice = data.draw(st.sampled_from([None, _UNUSED, 0]))
+    force = {} if choice is None else {g: choice}
+    fresh = sweep_answers(_Sweep(left, right, force))
+    # every split point: one block, several blocks or none appended
+    for m in range(len(left) + 1):
+        within = {h: c for h, c in force.items() if h < m}
+        kept = _Sweep(left.prefix(m), right, within)
+        assert sweep_answers(_Sweep(left, right, force, resume=kept)) == fresh
+    # resuming one block at a time, as the diagonal engine does
+    chained = None
+    for m in range(len(left) + 1):
+        within = {h: c for h, c in force.items() if h < m}
+        chained = _Sweep(left.prefix(m), right, within, resume=chained)
+        assert sweep_answers(chained) == sweep_answers(_Sweep(left.prefix(m), right, within))
+
+
+def test_resumed_sweep_walks_only_past_its_kept_layer(monkeypatch):
+    walked = []
+    side_steps = span._side_steps
+
+    def recording(seq, positions, *rest):
+        walked.append(list(positions))
+        return side_steps(seq, positions, *rest)
+
+    monkeypatch.setattr(span, "_side_steps", recording)
+    evens = make_builtin("evens", 2).truncate(20001)
+    left = seq(2, "0:2", "4:2", "8:2")
+    kept = _Sweep(left.prefix(2), evens)
+    assert walked[0] == [0, 2, 4]
+    walked.clear()
+    assert sweep_answers(_Sweep(left, evens, resume=kept)) == sweep_answers(_Sweep(left, evens))
+    # each side's steps, then the fresh sweep's from position 0
+    assert walked == [[6, 8], [6, 8], [0, 2, 4, 6, 8], [0, 2, 4, 6, 8]]
+    # the right window [3, 6] widens the kept hull to 6, and the appended
+    # block starts inside it: the kept layer is at 3, the left's last position
+    right = seq(2, "0:2", "3:2,6:1")
+    left = seq(2, "0:2", "3:2", "6:2")
+    kept = _Sweep(left.prefix(2), right)
+    walked.clear()
+    resumed = _Sweep(left, right, resume=kept)
+    assert walked[0] == [6]
+    assert sweep_answers(resumed) == sweep_answers(_Sweep(left, right))
+    assert (kept.count, resumed.count) == (2, 5)
+
+
+def test_sweep_elements_build_only_the_images_they_use():
+    left = make_builtin("evens", 2).truncate(20001)
+    right = make_builtin("example13_P", 2).truncate(20001)
+    assert _Sweep(left, right).valuation(20001).element_count == 1
+    assert "_images" not in left.__dict__ and "_images" not in right.__dict__
 
 
 @given(generator_lists(3))

@@ -21,7 +21,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .blocks import Subblock, add, peak, tetris
 from .errors import (
@@ -116,11 +116,6 @@ class BlockSequence:
         return BlockSequence._trusted(self.k, self.blocks + (block,))
 
     @cached_property
-    def _position_index(self):
-        # position -> (generator index, value); supports are pairwise disjoint
-        return {pos: (g, v) for g, b in enumerate(self.blocks) for pos, v in b.pairs}
-
-    @cached_property
     def _images(self):
         # per generator, the pairs of its tetris image for exponents 0..k-1;
         # read only by enumeration (``_iter_span_raw``)
@@ -153,7 +148,7 @@ class Combination:
     starred: bool = False
 
     def __post_init__(self):
-        last = -1
+        last = least = -1
         for term in self.terms:
             index, exponent = term
             if index <= last:
@@ -161,10 +156,12 @@ class Combination:
             if exponent < 0:
                 raise InvalidCombination(f"negative exponent at {term}")
             last = index
+            if least < 0 or exponent < least:
+                least = exponent
         if not self.starred:
             if not self.terms:
                 raise InvalidCombination("an unstarred combination needs at least one term")
-            if min(e for _, e in self.terms) != 0:
+            if least != 0:
                 raise InvalidCombination("an unstarred combination needs minimal exponent 0")
 
     @property
@@ -305,13 +302,16 @@ def evaluate(seq, comb):
     cache of ``seq`` is read, so ``check_witness`` is an independent recheck.
     """
     k, blocks = seq.k, seq.blocks
+    n = len(blocks)
     pairs = []
     for index, exponent in comb.terms:
-        if not 0 <= index < len(blocks):
-            raise IndexOutOfRange(f"index {index} outside 0..{len(blocks) - 1}")
+        if not 0 <= index < n:
+            raise IndexOutOfRange(f"index {index} outside 0..{n - 1}")
         if exponent >= k:
             raise InvalidCombination(f"exponent {exponent} not below level {k}")
-        image = [(pos, v - exponent) for pos, v in blocks[index].pairs if v > exponent]
+        image = blocks[index].pairs
+        if exponent:
+            image = [(pos, v - exponent) for pos, v in image if v > exponent]
         if pairs and image and image[0][0] <= pairs[-1][0]:
             total = add(Subblock._raw(k, tuple(pairs)), Subblock._raw(k, tuple(image)))
             pairs = list(total.pairs)
@@ -364,59 +364,63 @@ def enumerate_span(seq, starred=False, cap_bits=DEFAULT_CAP_BITS):
     # each generator unused or at one of k exponents, less the k^N choices
     # with no exponent 0, or less the empty one when starred
     _check_listing((k + 1) ** n - (1 if starred else k**n), "combinations", cap_bits)
-    pairs = [
-        (Subblock._raw(seq.k, pairs), Combination(tuple(zip(subset, exps)), starred))
-        for pairs, subset, exps in _iter_span_raw(seq, starred)
-    ]
-    pairs.sort(key=lambda pair: pair[1].sort_key())
-    return SpanEnumeration(tuple(pairs), includes_empty=starred)
+    # the raw (subset, exponents) order is the witnesses' sort_key order
+    raw = sorted(_iter_span_raw(seq, starred), key=itemgetter(1, 2))
+    elements = tuple(
+        (Subblock._raw(k, pairs), Combination(tuple(zip(subset, exps)), starred))
+        for pairs, subset, exps in raw
+    )
+    return SpanEnumeration(elements, includes_empty=starred)
 
 
 def _witness_terms(pairs, seq, starred):
-    """The unique witness terms for ``pairs`` in seq's span, or None.
+    """The unique witness terms for the nonempty ``pairs`` in seq's span, or None.
 
-    Every supported position must fall in exactly one generator's support;
-    that generator's exponent is forced, must be constant, and must
-    annihilate the generator's remaining positions: the positions hit in
-    generator g number the pairs of g above its forced exponent.  Supports
-    are ordered, so each generator's positions form one run of ``pairs``.
+    Supports are ordered, so the pairs split into runs, one per generator
+    used.  A run's first position must lie in the support of the generator
+    whose window ``[min_support, max_support]`` holds it: the generator
+    after the previous run's is tried first, and the sequence is bisected
+    only when the position lies past that one's window.  The generator's
+    value there forces the exponent, and the run must then be exactly the
+    generator's tetris image at that exponent, checked by one tuple
+    compare: the stored pairs at exponent 0, one built tuple above it.
+    Unstarred, exponent 0 must occur.
     """
-    position_index = seq._position_index
     blocks = seq.blocks
+    n = len(blocks)
     terms = []
-    g = e = None
-    hits = 0
-    for pos, v in pairs:
-        found = position_index.get(pos)
-        if found is None:
+    zero = starred
+    g = -1
+    i, size = 0, len(pairs)
+    while i < size:
+        pos, v = pairs[i]
+        g += 1
+        if g == n:
             return None
-        h, hv = found
-        if h == g:
-            if hv - v != e:
+        stored = blocks[g].pairs
+        if stored[-1][0] < pos:
+            g = bisect_left(blocks, pos, g + 1, n, key=attrgetter("max_support"))
+            if g == n:
                 return None
-            hits += 1
-            continue
-        if g is not None and hits != _image_size(blocks[g], e):
+            stored = blocks[g].pairs
+        at, w = stored[0]
+        if at != pos:
+            # off the support this reads another position's value, and the
+            # image then lacks (pos, v), so the compare below fails
+            w = stored[bisect_left(stored, (pos,))][1]
+        e = w - v
+        if e > 0:
+            image = tuple([(p, x - e) for p, x in stored if x > e])
+        elif e:
             return None
-        g, e, hits = h, hv - v, 1
-        if e < 0:
+        else:
+            image, zero = stored, True
+        end = i + len(image)
+        if pairs[i:end] != image:
             return None
         terms.append((g, e))
-    if g is None or hits != _image_size(blocks[g], e):
-        return None
-    if not starred and min(e for _, e in terms) != 0:
-        return None
-    return tuple(terms)
-
-
-def _image_size(block, exponent):
-    """The number of pairs of ``tetris(block, exponent)``.
-
-    Stored pairs hold no zeros, so exponent 0 keeps all of them.
-    """
-    if not exponent:
-        return len(block.pairs)
-    return sum(v > exponent for _, v in block.pairs)
+        i = end
+    return tuple(terms) if zero else None
 
 
 def membership_witness(t, seq, starred=False):
@@ -833,9 +837,13 @@ def valuation(blocks, horizon=None):
     value = None
     widest = 0
     for b in blocks:
-        value = peak(b) if value is None else max(value, peak(b))
-        widest = max(widest, b.max_support)
-        if horizon is not None and b.max_support > horizon:
+        top = peak(b)
+        if value is None or top > value:
+            value = top
+        end = b.pairs[-1][0]  # a block has pairs: peak found one
+        if end > widest:
+            widest = end
+        if horizon is not None and end > horizon:
             raise HorizonExhausted(f"block {b.render_body()} reaches past horizon {horizon}")
     if horizon is None:
         horizon = widest

@@ -1,5 +1,6 @@
 """Span enumeration, membership witnesses, intersections, valuation."""
 
+import math
 import random
 import tracemalloc
 
@@ -214,6 +215,22 @@ class TestEnumerate:
             intersect_spans(s, s)
 
 
+class _CountedTuple(tuple):
+    """A tuple that counts the items read from it."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        item = super().__getitem__(index)
+        self.reads += len(item) if isinstance(index, slice) else 1
+        return item
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.reads += 1
+            yield item
+
+
 class TestMembership:
     def test_witness_format(self):
         s = seq(2, "0:2", "1:2", "3:2")
@@ -278,9 +295,19 @@ class TestMembership:
         finally:
             tracemalloc.stop()
         assert "_images" not in s.__dict__
-        # the element, its recheck and the position index: about 3.1 MB for
-        # these 10001 generators; the k tetris images of each add 1.5 MB more
-        assert peak_bytes < 3_500_000
+        # the element, its witness and its recheck: about 1.8 MB for these
+        # 10001 generators; the k tetris images of each add 1.5 MB more
+        assert peak_bytes < 2_000_000
+
+    def test_lookups_do_not_scan(self):
+        s = make_builtin("evens", 2).truncate(20001)
+        blocks = _CountedTuple(s.blocks)
+        counted = BlockSequence._trusted(s.k, blocks)
+        last = len(s) - 1
+        assert membership_witness(s[last], counted) == Combination(((last, 0),))
+        # one generator tried, a bisection, then the witness recheck
+        assert blocks.reads <= 2 * math.log2(len(s))
+        assert not hasattr(BlockSequence, "_position_index")
 
     def test_inconsistent_forced_exponents_fail(self):
         s = seq(2, "0:2,1:2")
@@ -445,6 +472,55 @@ def test_membership_of_partial_hits_matches_oracle(k, data):
                     continue
                 found = membership_witness(blk(k, part), s, starred=starred)
                 assert (None if found is None else [found.terms]) == table.get(part)
+
+
+def _gap_probes(s, terms, element):
+    """``element`` (the evaluation of ``terms`` over ``s``, as a dict) and
+    perturbations of it: a run at exponent > 0 without its first pair, one
+    value moved by 1, and a pair added inside a gap, inside a window off
+    the support, or past the last block; none is empty."""
+    k = s.k
+    probes = [element]
+    for g, e in terms:
+        run = oracle.tetris_dict(oracle.to_dict(s[g]), e)
+        if e and run:
+            probes.append({p: v for p, v in element.items() if p != min(run)})
+    for pos, v in element.items():
+        for moved in (v - 1, v + 1):
+            if 0 <= moved <= k:
+                probes.append({**element, pos: moved})
+    off = [s[-1].max_support + 1, s[-1].max_support + 2]
+    for left, right in zip(s, s[1:]):
+        if left.max_support + 1 < right.min_support:
+            off += [left.max_support + 1, right.min_support - 1]
+    for b in s:
+        support = set(b.support)
+        off += [p for p in range(b.min_support, b.max_support) if p not in support][:1]
+    for pos in off:
+        for v in (1, k):
+            probes.append({**element, pos: v})
+    probes = [{p: v for p, v in probe.items() if v} for probe in probes]
+    return [probe for probe in probes if probe]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@given(data=st.data())
+def test_membership_across_gaps_matches_oracle(k, data):
+    first = data.draw(generator_lists(k))
+    gap = data.draw(st.sampled_from([0, 1, 2, 3, 10**9]))
+    # at most five generators keep the oracle's (k+1)^N table small
+    s = followed_by(first, data.draw(generator_lists(k)).blocks[:2], gap)
+    codes = data.draw(st.lists(st.integers(0, k), min_size=len(s), max_size=len(s)))
+    terms = tuple((i, c - 1) for i, c in enumerate(codes) if c)
+    gens = [oracle.to_dict(b) for b in s]
+    element = oracle.add_dicts([oracle.tetris_dict(gens[i], e) for i, e in terms])
+    probes = _gap_probes(s, terms, element)
+    for starred in (False, True):
+        table = oracle.span_witnesses(gens, k, starred)
+        for probe in probes:
+            found = membership_witness(blk(k, probe.items()), s, starred=starred)
+            expected = table.get(oracle.as_key(probe))
+            assert (None if found is None else [found.terms]) == expected
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -166,11 +166,6 @@ class Subblock:
             return True
         return self.max_support < other.min_support
 
-    def __lt__(self, other):
-        if not isinstance(other, Subblock):
-            return NotImplemented
-        return self.before(other)
-
     def __eq__(self, other):
         if not isinstance(other, Subblock):
             return NotImplemented
@@ -178,14 +173,6 @@ class Subblock:
 
     def __hash__(self):
         return hash((self.k, self.pairs))
-
-    def __bool__(self):
-        return not self.is_empty
-
-    def __add__(self, other):
-        if not isinstance(other, Subblock):
-            return NotImplemented
-        return add(self, other)
 
     # --- slicing -------------------------------------------------------
 

@@ -8,10 +8,12 @@ valuation before and after adding the block must agree, and any new common
 element must use the fresh block with a positive tetris exponent); a
 failure aborts the run with ClaimViolation rather than being skipped.
 Every two-span question here is one position sweep (``span._Sweep``), so
-none of them enumerates a span: a member's tail is the sweep of its whole
-truncation with the head forced unused, and each member keeps one sweep
-over the blocks chosen so far, which a step resumes past the blocks it has
-already walked instead of sweeping the chosen prefix again.
+none of them enumerates a span.  Validation sweeps each unordered pair of
+truncations once: marks on the sweep's states give both members' tail
+verdicts, and its accepting states give the pair's bound.  Each member
+keeps one sweep over the blocks chosen so far, which a step resumes past
+the blocks it has already walked instead of sweeping the chosen prefix
+again.
 """
 
 from __future__ import annotations
@@ -61,11 +63,17 @@ class AlmostDisjointFamily:
 def validate_family(members, tail_index, horizon):
     """Check pairwise smallness at the horizon and record pairwise bounds.
 
-    Each ordered pair, i-major, gets the smallness certificate of member
-    i's tail against member j from one sweep of the two truncations, and
-    the first nonempty one raises NotAlmostDisjoint(i, j) with that same
-    certificate.  The bounds matrix holds the valuation of each pairwise
-    intersection, one sweep per unordered pair.
+    Each unordered pair i < j gets one sweep of the two truncations that
+    marks, per state, whether some path to it has a left witness using no
+    generator below the tail index, and the same for the right witness.
+    Witnesses are unique, so the accepting marks say whether member i's
+    tail meets member j's span and whether member j's tail meets member
+    i's.  These verdicts are read for every ordered pair, i-major, before
+    any bound: the first tail that meets raises NotAlmostDisjoint(i, j)
+    with the smallness certificate of that ordered pair, the same one that
+    ``small`` gives, and only that certificate sweeps again for its least
+    witness.  The bounds matrix holds the valuation of each pairwise
+    intersection, from the same sweeps.
     """
     members = tuple(members)
     if not members:
@@ -78,13 +86,17 @@ def validate_family(members, tail_index, horizon):
             raise MismatchedLevel(f"family levels {k} and {member.k}")
     count = len(members)
     truncations = tuple(member.truncate(horizon) for member in members)
+    sweeps = {
+        (i, j): _Sweep(truncations[i], truncations[j], tail=tail_index)
+        for i, j in itertools.combinations(range(count), 2)
+    }
     for i, j in itertools.permutations(range(count), 2):
-        certificate = _tail_certificate(truncations[i], truncations[j], tail_index, horizon)
-        if certificate.verdict != "empty_at_horizon":
+        if sweeps[i, j].tails[0] if i < j else sweeps[j, i].tails[1]:
+            certificate = _tail_certificate(truncations[i], truncations[j], tail_index, horizon)
             raise NotAlmostDisjoint(i, j, certificate)
     grid = [[None] * count for _ in range(count)]
-    for i, j in itertools.combinations(range(count), 2):
-        grid[i][j] = grid[j][i] = _Sweep(truncations[i], truncations[j]).valuation(horizon)
+    for (i, j), sweep in sweeps.items():
+        grid[i][j] = grid[j][i] = sweep.valuation(horizon)
     return AlmostDisjointFamily(
         members=members,
         k=k,

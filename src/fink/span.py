@@ -382,9 +382,10 @@ def _witness_terms(pairs, seq, starred):
     after the previous run's is tried first, and the sequence is bisected
     only when the position lies past that one's window.  The generator's
     value there forces the exponent, and the run must then be exactly the
-    generator's tetris image at that exponent, checked by one tuple
-    compare: the stored pairs at exponent 0, one built tuple above it.
-    Unstarred, exponent 0 must occur.
+    generator's tetris image at that exponent, checked against the stored
+    pairs: one tuple compare at exponent 0, and above it a walk that
+    compares each lowered pair in place and builds no image.  Unstarred,
+    exponent 0 must occur.
     """
     blocks = seq.blocks
     n = len(blocks)
@@ -410,16 +411,22 @@ def _witness_terms(pairs, seq, starred):
             w = stored[bisect_left(stored, (pos,))][1]
         e = w - v
         if e > 0:
-            image = tuple([(p, x - e) for p, x in stored if x > e])
+            for p, x in stored:
+                if x > e:
+                    if i == size:
+                        return None
+                    q, y = pairs[i]
+                    if q != p or y + e != x:
+                        return None
+                    i += 1
         elif e:
             return None
         else:
-            image, zero = stored, True
-        end = i + len(image)
-        if pairs[i:end] != image:
-            return None
+            end = i + len(stored)
+            if pairs[i:end] != stored:
+                return None
+            i, zero = end, True
         terms.append((g, e))
-        i = end
     return tuple(terms) if zero else None
 
 
@@ -443,8 +450,9 @@ def membership_witness(t, seq, starred=False):
 
 # before the first position: no window open, no exponent 0 seen on either side
 _START = (None, False, None, False)
-# the one move of a side with no window open at a position
-_OUTSIDE = ((None, 0),)
+# a layer entry's marks: bit 1 (2) is set when some path reaching the state
+# has a left (right) witness that uses no generator below the tail index
+_LEFT_MARK, _RIGHT_MARK = 1, 2
 
 
 def _grow(lg, rg, state, chains):
@@ -468,62 +476,110 @@ def _chain_terms(chain):
     return terms
 
 
-def _positions_within(seq, lo, hi):
-    """The support positions of ``seq`` inside ``[lo, hi]``, ascending."""
-    blocks = seq.blocks
-    first = bisect_left(blocks, lo, key=attrgetter("max_support"))
-    last = bisect_right(blocks, hi, key=attrgetter("min_support"))
-    positions = [pos for b in blocks[first:last] for pos, _ in b.pairs]
-    return positions[bisect_left(positions, lo) : bisect_right(positions, hi)]
+_MIN_SUPPORT = attrgetter("min_support")
 
 
-def _sweep_hull(left, right, force):
-    """The positions ``[lo, hi]`` a sweep may walk, or None: the hull of the
-    left generators not forced unused, widened to every right window it cuts.
+def _reaching(blocks, stop, lo):
+    """The least index from which every window of ``blocks[:stop]`` reaches
+    ``lo``: windows end in order, so the walk back from ``stop`` ends at the
+    first window that ends before ``lo``."""
+    first = stop
+    while first and blocks[first - 1].pairs[-1][0] >= lo:
+        first -= 1
+    return first
 
-    Outside the hull every left value is 0, and a used right generator is
-    nonzero somewhere in its window, so every right generator whose window
-    misses the hull is unused.  Only generators forced unused are skipped
-    to find the first and last usable one.
+
+def _sweep_positions(left, right, force, walked):
+    """The positions a sweep walks, ascending, and per side the first block
+    whose window reaches the first of them.
+
+    They are the support positions of both sides inside the hull of the
+    left generators not forced unused, widened to every right window it
+    cuts.  Outside the hull every left value is 0, and a used right
+    generator is nonzero somewhere in its window, so every right generator
+    whose window misses the hull is unused.  A resumed sweep starts past
+    the position ``walked`` of its kept layer.  Only the right side's upper
+    end is found by bisecting; every other bound is walked to over blocks
+    the sweep walks or generators forced unused, so a resumed sweep's
+    set-up does not grow with the blocks behind it.
     """
-    first, last = 0, len(left) - 1
-    while first <= last and force.get(first) == _UNUSED:
-        first += 1
-    if first > last:
-        return None
-    while force.get(last) == _UNUSED:
+    blocks, others = left.blocks, right.blocks
+    last = len(blocks) - 1
+    while last >= 0 and force.get(last) == _UNUSED:
         last -= 1
-    lo, hi = left.blocks[first].min_support, left.blocks[last].max_support
-    blocks = right.blocks
-    g = bisect_left(blocks, lo, key=attrgetter("max_support"))
-    if g < len(blocks):
-        lo = min(lo, blocks[g].min_support)
-    g = bisect_right(blocks, hi, key=attrgetter("min_support")) - 1
-    if g >= 0:
-        hi = max(hi, blocks[g].max_support)
-    return lo, hi
+    if last < 0:
+        return [], 0, 0
+    hi = blocks[last].pairs[-1][0]
+    if walked is None:
+        first = 0
+        while force.get(first) == _UNUSED:
+            first += 1
+        lo = blocks[first].pairs[0][0]
+    else:
+        lo = walked + 1
+    rstop = bisect_right(others, hi, key=_MIN_SUPPORT)
+    rfirst = _reaching(others, rstop, lo)
+    if rfirst < rstop:
+        hi = max(hi, others[rstop - 1].pairs[-1][0])
+        if walked is None:
+            lo = min(lo, others[rfirst].pairs[0][0])
+    lstop = last + 1
+    while lstop < len(blocks) and blocks[lstop].pairs[0][0] <= hi:
+        lstop += 1
+    lfirst = _reaching(blocks, lstop, lo)
+    positions = sorted(
+        {pos for b in blocks[lfirst:lstop] for pos, _ in b.pairs}.union(
+            pos for b in others[rfirst:rstop] for pos, _ in b.pairs
+        )
+    )
+    return positions[bisect_left(positions, lo) : bisect_right(positions, hi)], lfirst, rfirst
+
+
+class _WindowSteps(dict):
+    """Per value v inside an open window (0 off its support), the step that
+    maps each choice to its one move, built the first time v occurs."""
+
+    def __init__(self, starts):
+        super().__init__()
+        self.starts = starts
+
+    def __missing__(self, v):
+        step = self[v] = (None, {move[0]: (move,) for move in self.starts[v]})
+        return step
+
+
+def _move_table(k):
+    """A sweep's moves, shared by every step: per value v where a
+    generator's support starts, its (choice, value) moves; the steps
+    inside an open window (``_WindowSteps``); and the step outside every
+    window, which maps every choice to "no window"."""
+    starts = [
+        tuple((c, v - c if 0 <= c < v else 0) for c in range(_UNUSED, k)) for v in range(k + 1)
+    ]
+    outside = (None, dict.fromkeys((None, *range(_UNUSED, k)), ((None, 0),)))
+    return starts, _WindowSteps(starts), outside
 
 
 # what a side's support walk yields once it is used up
 _NO_PAIR = (None, None, None)
 
 
-def _side_steps(seq, positions, force, options, straddled):
-    """Per position, one side's ``(opened generator or None, info)``.
+def _side_steps(seq, positions, first, force, table, straddled):
+    """Per position, one side's ``(opened generator or None, moves)``.
 
-    ``info`` holds the (choice, value) moves where a generator's support
-    starts, the open generator's value inside its window (0 off its
-    support), or None outside every window.  ``positions`` holds every
-    support position of ``seq`` between its ends, which are merged with
-    the blocks found by bisecting; ``options`` holds the moves per
-    starting value.  With ``straddled``, a window that holds positions on
-    both sides of the first position is already open there.
+    Where a generator's support starts, ``moves`` holds its (choice,
+    value) moves; elsewhere it maps the choice a state holds to its one
+    move (``_move_table``).  ``positions`` holds every support position of
+    ``seq`` between its ends, and ``first`` is the first block whose window
+    reaches the first of them.  With ``straddled``, a window that holds
+    positions on both sides of the first position is already open there.
     """
     steps = []
     if not positions:
         return steps
+    append = steps.append
+    starts, inside, outside = table
     blocks = seq.blocks
-    first = bisect_left(blocks, positions[0], key=attrgetter("max_support"))
     opened, end = None, -1  # the open generator and its window's last position
     if straddled and first < len(blocks) and blocks[first].min_support < positions[0]:
         opened, end = first, blocks[first].max_support
@@ -533,16 +589,16 @@ def _side_steps(seq, positions, force, options, straddled):
         at, g, v = next(support, _NO_PAIR)
     for pos in positions:
         if pos != at:
-            steps.append((None, 0 if pos < end else None))
+            append(inside[0] if pos < end else outside)
             continue
         if g == opened:
-            steps.append((None, v))
+            append(inside[v])
         else:
             opened, end = g, blocks[g].max_support
-            moves = options[v]
+            moves = starts[v]
             if g in force:
                 moves = tuple(move for move in moves if move[0] == force[g])
-            steps.append((g, moves))
+            append((g, moves))
         at, g, v = next(support, _NO_PAIR)
     return steps
 
@@ -551,7 +607,7 @@ class _Sweep:
     """Every question about the common elements of two spans, in one pass.
 
     The sweep walks the sorted union of both sequences' support positions
-    inside the hull of the left generators it may use (``_sweep_hull``).
+    inside the hull of the left generators it may use (``_sweep_positions``).
     Supports are ordered, so on each side at most one generator window
     ``[min_support, max_support]`` holds a position, and that generator's
     choice (unused or an exponent) is fixed where its support starts.  A
@@ -564,15 +620,23 @@ class _Sweep:
     ``force`` maps left generator indices to a fixed choice: ``_UNUSED`` or
     one exponent.  The forward pass keeps, per state, the number of paths,
     the largest last position of value k (with the witness terms of a path
-    attaining it) and the smallest largest left index used, which give
-    ``count``, ``peak`` (the valuation F), ``peak_element`` and
-    ``prefix_length``.  With ``walk`` it also records each step's moves,
-    over which listing (``elements``) and ``least`` walk the live states;
-    without it no step is kept, so memory does not grow with the positions.
-    Witness terms grow as cons chains.  Every element handed out builds its
-    block from the tetris images of its left terms and re-evaluates the
-    right witness.  Questions about a prefix of ``left`` are asked of a
-    sweep over ``left.prefix(n)``.
+    attaining it), the smallest largest left index used and two marks, which
+    give ``count``, ``peak`` (the valuation F), ``peak_element``,
+    ``prefix_length`` and ``tails``.  The left mark says that some path
+    reaching the state has a left witness using no generator below ``tail``,
+    and the right mark says the same of the right witness; only the first
+    ``tail`` generators of a side can clear its mark, and marks merge by
+    "or".  Witnesses are unique, so ``tails`` tells whether the left tail
+    from generator ``tail`` on meets the right span, and whether the right
+    tail meets the left span: the two verdicts that sweeps with either
+    side's head forced unused would give, at the cost of one sweep that also
+    answers everything else.  With ``walk`` it also records each step's
+    moves, over which listing (``elements``) and ``least`` walk the live
+    states; without it no step is kept, so memory does not grow with the
+    positions.  Witness terms grow as cons chains.  Every element handed out
+    builds its block from the tetris images of its left terms and
+    re-evaluates the right witness.  Questions about a prefix of ``left``
+    are asked of a sweep over ``left.prefix(n)``.
 
     A sweep without ``walk`` keeps one layer: the states after the last
     position at or below ``left``'s last ``max_support``.  Every later
@@ -587,10 +651,12 @@ class _Sweep:
     generator forced unused can straddle it).  A fresh sweep opens no
     window before its first position: its hull may start inside the
     window of a left generator forced unused, which opens at its first
-    walked support position.
+    walked support position.  A resumed sweep takes the kept sweep's move
+    table and finds where it walks outward from the kept position, so its
+    set-up grows with the positions it walks, not with the sequences.
     """
 
-    def __init__(self, left, right, force=None, walk=False, resume=None):
+    def __init__(self, left, right, force=None, walk=False, resume=None, tail=0):
         if left.k != right.k:
             raise MismatchedLevel(f"levels {left.k} and {right.k}")
         self.left, self.right, self.k = left, right, left.k
@@ -601,80 +667,77 @@ class _Sweep:
         self.moves = [] if walk else None
         # per state of the current layer: [paths, last position of value k,
         # both witnesses' term chains on a path attaining it, largest left
-        # index used, the state], -1 standing for "none yet"; earlier layers
-        # are not kept, so the path counts, which grow to big integers, are
-        # not stored, and a kept layer is only read
-        walked, layer = None, {_START: [1, -1, (None, None), -1, _START]}
-        if resume is not None:
-            walked, layer = resume._kept
-        self._kept = walked, layer
+        # index used, the state, its marks], -1 standing for "none yet";
+        # earlier layers are not kept, so the path counts, which grow to big
+        # integers, are not stored, and a kept layer is only read
+        walked, layer = None, {_START: [1, -1, (None, None), -1, _START, _LEFT_MARK | _RIGHT_MARK]}
         k = self.k
-        steps = ()
-        hull = _sweep_hull(left, right, force)
-        if hull is not None:
-            lo, hi = hull if walked is None else (walked + 1, hull[1])
-            positions = sorted(
-                set(_positions_within(left, lo, hi)).union(_positions_within(right, lo, hi))
-            )
-            # per value v of a starting position, its (choice, value) moves
-            options = [
-                tuple((c, v - c if 0 <= c < v else 0) for c in range(_UNUSED, k))
-                for v in range(k + 1)
-            ]
-            resumed = walked is not None
-            steps = zip(
-                positions,
-                _side_steps(left, positions, force, options, resumed),
-                _side_steps(right, positions, {}, options, resumed),
-            )
+        if resume is None:
+            self._table = _move_table(k)
+        else:
+            walked, layer = resume._kept
+            self._table = resume._table
+        kept_pos, kept_layer = walked, layer
+        positions, lfirst, rfirst = _sweep_positions(left, right, force, walked)
+        table, resumed = self._table, walked is not None
+        steps = zip(
+            positions,
+            _side_steps(left, positions, lfirst, force, table, resumed),
+            _side_steps(right, positions, rfirst, {}, table, resumed),
+        )
         boundary = left.blocks[-1].max_support if left.blocks else -1
-        for pos, (lg, linfo), (rg, rinfo) in steps:
+        for pos, (lg, lmoves), (rg, rmoves) in steps:
             nxt = {}
             moves = []
-            for state, (paths, top, chains, last, _) in layer.items():
+            opens = lg is not None or rg is not None
+            # a used generator below the tail index clears its side's mark
+            lhead = lg is not None and lg < tail
+            rhead = rg is not None and rg < tail
+            for state, (paths, top, chains, last, _, marks) in layer.items():
                 cl, zl, cr, zr = state
-                if lg is not None:
-                    lopts = linfo
-                elif linfo is None:
-                    lopts = _OUTSIDE
-                else:
-                    lopts = ((cl, linfo - cl if 0 <= cl < linfo else 0),)
-                if rg is not None:
-                    ropts = rinfo
-                elif rinfo is None:
-                    ropts = _OUTSIDE
-                else:
-                    ropts = ((cr, rinfo - cr if 0 <= cr < rinfo else 0),)
+                lopts = lmoves if lg is not None else lmoves[cl]
+                ropts = rmoves if rg is not None else rmoves[cr]
                 for c1, v1 in lopts:
                     new_top = pos if v1 == k else top
                     new_last = lg if lg is not None and c1 >= 0 else last
+                    lm = marks & _RIGHT_MARK if lhead and c1 >= 0 else marks
                     for c2, v2 in ropts:
                         if v1 != v2:
                             continue
+                        m = lm & _LEFT_MARK if rhead and c2 >= 0 else lm
                         new = (c1, zl or c1 == 0, c2, zr or c2 == 0)
                         held = nxt.get(new)
                         if held is None:
-                            grown = _grow(lg, rg, new, chains)
-                            nxt[new] = [paths, new_top, grown, new_last, new]
+                            grown = _grow(lg, rg, new, chains) if opens else chains
+                            nxt[new] = [paths, new_top, grown, new_last, new, m]
                         else:
                             new = held[4]  # one object per state keeps the moves small
                             held[0] += paths
                             if new_top > held[1]:
                                 held[1] = new_top
-                                held[2] = _grow(lg, rg, new, chains)
+                                held[2] = _grow(lg, rg, new, chains) if opens else chains
                             if new_last < held[3]:
                                 held[3] = new_last
+                            held[5] |= m
                         if walk:
                             moves.append((state, new, v1))
             layer = nxt
             if pos <= boundary:
-                self._kept = pos, layer
+                kept_pos, kept_layer = pos, layer
             if walk:
                 self.opened.append((lg, rg))
                 self.moves.append(moves)
+        self._kept = kept_pos, kept_layer
         accepting = [held for state, held in layer.items() if state[1] and state[3]]
         self.accepting = {held[4] for held in accepting}
         self.count = sum(held[0] for held in accepting)
+        # whether the left (right) tail from generator ``tail`` on meets the
+        # other span: some common element's left (right) witness uses no
+        # generator below ``tail``
+        marks = 0
+        for held in accepting:
+            marks |= held[5]
+        self.tails = bool(marks & _LEFT_MARK), bool(marks & _RIGHT_MARK)
         self.peak = self.prefix_length = None
         if accepting:
             best = max(accepting, key=lambda held: held[1])

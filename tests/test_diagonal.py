@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from fink import (
     valuation,
 )
 from fink.span import _UNUSED, _Sweep
+from fink.structure import _tail_certificate
 
 
 def blk(k, pairs):
@@ -90,6 +92,28 @@ class TestValidate:
             validate_family([p, p], tail_index=1, horizon=9)
         assert info.value.pair == (0, 1)
         assert info.value.certificate.verdict == "nonempty"
+
+    def test_one_sweep_per_unordered_pair(self, monkeypatch):
+        built = []
+        init = _Sweep.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("walk", False))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Sweep, "__init__", counting)
+        members = [make_builtin(name, 2) for name in ("example13_P", "example13_Q", "evens")]
+        validate_family(members, tail_index=1, horizon=21)
+        assert built == [False] * math.comb(3, 2)
+        # a failing pair adds only its certificate: a count and a walk
+        p = make_builtin("example13_P", 2)
+        built.clear()
+        with pytest.raises(NotAlmostDisjoint) as info:
+            validate_family([p, p], tail_index=1, horizon=21)
+        assert built == [False, False, True]
+        truncation = p.truncate(21)
+        assert info.value.pair == (0, 1)
+        assert info.value.certificate == _tail_certificate(truncation, truncation, 1, 21)
 
     def test_negative_tail_index_rejected(self):
         with pytest.raises(ValueError):

@@ -651,6 +651,25 @@ def test_sweep_matches_oracle(k, data):
         assert by_witness.left_witness.terms == min(table[key][0] for key in within)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@given(data=st.data())
+def test_tail_marks_match_head_forced_sweeps(k, data):
+    left = data.draw(generator_lists(k))
+    right = data.draw(st.one_of(generator_lists(k), partners(left)))
+    if data.draw(st.booleans()):
+        left, right = right, left
+    plain = _Sweep(left, right)
+    for n in range(len(left) + 2):
+        marked = _Sweep(left, right, tail=n)
+        left_head = dict.fromkeys(range(min(n, len(left))), _UNUSED)
+        right_head = dict.fromkeys(range(min(n, len(right))), _UNUSED)
+        assert marked.tails == (
+            bool(_Sweep(left, right, left_head).count),
+            bool(_Sweep(right, left, right_head).count),
+        )
+        assert sweep_answers(marked) == sweep_answers(plain)
+
+
 def test_sweep_walks_only_the_usable_left_hull():
     evens = make_builtin("evens", 2).truncate(20001)
     left = seq(2, "0:2", "2:2,3:1", "40000:2")
@@ -663,6 +682,8 @@ def test_sweep_walks_only_the_usable_left_hull():
     # the right window [0, 2] cuts the hull [1, 1], which widens to it
     assert len(_Sweep(seq(2, "1:2"), seq(2, "0:2,2:1", "5:2"), walk=True).moves) == 3
     assert len(_Sweep(seq(2, "1:2", "4:2"), evens, {0: _UNUSED}, walk=True).moves) == 1
+    # a left generator forced unused inside the widened hull [0, 5] is walked
+    assert len(_Sweep(seq(2, "0:2", "3:2"), seq(2, "0:2,5:1"), {1: _UNUSED}, walk=True).moves) == 3
 
 
 def sweep_answers(sweep, horizon=99):

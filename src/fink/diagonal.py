@@ -11,9 +11,10 @@ Every two-span question here is one position sweep (``span._Sweep``), so
 none of them enumerates a span.  Validation sweeps each unordered pair of
 truncations once: marks on the sweep's states give both members' tail
 verdicts, and its accepting states give the pair's bound.  Each member
-keeps one sweep over the blocks chosen so far, which a step resumes past
-the blocks it has already walked instead of sweeping the chosen prefix
-again.
+keeps one sweep over the blocks chosen so far, and each stability check is
+one sweep resumed from it past the blocks it has already walked: a mark on
+its states tells whether some common element uses the fresh block at
+exponent 0, so only a failing check sweeps again to name that element.
 """
 
 from __future__ import annotations
@@ -193,12 +194,14 @@ def run_diagonalization(family, cycles=1):
     Each member keeps one sweep over the blocks chosen so far and that
     sweep's valuation, brought up to date lazily by resuming it over the
     blocks chosen since (``_Sweep(..., resume=...)``), so no step walks
-    the chosen prefix again.  At each step the kept valuation is "before";
-    the fresh block at exponent 0, which must find nothing, and "after"
-    each resume from the kept sweep, and "after" is kept.  Witnesses are
-    unique, so "before" is the intersection with the fresh block unused.
-    The finals are the kept sweeps after the last step, and each member's
-    ceiling reference is its "before" just after its last source step.
+    the chosen prefix again.  At each step the kept valuation is "before",
+    and one sweep resumed from the kept one gives "after", which is kept,
+    and marks whether a common element uses the fresh block at exponent 0;
+    only then is the sweep forcing that exponent built, to name it.
+    Witnesses are unique, so "before" is the intersection with the fresh
+    block unused.  The finals are the kept sweeps after the last step, and
+    each member's ceiling reference is its "before" just after its last
+    source step.
     """
     if cycles < 1:
         raise ValueError("cycles must be at least 1")
@@ -230,25 +233,23 @@ def run_diagonalization(family, cycles=1):
             sweep, before = caught_up(i, picked)
             if n == (cycles - 1) * count + i + 1:
                 references[i] = before
-            # a common element meets the fresh block exactly when it uses it
-            lowered = _Sweep(trial, truncation, {n: 0}, resume=sweep)
-            if lowered.count:
-                ce = lowered.peak_element()
+            resumed = _Sweep(trial, truncation, resume=sweep, fresh=n)
+            if resumed.fresh_used:
+                # only a failure sweeps again, to name the offending element
+                ce = _Sweep(trial, truncation, {n: 0}, resume=sweep).peak_element()
                 raise ClaimViolation(
-                    f"common element {ce.block.render()} uses the fresh block "
-                    f"with exponent 0",
+                    f"common element {ce.block.render()} uses the fresh block with exponent 0",
                     step=n,
                     member=i,
                 )
-            sweep = _Sweep(trial, truncation, resume=sweep)
-            after = sweep.valuation(horizon)
+            after = resumed.valuation(horizon)
             if before.value != after.value:
                 raise ClaimViolation(
                     f"valuation moved {before.render_value()} -> {after.render_value()}",
                     step=n,
                     member=i,
                 )
-            kept[i] = sweep, after
+            kept[i] = resumed, after
             checks.append(StabilityCheck(i, before, after))
         picked = trial
         steps.append(DiagonalStep(n, member, block, between, tuple(checks)))

@@ -451,8 +451,9 @@ def membership_witness(t, seq, starred=False):
 # before the first position: no window open, no exponent 0 seen on either side
 _START = (None, False, None, False)
 # a layer entry's marks: bit 1 (2) is set when some path reaching the state
-# has a left (right) witness that uses no generator below the tail index
-_LEFT_MARK, _RIGHT_MARK = 1, 2
+# has a left (right) witness that uses no generator below the tail index,
+# and bit 4 when some path uses left generator ``fresh`` at exponent 0
+_LEFT_MARK, _RIGHT_MARK, _FRESH_MARK = 1, 2, 4
 
 
 def _grow(lg, rg, state, chains):
@@ -476,9 +477,6 @@ def _chain_terms(chain):
     return terms
 
 
-_MIN_SUPPORT = attrgetter("min_support")
-
-
 def _reaching(blocks, stop, lo):
     """The least index from which every window of ``blocks[:stop]`` reaches
     ``lo``: windows end in order, so the walk back from ``stop`` ends at the
@@ -487,52 +485,6 @@ def _reaching(blocks, stop, lo):
     while first and blocks[first - 1].pairs[-1][0] >= lo:
         first -= 1
     return first
-
-
-def _sweep_positions(left, right, force, walked):
-    """The positions a sweep walks, ascending, and per side the first block
-    whose window reaches the first of them.
-
-    They are the support positions of both sides inside the hull of the
-    left generators not forced unused, widened to every right window it
-    cuts.  Outside the hull every left value is 0, and a used right
-    generator is nonzero somewhere in its window, so every right generator
-    whose window misses the hull is unused.  A resumed sweep starts past
-    the position ``walked`` of its kept layer.  Only the right side's upper
-    end is found by bisecting; every other bound is walked to over blocks
-    the sweep walks or generators forced unused, so a resumed sweep's
-    set-up does not grow with the blocks behind it.
-    """
-    blocks, others = left.blocks, right.blocks
-    last = len(blocks) - 1
-    while last >= 0 and force.get(last) == _UNUSED:
-        last -= 1
-    if last < 0:
-        return [], 0, 0
-    hi = blocks[last].pairs[-1][0]
-    if walked is None:
-        first = 0
-        while force.get(first) == _UNUSED:
-            first += 1
-        lo = blocks[first].pairs[0][0]
-    else:
-        lo = walked + 1
-    rstop = bisect_right(others, hi, key=_MIN_SUPPORT)
-    rfirst = _reaching(others, rstop, lo)
-    if rfirst < rstop:
-        hi = max(hi, others[rstop - 1].pairs[-1][0])
-        if walked is None:
-            lo = min(lo, others[rfirst].pairs[0][0])
-    lstop = last + 1
-    while lstop < len(blocks) and blocks[lstop].pairs[0][0] <= hi:
-        lstop += 1
-    lfirst = _reaching(blocks, lstop, lo)
-    positions = sorted(
-        {pos for b in blocks[lfirst:lstop] for pos, _ in b.pairs}.union(
-            pos for b in others[rfirst:rstop] for pos, _ in b.pairs
-        )
-    )
-    return positions[bisect_left(positions, lo) : bisect_right(positions, hi)], lfirst, rfirst
 
 
 class _WindowSteps(dict):
@@ -552,7 +504,10 @@ def _move_table(k):
     """A sweep's moves, shared by every step: per value v where a
     generator's support starts, its (choice, value) moves; the steps
     inside an open window (``_WindowSteps``); and the step outside every
-    window, which maps every choice to "no window"."""
+    window, which maps every choice to "no window".  A level whose
+    (k+1)^2 moves pass 2^22 is refused before any is built."""
+    if (k + 1) ** 2 > 2**22:
+        raise EnumerationCapExceeded(f"level {k} needs {(k + 1) ** 2} sweep moves, cap is 2^22")
     starts = [
         tuple((c, v - c if 0 <= c < v else 0) for c in range(_UNUSED, k)) for v in range(k + 1)
     ]
@@ -560,77 +515,124 @@ def _move_table(k):
     return starts, _WindowSteps(starts), outside
 
 
-# what a side's support walk yields once it is used up
-_NO_PAIR = (None, None, None)
+_NO_PAIR = (math.inf, None, None)  # a used-up support walk
 
 
-def _side_steps(seq, positions, first, force, table, straddled):
-    """Per position, one side's ``(opened generator or None, moves)``.
+def _sweep_steps(left, right, force, walked, table):
+    """Per position a sweep walks, ascending, ``(pos, left step, right
+    step)``, from one merged walk of both sides' supports.  A side's step
+    is ``(opened generator or None, moves)``: its (choice, value) moves
+    where a generator's support starts, else a map from a state's choice
+    to its one move (``_move_table``).
 
-    Where a generator's support starts, ``moves`` holds its (choice,
-    value) moves; elsewhere it maps the choice a state holds to its one
-    move (``_move_table``).  ``positions`` holds every support position of
-    ``seq`` between its ends, and ``first`` is the first block whose window
-    reaches the first of them.  With ``straddled``, a window that holds
-    positions on both sides of the first position is already open there.
+    The positions lie inside the hull of the left generators not forced
+    unused, widened to every right window it cuts: outside it every left
+    value is 0, so every right generator whose window misses it is unused.
+    A resumed sweep starts past its kept layer's position ``walked``, with
+    each side's window that straddles it already open, and walks to its
+    bounds over blocks it walks or generators forced unused, bisecting only
+    for the right side's upper end.  A fresh sweep opens no window before
+    its first position (its hull may start inside the window of a left
+    generator forced unused) and bisects for both ends of the right side.
     """
-    steps = []
-    if not positions:
-        return steps
-    append = steps.append
+    blocks, others = left.blocks, right.blocks
+    last = len(blocks) - 1
+    while last >= 0 and force.get(last) == _UNUSED:
+        last -= 1
+    if last < 0:
+        return
+    hi = blocks[last].pairs[-1][0]
+    rstop = bisect_right(others, hi, key=attrgetter("min_support"))
+    if walked is None:
+        first = 0
+        while force.get(first) == _UNUSED:
+            first += 1
+        lo = blocks[first].pairs[0][0]
+        rfirst = bisect_left(others, lo, 0, rstop, key=attrgetter("max_support"))
+    else:
+        lo = walked + 1
+        rfirst = _reaching(others, rstop, lo)
+    if rfirst < rstop:
+        hi = max(hi, others[rstop - 1].pairs[-1][0])
+        if walked is None:
+            lo = min(lo, others[rfirst].pairs[0][0])
+    lstop = last + 1
+    while lstop < len(blocks) and blocks[lstop].pairs[0][0] <= hi:
+        lstop += 1
+    lfirst = _reaching(blocks, lstop if walked is not None else first, lo)
     starts, inside, outside = table
-    blocks = seq.blocks
-    opened, end = None, -1  # the open generator and its window's last position
-    if straddled and first < len(blocks) and blocks[first].min_support < positions[0]:
-        opened, end = first, blocks[first].max_support
-    support = ((pos, g, v) for g in range(first, len(blocks)) for pos, v in blocks[g].pairs)
-    at, g, v = next(support, _NO_PAIR)
-    while at is not None and at < positions[0]:
-        at, g, v = next(support, _NO_PAIR)
-    for pos in positions:
-        if pos != at:
-            append(inside[0] if pos < end else outside)
-            continue
-        if g == opened:
-            append(inside[v])
+    # per side: the open generator and its window's last position
+    lopen = ropen = None
+    lend = rend = -1
+    if walked is not None and lfirst < lstop and blocks[lfirst].min_support < lo:
+        lopen, lend = lfirst, blocks[lfirst].pairs[-1][0]
+    if rfirst < rstop and others[rfirst].min_support < lo:
+        ropen, rend = rfirst, others[rfirst].pairs[-1][0]
+    lsupport = ((pos, g, v) for g in range(lfirst, lstop) for pos, v in blocks[g].pairs)
+    rsupport = ((pos, g, v) for g in range(rfirst, rstop) for pos, v in others[g].pairs)
+    la, lg, lv = next(lsupport, _NO_PAIR)
+    while la < lo:
+        la, lg, lv = next(lsupport, _NO_PAIR)
+    ra, rg, rv = next(rsupport, _NO_PAIR)
+    while ra < lo:
+        ra, rg, rv = next(rsupport, _NO_PAIR)
+    while True:
+        pos = la if la < ra else ra
+        if pos > hi:
+            return
+        if la != pos:
+            lstep = inside[0] if pos < lend else outside
         else:
-            opened, end = g, blocks[g].max_support
-            moves = starts[v]
-            if g in force:
-                moves = tuple(move for move in moves if move[0] == force[g])
-            append((g, moves))
-        at, g, v = next(support, _NO_PAIR)
-    return steps
+            if lg == lopen:
+                lstep = inside[lv]
+            else:
+                lopen, lend = lg, blocks[lg].pairs[-1][0]
+                moves = starts[lv]
+                if lg in force:
+                    moves = tuple(move for move in moves if move[0] == force[lg])
+                lstep = (lg, moves)
+            la, lg, lv = next(lsupport, _NO_PAIR)
+        if ra != pos:
+            rstep = inside[0] if pos < rend else outside
+        else:
+            if rg == ropen:
+                rstep = inside[rv]
+            else:
+                ropen, rend = rg, others[rg].pairs[-1][0]
+                rstep = (rg, starts[rv])
+            ra, rg, rv = next(rsupport, _NO_PAIR)
+        yield pos, lstep, rstep
 
 
 class _Sweep:
     """Every question about the common elements of two spans, in one pass.
 
-    The sweep walks the sorted union of both sequences' support positions
-    inside the hull of the left generators it may use (``_sweep_positions``).
-    Supports are ordered, so on each side at most one generator window
-    ``[min_support, max_support]`` holds a position, and that generator's
-    choice (unused or an exponent) is fixed where its support starts.  A
-    state is ``(left choice, left saw exponent 0, right choice, right saw
-    exponent 0)``, the choice being None outside every window, so there are
-    at most 4(k+2)^2 states; a move is legal only where both sides give the
-    same value.  Witnesses are unique, so the accepting paths match the
-    common elements one to one.
+    The sweep walks both sequences' support positions inside the hull of
+    the left generators it may use (``_sweep_steps``).  Supports are
+    ordered, so on each side at most one generator window ``[min_support,
+    max_support]`` holds a position, and that generator's choice (unused
+    or an exponent) is fixed where its support starts.  A state is ``(left
+    choice, left saw exponent 0, right choice, right saw exponent 0)``, the
+    choice being None outside every window, so there are at most
+    4(k+2)^2 states; a move is legal only where both sides give the same
+    value.  Witnesses are unique, so the accepting paths match the common
+    elements one to one.
 
     ``force`` maps left generator indices to a fixed choice: ``_UNUSED`` or
     one exponent.  The forward pass keeps, per state, the number of paths,
     the largest last position of value k (with the witness terms of a path
-    attaining it), the smallest largest left index used and two marks, which
-    give ``count``, ``peak`` (the valuation F), ``peak_element``,
-    ``prefix_length`` and ``tails``.  The left mark says that some path
-    reaching the state has a left witness using no generator below ``tail``,
-    and the right mark says the same of the right witness; only the first
-    ``tail`` generators of a side can clear its mark, and marks merge by
-    "or".  Witnesses are unique, so ``tails`` tells whether the left tail
-    from generator ``tail`` on meets the right span, and whether the right
-    tail meets the left span: the two verdicts that sweeps with either
-    side's head forced unused would give, at the cost of one sweep that also
-    answers everything else.  With ``walk`` it also records each step's
+    attaining it), the smallest largest left index used and three marks
+    merged by "or", which give ``count``, ``peak`` (the valuation F),
+    ``peak_element``, ``prefix_length``, ``tails`` and ``fresh_used``.
+    The left (right) mark says that some path reaching the state has a
+    left (right) witness using no generator below ``tail``: only the first
+    ``tail`` generators of a side clear it.  The fresh mark says that some
+    path uses left generator ``fresh`` at exponent 0.  Witnesses are
+    unique, so ``tails`` tells whether the left tail from generator
+    ``tail`` on meets the right span and whether the right tail meets the
+    left span, and ``fresh_used`` whether forcing ``fresh`` to exponent 0
+    leaves a common element: three sweeps' verdicts from one sweep that
+    answers everything else too.  With ``walk`` it also records each step's
     moves, over which listing (``elements``) and ``least`` walk the live
     states; without it no step is kept, so memory does not grow with the
     positions.  Witness terms grow as cons chains.  Every element handed out
@@ -645,18 +647,15 @@ class _Sweep:
     the end of the hull is not kept: a right window can widen the hull
     past that position, and the next left block can start inside it.
     ``resume`` takes such a sweep over a prefix of ``left`` against the
-    same ``right``, with ``force`` agreeing on the prefix, and walks only
-    the positions past its kept layer, with the windows that straddle
-    that position already open on both sides (on the left, only a
-    generator forced unused can straddle it).  A fresh sweep opens no
-    window before its first position: its hull may start inside the
-    window of a left generator forced unused, which opens at its first
-    walked support position.  A resumed sweep takes the kept sweep's move
-    table and finds where it walks outward from the kept position, so its
-    set-up grows with the positions it walks, not with the sequences.
+    same ``right``, with ``force`` and ``tail`` agreeing on the prefix and
+    ``fresh`` past it, and walks only the positions past its kept layer,
+    with the windows that straddle that position already open on both
+    sides (on the left, only a generator forced unused can straddle it).
+    It takes the kept sweep's move table, so its set-up grows with the
+    positions it walks, not with the sequences.
     """
 
-    def __init__(self, left, right, force=None, walk=False, resume=None, tail=0):
+    def __init__(self, left, right, force=None, walk=False, resume=None, tail=0, fresh=None):
         if left.k != right.k:
             raise MismatchedLevel(f"levels {left.k} and {right.k}")
         self.left, self.right, self.k = left, right, left.k
@@ -672,19 +671,13 @@ class _Sweep:
         # integers, are not stored, and a kept layer is only read
         walked, layer = None, {_START: [1, -1, (None, None), -1, _START, _LEFT_MARK | _RIGHT_MARK]}
         k = self.k
-        if resume is None:
-            self._table = _move_table(k)
-        else:
+        self._table = _move_table(k) if resume is None else resume._table
+        if resume is not None:
+            # the kept sweep's fresh mark names another generator
             walked, layer = resume._kept
-            self._table = resume._table
+            layer = {state: [*held[:5], held[5] & ~_FRESH_MARK] for state, held in layer.items()}
         kept_pos, kept_layer = walked, layer
-        positions, lfirst, rfirst = _sweep_positions(left, right, force, walked)
-        table, resumed = self._table, walked is not None
-        steps = zip(
-            positions,
-            _side_steps(left, positions, lfirst, force, table, resumed),
-            _side_steps(right, positions, rfirst, {}, table, resumed),
-        )
+        steps = _sweep_steps(left, right, force, walked, self._table)
         boundary = left.blocks[-1].max_support if left.blocks else -1
         for pos, (lg, lmoves), (rg, rmoves) in steps:
             nxt = {}
@@ -693,6 +686,7 @@ class _Sweep:
             # a used generator below the tail index clears its side's mark
             lhead = lg is not None and lg < tail
             rhead = rg is not None and rg < tail
+            lfresh = lg is not None and lg == fresh
             for state, (paths, top, chains, last, _, marks) in layer.items():
                 cl, zl, cr, zr = state
                 lopts = lmoves if lg is not None else lmoves[cl]
@@ -700,11 +694,13 @@ class _Sweep:
                 for c1, v1 in lopts:
                     new_top = pos if v1 == k else top
                     new_last = lg if lg is not None and c1 >= 0 else last
-                    lm = marks & _RIGHT_MARK if lhead and c1 >= 0 else marks
+                    lm = marks & ~_LEFT_MARK if lhead and c1 >= 0 else marks
+                    if lfresh and c1 == 0:
+                        lm |= _FRESH_MARK
                     for c2, v2 in ropts:
                         if v1 != v2:
                             continue
-                        m = lm & _LEFT_MARK if rhead and c2 >= 0 else lm
+                        m = lm & ~_RIGHT_MARK if rhead and c2 >= 0 else lm
                         new = (c1, zl or c1 == 0, c2, zr or c2 == 0)
                         held = nxt.get(new)
                         if held is None:
@@ -738,6 +734,8 @@ class _Sweep:
         for held in accepting:
             marks |= held[5]
         self.tails = bool(marks & _LEFT_MARK), bool(marks & _RIGHT_MARK)
+        # whether some common element uses generator ``fresh`` at exponent 0
+        self.fresh_used = bool(marks & _FRESH_MARK)
         self.peak = self.prefix_length = None
         if accepting:
             best = max(accepting, key=lambda held: held[1])

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -417,6 +418,46 @@ class TestDiag:
             {"member": 0, "before": 0, "after": 0},
             {"member": 1, "before": 3, "after": 3},
         ]
+
+
+class TestLargeLevel:
+    """A level whose (k+1)^2 sweep moves pass 2^22 is refused before any
+    move is built; k=1000 is still answered."""
+
+    def refused(self, capsys, *argv):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            _, peak_bytes = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: EnumerationCapExceeded: ")
+        assert peak_bytes < 200 * 2**20
+
+    def test_small_at_a_huge_level(self, capsys):
+        self.refused(
+            capsys, "small", "--P", "evens", "--Q", "example13_P",
+            "--k", "1000000", "--n", "1", "--horizon", "4",
+        )
+
+    def test_intersect_at_a_huge_level(self, capsys, tmp_path):
+        target = tmp_path / "big.seq"
+        target.write_text("k=100000\n0:100000\n")
+        self.refused(capsys, "intersect", "--P", str(target), "--Q", str(target))
+
+    def test_first_refused_level(self, capsys, tmp_path):
+        target = tmp_path / "edge.seq"
+        target.write_text("k=2048\n0:2048\n")
+        self.refused(capsys, "intersect", "--P", str(target), "--Q", str(target))
+
+    def test_level_1000_is_answered(self, capsys, tmp_path):
+        target = tmp_path / "wide.seq"
+        target.write_text("k=1000\n0:1000\n")
+        code, out, err = run(capsys, "intersect", "--P", str(target), "--Q", str(target))
+        assert (code, out, err) == (0, "0:1000 <- 0^0 | 0^0\n", "")
 
 
 class TestPlumbing:

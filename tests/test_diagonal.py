@@ -168,6 +168,21 @@ class TestChooseNext:
             choose_next(family, [blk(2, [(3, 2), (4, 1)])], 2)
 
 
+def doctored_family(t0, t1):
+    """A two-member family of hand-built truncations with bounds 0."""
+    return AlmostDisjointFamily(
+        members=(None, None),
+        k=2,
+        tail_index=0,
+        horizon=9,
+        bounds=(
+            (None, HorizonValuation(0, 9, 1)),
+            (HorizonValuation(0, 9, 1), None),
+        ),
+        truncations=(t0, t1),
+    )
+
+
 class TestRun:
     def test_single_cycle_trace(self):
         trace = run_diagonalization(three_family(), cycles=1)
@@ -221,23 +236,43 @@ class TestRun:
     def test_doctored_family_trips_the_stability_net(self):
         # hand-built truncations that share {3:2}: adding it as the second
         # chosen block would raise member 0's valuation from 0 to 3
-        t0 = seq(2, "0:2", "3:2")
-        t1 = seq(2, "0:2", "1:2", "3:2")
-        family = AlmostDisjointFamily(
-            members=(None, None),
-            k=2,
-            tail_index=0,
-            horizon=9,
-            bounds=(
-                (None, HorizonValuation(0, 9, 1)),
-                (HorizonValuation(0, 9, 1), None),
-            ),
-            truncations=(t0, t1),
-        )
+        family = doctored_family(seq(2, "0:2", "3:2"), seq(2, "0:2", "1:2", "3:2"))
         with pytest.raises(ClaimViolation) as info:
             run_diagonalization(family, cycles=1)
         assert info.value.step == 1
         assert info.value.member == 0
+        assert str(info.value) == (
+            "step=1 member=0: common element k=2|3:2 uses the fresh block with exponent 0"
+        )
+
+    def test_fresh_block_met_only_at_a_positive_exponent(self):
+        # the fresh block {3:2,4:1} meets member 0's span only through
+        # 0:2 + T(3:2,4:1) = {0:2,3:1}, which attains k at 0 alone
+        t0 = seq(2, "0:2", "3:2")
+        family = doctored_family(t0, seq(2, "0:2", "1:2", "3:2,4:1"))
+        trace = run_diagonalization(family, cycles=1)
+        assert trace.render_lines() == [
+            "step=0 q=k=2|0:2 J=- checks=[]",
+            "step=1 q=k=2|3:2,4:1 J=1 checks=[0:0->0]",
+        ]
+        common = intersect_spans(BlockSequence(2, trace.chosen()), t0)
+        assert [ce.left_witness.terms for ce in common] == [((0, 0),), ((0, 0), (1, 1))]
+
+    def test_one_resumed_sweep_per_check(self, monkeypatch):
+        built = []
+        init = _Sweep.__init__
+
+        def counting(self, left, right, force=None, **kwargs):
+            built.append((bool(force), kwargs.get("fresh")))
+            init(self, left, right, force, **kwargs)
+
+        family = three_family()
+        monkeypatch.setattr(_Sweep, "__init__", counting)
+        trace = run_diagonalization(family, cycles=2)
+        # no forced sweep, and each check's one sweep marks its fresh block
+        assert not any(forced for forced, _ in built)
+        marked = [fresh for _, fresh in built if fresh is not None]
+        assert marked == [step.index for step in trace.steps for _ in step.checks]
 
 
 # --- the derived smallness, stability and reference answers ----------------

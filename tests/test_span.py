@@ -703,37 +703,70 @@ def test_resumed_sweep_matches_a_fresh_one(k, data):
     g = data.draw(st.integers(0, len(left) - 1))
     choice = data.draw(st.sampled_from([None, _UNUSED, 0]))
     force = {} if choice is None else {g: choice}
-    fresh = sweep_answers(_Sweep(left, right, force))
-    # every split point: one block, several blocks or none appended
+    tail = data.draw(st.integers(0, len(left) + 1))
+
+    def uses_at_zero(m, within, h):
+        # the fresh mark's meaning: a forced sweep finds a common element
+        return h >= 0 and within.get(h, 0) == 0 and bool(
+            _Sweep(left.prefix(m), right, {**within, h: 0}).count
+        )
+
+    plain = _Sweep(left, right, force, tail=tail)
+    answers = sweep_answers(plain)
+    for h in range(len(left)):
+        marked = _Sweep(left, right, force, tail=tail, fresh=h)
+        assert (sweep_answers(marked), marked.tails) == (answers, plain.tails)
+        assert marked.fresh_used == uses_at_zero(len(left), force, h)
+    fresh_used = uses_at_zero(len(left), force, len(left) - 1)
+    # every split point: one block, several blocks or none appended; the
+    # mark sees the last generator only when the resumed sweep walks it
     for m in range(len(left) + 1):
         within = {h: c for h, c in force.items() if h < m}
-        kept = _Sweep(left.prefix(m), right, within)
-        assert sweep_answers(_Sweep(left, right, force, resume=kept)) == fresh
+        kept = _Sweep(left.prefix(m), right, within, tail=tail)
+        resumed = _Sweep(left, right, force, resume=kept, tail=tail, fresh=len(left) - 1)
+        assert sweep_answers(resumed) == answers
+        assert resumed.fresh_used == (fresh_used and m < len(left))
+        assert resumed.tails == plain.tails
     # resuming one block at a time, as the diagonal engine does
     chained = None
     for m in range(len(left) + 1):
         within = {h: c for h, c in force.items() if h < m}
-        chained = _Sweep(left.prefix(m), right, within, resume=chained)
-        assert sweep_answers(chained) == sweep_answers(_Sweep(left.prefix(m), right, within))
+        chained = _Sweep(left.prefix(m), right, within, resume=chained, tail=tail, fresh=m - 1)
+        direct = _Sweep(left.prefix(m), right, within, tail=tail)
+        assert sweep_answers(chained) == sweep_answers(direct)
+        assert chained.fresh_used == uses_at_zero(m, within, m - 1)
+        assert chained.tails == direct.tails
+
+
+def test_fresh_mark_survives_the_tail_marks():
+    # the one common element {0:2,1:2} uses generator 0 at exponent 0, and
+    # generator 1, below the tail index, clears the left tail mark after it
+    left, right = seq(2, "0:2", "1:2"), seq(2, "0:2,1:2")
+    for tail in range(4):
+        marked = _Sweep(left, right, tail=tail, fresh=0)
+        assert marked.fresh_used
+        assert marked.tails == _Sweep(left, right, tail=tail).tails
+        assert _Sweep(right, left, tail=tail, fresh=0).fresh_used
 
 
 def test_resumed_sweep_walks_only_past_its_kept_layer(monkeypatch):
     walked = []
-    side_steps = span._side_steps
+    sweep_steps = span._sweep_steps
 
-    def recording(seq, positions, *rest):
-        walked.append(list(positions))
-        return side_steps(seq, positions, *rest)
+    def recording(*args):
+        steps = list(sweep_steps(*args))
+        walked.append([pos for pos, _, _ in steps])
+        return iter(steps)
 
-    monkeypatch.setattr(span, "_side_steps", recording)
+    monkeypatch.setattr(span, "_sweep_steps", recording)
     evens = make_builtin("evens", 2).truncate(20001)
     left = seq(2, "0:2", "4:2", "8:2")
     kept = _Sweep(left.prefix(2), evens)
     assert walked[0] == [0, 2, 4]
     walked.clear()
     assert sweep_answers(_Sweep(left, evens, resume=kept)) == sweep_answers(_Sweep(left, evens))
-    # each side's steps, then the fresh sweep's from position 0
-    assert walked == [[6, 8], [6, 8], [0, 2, 4, 6, 8], [0, 2, 4, 6, 8]]
+    # the resumed sweep's steps, then the fresh sweep's from position 0
+    assert walked == [[6, 8], [0, 2, 4, 6, 8]]
     # the right window [3, 6] widens the kept hull to 6, and the appended
     # block starts inside it: the kept layer is at 3, the left's last position
     right = seq(2, "0:2", "3:2,6:1")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -54,14 +55,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self)
 
 
-def _at_least(lower):
-    """An argparse type: an integer no smaller than ``lower``."""
+def _number(kind, lower=-math.inf):
+    """An argparse type: a finite ``kind`` value no smaller than ``lower``."""
 
     def parse(text):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if value != value or value in (math.inf, -math.inf):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         if value < lower:
             raise argparse.ArgumentTypeError(f"must be at least {lower}, got {value}")
         return value
@@ -322,7 +325,7 @@ def _build_parser():
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--k", type=int, default=None, help="level; checked against inputs")
     capped = argparse.ArgumentParser(add_help=False, parents=[common])
-    capped.add_argument("--cap", type=float, default=DEFAULT_CAP_BITS,
+    capped.add_argument("--cap", type=_number(float), default=DEFAULT_CAP_BITS,
                         help="listing cap in bits: at most 2^BITS listed combinations")
 
     parser = _Parser(prog="fink", description="FIN_k block algebra and span computations")
@@ -352,7 +355,7 @@ def _build_parser():
 
     p = sub.add_parser("valuation", parents=[common], help="valuation F of a block set")
     p.add_argument("--blocks", required=True)
-    p.add_argument("--horizon", type=_at_least(0), default=None)
+    p.add_argument("--horizon", type=_number(int, 0), default=None)
     p.set_defaults(handler=_cmd_valuation)
 
     p = sub.add_parser("graph", parents=[common], help="decomposition graph of a common block")
@@ -382,18 +385,18 @@ def _build_parser():
     p = sub.add_parser("small", parents=[common], help="smallness probe at a horizon")
     p.add_argument("--P", required=True, help="stream: builtin name, spec, or file")
     p.add_argument("--Q", required=True)
-    p.add_argument("--n", type=_at_least(0), required=True,
+    p.add_argument("--n", type=_number(int, 0), required=True,
                    help="tail index for the left stream")
-    p.add_argument("--horizon", type=_at_least(0), required=True)
+    p.add_argument("--horizon", type=_number(int, 0), required=True)
     p.set_defaults(handler=_cmd_small)
 
     p = sub.add_parser("diag", parents=[common], help="validate a family and diagonalize")
     p.add_argument("--member", action="append", required=True,
                    help="stream (repeatable): builtin name, spec, or file")
-    p.add_argument("--n", type=_at_least(0), default=1,
+    p.add_argument("--n", type=_number(int, 0), default=1,
                    help="tail index for pairwise validation")
-    p.add_argument("--horizon", type=_at_least(0), required=True)
-    p.add_argument("--cycles", type=_at_least(1), default=1)
+    p.add_argument("--horizon", type=_number(int, 0), required=True)
+    p.add_argument("--cycles", type=_number(int, 1), default=1)
     p.set_defaults(handler=_cmd_diag)
 
     return parser

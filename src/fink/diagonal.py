@@ -72,9 +72,10 @@ def validate_family(members, tail_index, horizon):
     i's.  These verdicts are read for every ordered pair, i-major, before
     any bound: the first tail that meets raises NotAlmostDisjoint(i, j)
     with the smallness certificate of that ordered pair, the same one that
-    ``small`` gives, and only that certificate sweeps again for its least
-    witness.  The bounds matrix holds the valuation of each pairwise
-    intersection, from the same sweeps.
+    ``small`` gives (a plain sweep, then one ordered by left witness for
+    its least witness).  No sweep here records its moves.  The bounds
+    matrix holds the valuation of each pairwise intersection, from the
+    same sweeps.
     """
     members = tuple(members)
     if not members:

@@ -327,8 +327,9 @@ def check_witness(seq, witness, block):
 
 
 def _check_listing(count, noun, cap_bits):
-    """Refuse to list more than 2^cap_bits items, judged on their exact count."""
-    if count and math.log2(count) > cap_bits:
+    """Refuse to list more than 2^cap_bits items, judged on their exact
+    count; a cap that is not a number refuses every nonempty listing."""
+    if count and not math.log2(count) <= cap_bits:
         shown = count if count < 2**64 else "over 2^64"
         raise EnumerationCapExceeded(
             f"{shown} {noun} need {math.log2(count):.1f} bits, cap is {cap_bits}"
@@ -466,6 +467,48 @@ def _grow(lg, rg, state, chains):
     if rg is not None and state[2] >= 0:
         right = ((rg, state[2]), right)
     return left, right
+
+
+def _least_layer(least, ended, moves, lg, rg, k, by_value):
+    """Per state, the key of the least prefix reaching it after one
+    position's ``moves``, and its witness terms.  By value a prefix is its
+    values at the walked positions.  By left witness it is one symbol per
+    left generator opened: the exponent when used; when unused, k while a
+    later left term follows (``least``) and -1 once the witness has ended
+    (``ended``, entered at its last term).  These compare as the terms do,
+    and each element has one ended path.  Inside a window the symbol is
+    the value, which the choices before it fix.  Prefixes in a layer are
+    equally long, so a key is the predecessor's key times k + 2 plus the
+    symbol + 1; keys past 2^64 are replaced by their ranks.
+    """
+    base = k + 2
+    opens = lg is not None or rg is not None
+    reach, stop = {}, {}
+    top = 0
+    sources = (least, reach, k), (ended, stop, -1)
+    for state, new, v in moves:
+        used = not by_value and lg is not None and new[0] >= 0
+        for source, target, unused in sources:
+            held = source.get(state)
+            if held is None or used and source is ended:
+                continue
+            key, chains = held
+            key = key * base + 1 + (v if by_value or lg is None else new[0] if used else unused)
+            if key > top:
+                top = key
+            if opens:
+                chains = _grow(lg, rg, new, chains)
+            for table in (target, stop) if used else (target,):
+                found = table.get(new)
+                if found is None or key < found[0]:
+                    table[new] = key, chains
+    if top >> 64:
+        keys = sorted({key for table in (reach, stop) for key, _ in table.values()})
+        ranks = dict(zip(keys, range(len(keys))))
+        for table in (reach, stop):
+            for new, (key, chains) in table.items():
+                table[new] = ranks[key], chains
+    return reach, stop
 
 
 def _chain_terms(chain):
@@ -632,13 +675,16 @@ class _Sweep:
     ``tail`` on meets the right span and whether the right tail meets the
     left span, and ``fresh_used`` whether forcing ``fresh`` to exponent 0
     leaves a common element: three sweeps' verdicts from one sweep that
-    answers everything else too.  With ``walk`` it also records each step's
-    moves, over which listing (``elements``) and ``least`` walk the live
-    states; without it no step is kept, so memory does not grow with the
-    positions.  Witness terms grow as cons chains.  Every element handed out
-    builds its block from the tetris images of its left terms and
-    re-evaluates the right witness.  Questions about a prefix of ``left``
-    are asked of a sweep over ``left.prefix(n)``.
+    answers everything else too.  With ``order`` the pass also keeps, per
+    state, the least prefix reaching it and its witness terms, from each
+    position's moves (``_least_layer``), so ``least`` is the common element
+    with the least value vector ("value") or left witness ("witness"), or
+    None.  Only ``walk``, for listing (``elements``), keeps every step's
+    moves; otherwise memory does not grow with the positions.  Witness
+    terms grow as cons chains.  Every element handed out builds its block
+    from the tetris images of its left terms and re-evaluates the right
+    witness.  Questions about a prefix of ``left`` are asked of a sweep
+    over ``left.prefix(n)``.
 
     A sweep without ``walk`` keeps one layer: the states after the last
     position at or below ``left``'s last ``max_support``.  Every later
@@ -652,10 +698,13 @@ class _Sweep:
     with the windows that straddle that position already open on both
     sides (on the left, only a generator forced unused can straddle it).
     It takes the kept sweep's move table, so its set-up grows with the
-    positions it walks, not with the sequences.
+    positions it walks, not with the sequences.  The kept layer holds no
+    least prefixes, so ``order`` is not asked of a resumed sweep.
     """
 
-    def __init__(self, left, right, force=None, walk=False, resume=None, tail=0, fresh=None):
+    def __init__(
+        self, left, right, force=None, walk=False, resume=None, tail=0, fresh=None, order=None
+    ):
         if left.k != right.k:
             raise MismatchedLevel(f"levels {left.k} and {right.k}")
         self.left, self.right, self.k = left, right, left.k
@@ -664,6 +713,8 @@ class _Sweep:
         # None, and the right one; then the moves (state, next state, value)
         self.opened = [] if walk else None
         self.moves = [] if walk else None
+        record = walk or order is not None
+        least, ended = {_START: (0, (None, None))}, {}
         # per state of the current layer: [paths, last position of value k,
         # both witnesses' term chains on a path attaining it, largest left
         # index used, the state, its marks], -1 standing for "none yet";
@@ -715,11 +766,13 @@ class _Sweep:
                             if new_last < held[3]:
                                 held[3] = new_last
                             held[5] |= m
-                        if walk:
+                        if record:
                             moves.append((state, new, v1))
             layer = nxt
             if pos <= boundary:
                 kept_pos, kept_layer = pos, layer
+            if order is not None:
+                least, ended = _least_layer(least, ended, moves, lg, rg, k, order == "value")
             if walk:
                 self.opened.append((lg, rg))
                 self.moves.append(moves)
@@ -736,16 +789,15 @@ class _Sweep:
         self.tails = bool(marks & _LEFT_MARK), bool(marks & _RIGHT_MARK)
         # whether some common element uses generator ``fresh`` at exponent 0
         self.fresh_used = bool(marks & _FRESH_MARK)
-        self.peak = self.prefix_length = None
+        self.peak = self.prefix_length = self.least = None
         if accepting:
             best = max(accepting, key=lambda held: held[1])
             self.peak, self._peak_chains = best[1], best[2]
             self.prefix_length = min(held[3] for held in accepting) + 1
-
-    def _extend(self, i, state, chains):
-        """Both witnesses' term chains after entering ``state`` at step i."""
-        lg, rg = self.opened[i]
-        return _grow(lg, rg, state, chains)
+            if order is not None:
+                # keys differ among accepting states: each is one element
+                table = least if order == "value" else ended
+                self.least = self._walked(min(table[held[4]] for held in accepting)[1])
 
     def _element(self, left_terms, right_terms):
         blocks = self.left.blocks
@@ -763,24 +815,6 @@ class _Sweep:
             tuple(reversed(_chain_terms(left))), tuple(reversed(_chain_terms(right)))
         )
 
-    @cached_property
-    def _live(self):
-        """Per layer, the states that reach acceptance, and those that
-        reach it using no further left generator."""
-        live = idle = self.accepting
-        lives, idles = [live], [idle]
-        for (lg, _), moves in zip(reversed(self.opened), reversed(self.moves)):
-            live_here, idle_here = set(), set()
-            for state, new, _ in moves:
-                if new in live:
-                    live_here.add(state)
-                if new in idle and (lg is None or new[0] < 0):
-                    idle_here.add(state)
-            live, idle = live_here, idle_here
-            lives.append(live)
-            idles.append(idle)
-        return lives[::-1], idles[::-1]
-
     def elements(self):
         """Every common element, in no particular order.
 
@@ -796,57 +830,13 @@ class _Sweep:
                 if found is None:
                     continue
                 if lg is not None and new[0] >= 0 or rg is not None and new[2] >= 0:
-                    found = [self._extend(i, new, chains) for chains in found]
+                    found = [_grow(lg, rg, new, chains) for chains in found]
                 before.setdefault(state, []).extend(found)
             suffixes = before
         return [
             self._element(tuple(_chain_terms(left)), tuple(_chain_terms(right)))
             for left, right in suffixes.get(_START, ())
         ]
-
-    def least(self, by_value):
-        """The least common element, or None when there is none.
-
-        ``by_value`` orders elements by their dense value vectors, otherwise
-        by their left witnesses as tuples of (index, exponent) terms.  A
-        greedy walk over live states takes the least-ranked move at each
-        position: by value, the value; by witness, the exponent where a left
-        generator starts (unused ranks last), once no state can end the
-        witness there.  States that share the walk's choices so far share
-        their witness terms so far (witnesses are unique).
-        """
-        if not self.count:
-            return None
-        live, idle = self._live
-        frontier = {_START: (None, None)}
-        ended = False
-        for i, moves in enumerate(self.moves):
-            if not (by_value or ended):
-                done = {state: terms for state, terms in frontier.items() if state in idle[i]}
-                if done:
-                    frontier, ended = done, True
-            lg = self.opened[i][0]
-            best, chosen = None, {}
-            for state, new, value in moves:
-                if state not in frontier:
-                    continue
-                uses = lg is not None and new[0] >= 0
-                if ended:
-                    if uses or new not in idle[i + 1]:
-                        continue
-                    rank = 0
-                elif new not in live[i + 1]:
-                    continue
-                elif by_value:
-                    rank = value
-                else:
-                    rank = new[0] if uses else self.k if lg is not None else 0
-                if best is None or rank < best:
-                    best, chosen = rank, {}
-                if rank == best and new not in chosen:
-                    chosen[new] = self._extend(i, new, frontier[state])
-            frontier = chosen
-        return self._walked(next(iter(frontier.values())))
 
     def peak_element(self):
         """The recorded element attaining F, both witnesses re-evaluated."""
@@ -885,7 +875,7 @@ def first_common_element(left, right):
     Witnesses compare as tuples of (index, exponent) terms, so the answer
     does not depend on which side is larger.
     """
-    return _Sweep(left, right, walk=True).least(by_value=False)
+    return _Sweep(left, right, order="witness").least
 
 
 def valuation(blocks, horizon=None):

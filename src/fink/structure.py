@@ -93,14 +93,10 @@ class DecompositionGraph:
         return [f"L{i} - R{j}" for i, j in self.edges]
 
 
-def _checked_witnesses(block, left_witness, right_witness, left, right):
-    check_witness(left, left_witness, block)
-    check_witness(right, right_witness, block)
-
-
 def decomposition_graph(block, left_witness, right_witness, left, right):
     """Build the bipartite support-overlap graph of one common block."""
-    _checked_witnesses(block, left_witness, right_witness, left, right)
+    check_witness(left, left_witness, block)
+    check_witness(right, right_witness, block)
     left_images = [
         (i, set(tetris(left.blocks[i], e).support)) for i, e in left_witness.terms
     ]
@@ -184,17 +180,18 @@ def extract_intertwined(left, right):
     """Produce an intertwined block in the intersection of the two spans.
 
     One sweep gives the minimal prefix of ``left`` whose span meets
-    ``right``'s span, and a sweep over that prefix gives the least common
-    block in canonical order (lexicographic on the value vector), which is
-    settled with the component-split rule.  Raises NoIntersection when the
-    full spans are disjoint; MinimalityViolation from the split would
-    contradict the minimality of the prefix.
+    ``right``'s span, and one sweep over that prefix, ordered by value,
+    gives in its forward pass the least common block in canonical order
+    (lexicographic on the value vector), which is settled with the
+    component-split rule.  Neither sweep records its moves.  Raises
+    NoIntersection when the full spans are disjoint; MinimalityViolation
+    from the split would contradict the minimality of the prefix.
     """
     length = _Sweep(left, right).prefix_length
     if length is None:
         raise NoIntersection(f"no common block among {len(left)} generators")
     prefix = left.prefix(length)
-    element = _Sweep(prefix, right, walk=True).least(by_value=True)
+    element = _Sweep(prefix, right, order="value").least
     return ExtractionResult(length, settle_intertwined(element, prefix, right))
 
 
@@ -209,7 +206,8 @@ def star_split(anchor, other, left, right):
     graph = decomposition_graph(
         anchor.block, anchor.left_witness, anchor.right_witness, left, right
     )
-    _checked_witnesses(other.block, other.left_witness, other.right_witness, left, right)
+    check_witness(left, other.left_witness, other.block)
+    check_witness(right, other.right_witness, other.block)
     if not graph.is_connected():
         raise NotIntertwined(f"anchor {anchor.block.render()} is not intertwined")
 
@@ -266,15 +264,17 @@ def _tail_certificate(left, right, tail_index, horizon):
     ``left.blocks[n:]``, and witnesses are unique: the tail meets ``right``
     exactly when the sweep with left generators below n forced unused finds
     a common element.  The witness is the one with the least left witness,
-    indexed over the whole of ``left``; only then is the sweep repeated
-    with its moves recorded, so an empty verdict keeps no step.
+    indexed over the whole of ``left``.  An empty verdict takes one plain
+    sweep; only a nonempty one adds a second, ordered by left witness,
+    whose forward pass keeps the least witness reaching each state.
+    Neither records its moves, so memory does not grow with the horizon.
     """
     if tail_index < 0:
         raise ValueError(f"tail index must be nonnegative, got {tail_index}")
     head = dict.fromkeys(range(min(tail_index, len(left))), _UNUSED)
     if not _Sweep(left, right, head).count:
         return SmallnessCertificate(tail_index, horizon, "empty_at_horizon")
-    witness = _Sweep(left, right, head, walk=True).least(by_value=False)
+    witness = _Sweep(left, right, head, order="witness").least
     return SmallnessCertificate(tail_index, horizon, "nonempty", witness=witness)
 
 

@@ -525,6 +525,20 @@ class TestPlumbing:
         assert code == 0
         assert len(out.splitlines()) == 4
 
+    @pytest.mark.parametrize("cap", ["nan", "inf", "-inf", "NaN", "1e999"])
+    @pytest.mark.parametrize("command", ["span", "intersect"])
+    def test_non_finite_cap_is_a_usage_error(self, capsys, tmp_path, command, cap):
+        # 40 generators at k=2: an uncapped listing would never end
+        target = tmp_path / "wide.seq"
+        target.write_text("k=2\n" + "".join(f"{2 * i}:2\n" for i in range(40)), encoding="utf-8")
+        target = str(target)
+        argv = ["--seq", target] if command == "span" else ["--P", target, "--Q", target]
+        code, out, err = run(capsys, command, *argv, f"--cap={cap}")
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == (
+            f"error: usage: argument --cap: must be finite, got {cap}"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -625,11 +639,14 @@ def test_optimized_interpreter_keeps_the_witness_rechecks():
     # a lying evaluate must still be caught when asserts are compiled away
     script = (
         "import fink.span as span\n"
-        "from fink import BlockSequence, Subblock, WitnessMismatch\n"
+        "from fink import BlockSequence, Subblock, WitnessMismatch, make_builtin\n"
+        "from fink.structure import extract_intertwined, smallness_check\n"
         "seq = BlockSequence(2, [Subblock.parse_body(2, b) for b in ('0:2', '1:2')])\n"
+        "stream = make_builtin('example13_P', 2)\n"
         "span.evaluate = lambda s, c: Subblock.parse_body(2, '99:2')\n"
         "for ask in (span.intersect_spans, span.first_common_element,\n"
-        "            lambda a, b: span._Sweep(a, b).valuation(9)):\n"
+        "            lambda a, b: span._Sweep(a, b).valuation(9), extract_intertwined,\n"
+        "            lambda a, b: smallness_check(stream, stream, 0, 9)):\n"
         "    try:\n"
         "        ask(seq, seq)\n"
         "    except WitnessMismatch:\n"
@@ -640,4 +657,4 @@ def test_optimized_interpreter_keeps_the_witness_rechecks():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "caught\n" * 3
+    assert proc.stdout == "caught\n" * 5

@@ -209,6 +209,15 @@ class TestEnumerate:
         with pytest.raises(EnumerationCapExceeded, match="^8 combinations need 3.0 bits"):
             enumerate_span(s, starred=True, cap_bits=2.99)
 
+    def test_cap_that_is_not_a_number_refuses_every_listing(self):
+        s = seq(2, "0:2", "1:2")
+        with pytest.raises(EnumerationCapExceeded, match="^5 combinations need 2.3 bits"):
+            enumerate_span(s, cap_bits=math.nan)
+        with pytest.raises(EnumerationCapExceeded, match="^5 common elements need 2.3 bits"):
+            intersect_spans(s, s, cap_bits=math.nan)
+        # nothing to list is never refused
+        assert intersect_spans(s, seq(2, "5:2"), cap_bits=math.nan) == ()
+
     def test_cap_message_names_a_huge_count_by_its_size(self):
         s = seq(2, *[f"{2 * i}:2" for i in range(50)])
         with pytest.raises(EnumerationCapExceeded, match=r"^over 2\^64 common elements need 79\.2 bits"):
@@ -624,7 +633,7 @@ def test_sweep_matches_oracle(k, data):
         ce.left_witness.sort_key() for ce in listing
     )
     first = first_common_element(left, right)
-    least = walking.least(by_value=True)
+    least = _Sweep(left, right, order="value").least
     if not table:
         assert first is None and least is None and not listing
         return
@@ -639,9 +648,8 @@ def test_sweep_matches_oracle(k, data):
     # the least elements over every prefix of left
     for n in range(1, len(left) + 1):
         within = [key for key, (a, _) in table.items() if a[-1][0] < n]
-        prefix = _Sweep(left.prefix(n), right, walk=True)
-        by_value = prefix.least(by_value=True)
-        by_witness = prefix.least(by_value=False)
+        by_value = _Sweep(left.prefix(n), right, order="value").least
+        by_witness = _Sweep(left.prefix(n), right, order="witness").least
         if not within:
             assert by_value is None and by_witness is None
             continue
@@ -649,6 +657,35 @@ def test_sweep_matches_oracle(k, data):
             within, key=lambda key: oracle.value_vector(dict(key))
         )
         assert by_witness.left_witness.terms == min(table[key][0] for key in within)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_least_elements_after_many_positions(k):
+    # keys grow by a factor k + 2 per position and are re-ranked past 64
+    # bits, so over ~100 positions the least elements are found by ranks
+    rng = random.Random(7 + k)
+    for _ in range(4):
+        left = make_random_sequence(rng, k, max_generators=60, max_position=120)
+        while len(left) < 40:
+            left = make_random_sequence(rng, k, max_generators=60, max_position=120)
+        groups, start = [], rng.randint(0, 3)
+        while start < len(left) and len(groups) < 6:
+            size = rng.randint(1, 3)
+            terms = [(g, rng.randrange(k)) for g in range(start, min(start + size, len(left)))]
+            i = rng.randrange(len(terms))
+            terms[i] = (terms[i][0], 0)
+            groups.append(evaluate(left, Combination(tuple(terms))))
+            start += size + rng.randint(3, 12)
+        right = BlockSequence(k, groups)
+        for a, b in ((left, right), (right, left)):
+            listing = intersect_spans(a, b)
+            assert len(listing) > 1
+            assert first_common_element(a, b) == min(
+                listing, key=lambda ce: ce.left_witness.sort_key()
+            )
+            assert _Sweep(a, b, order="value").least == min(
+                listing, key=lambda ce: oracle.value_vector(oracle.to_dict(ce.block))
+            )
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

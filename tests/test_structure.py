@@ -19,6 +19,7 @@ from fink import (
     decomposition_graph,
     evaluate,
     extract_intertwined,
+    first_common_element,
     intersect_spans,
     is_intertwined,
     make_builtin,
@@ -28,6 +29,7 @@ from fink import (
     star,
     star_split,
 )
+from fink.span import _Sweep
 
 
 def blk(k, pairs):
@@ -284,3 +286,28 @@ def test_graph_observations_on_random_pairs():
                     if a < a2:
                         assert b <= b2
 
+
+def test_least_elements_come_from_sweeps_that_record_no_moves(monkeypatch):
+    built = []
+    init = _Sweep.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append((kwargs.get("walk", False), kwargs.get("order")))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Sweep, "__init__", counting)
+    assert first_common_element(P3, Q3).left_witness.terms == ((0, 0),)
+    assert built == [(False, "witness")]
+    built.clear()
+    # the minimal prefix, then its least element by value
+    assert extract_intertwined(P3, Q3).prefix_length == 1
+    assert built == [(False, None), (False, "value")]
+    built.clear()
+    # a nonempty verdict: the count, then the least left witness
+    p = make_builtin("example13_P", 2)
+    cert = smallness_check(p, p, tail_index=1, horizon=15)
+    assert cert.verdict == "nonempty"
+    assert built == [(False, None), (False, "witness")]
+    built.clear()
+    assert smallness_check(p, make_builtin("evens", 2), 1, 8).verdict == "empty_at_horizon"
+    assert built == [(False, None)]

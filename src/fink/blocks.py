@@ -13,9 +13,8 @@ strictly increasing and values in 1..K; the empty subblock is ``k=<K>|-``.
 context (sequence files, CLI flags).
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
+from operator import attrgetter
 
 from .errors import (
     MismatchedLevel,
@@ -206,6 +205,50 @@ class Subblock:
 
 _set_k = Subblock.k.__set__
 _set_pairs = Subblock.pairs.__set__
+
+
+class Record:
+    """Base of the result records: immutable values compared field by field.
+
+    A subclass names its fields in ``__slots__``, in the order of its
+    ``__init__`` parameters.  Its ``__init__`` stores each one with
+    ``_setattr`` (``object.__setattr__``, past the raising ``__setattr__``)
+    and then runs its own checks.  Equality and hashing read the fields
+    through one ``attrgetter`` per class, so two records are equal exactly
+    when they have the same class and equal fields; ``repr`` lists the
+    fields as ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = self._fields
+        return fields(self) == fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through ``__init__``, which rechecks
+        return type(self), self._fields(self)
+
+
+_setattr = object.__setattr__
 
 
 def tetris(p, steps=1):

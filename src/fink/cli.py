@@ -7,8 +7,6 @@ mistakes.  All output is deterministic; ``--format json`` emits one JSON
 object per result line with fixed keys (documented in the README).
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math

@@ -17,14 +17,11 @@ its states tells whether some common element uses the fresh block at
 exponent 0, so only a failing check sweeps again to name that element.
 """
 
-from __future__ import annotations
-
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import attrgetter
 
-from .blocks import peak
+from .blocks import Record, _setattr, peak
 from .errors import (
     ClaimViolation,
     HorizonExhausted,
@@ -33,7 +30,7 @@ from .errors import (
     NotAlmostDisjoint,
 )
 from .span import BlockSequence, _Sweep, membership_witness
-from .structure import _tail_certificate
+from .structure import _nonempty_certificate
 
 __all__ = [
     "AlmostDisjointFamily",
@@ -46,16 +43,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AlmostDisjointFamily:
-    """A validated family: streams, truncations, and pairwise valuation bounds."""
+class AlmostDisjointFamily(Record):
+    """A validated family: streams, truncations, and pairwise valuation bounds.
 
-    members: tuple
-    k: int
-    tail_index: int
-    horizon: int
-    bounds: tuple  # symmetric matrix of HorizonValuation, None on the diagonal
-    truncations: tuple
+    ``members`` is the tuple of streams, all at level ``k`` (an int), and
+    ``truncations`` holds their BlockSequences cut at ``horizon`` (an int).
+    ``tail_index`` (an int) is the number of head blocks dropped by the
+    smallness check.  ``bounds`` is the symmetric matrix, a tuple of
+    tuples, of the HorizonValuation of each pairwise intersection, with
+    None on the diagonal.
+    """
+
+    __slots__ = ("members", "k", "tail_index", "horizon", "bounds", "truncations")
+
+    def __init__(self, members, k, tail_index, horizon, bounds, truncations):
+        _setattr(self, "members", members)
+        _setattr(self, "k", k)
+        _setattr(self, "tail_index", tail_index)
+        _setattr(self, "horizon", horizon)
+        _setattr(self, "bounds", bounds)
+        _setattr(self, "truncations", truncations)
 
     def __len__(self):
         return len(self.members)
@@ -72,10 +79,10 @@ def validate_family(members, tail_index, horizon):
     i's.  These verdicts are read for every ordered pair, i-major, before
     any bound: the first tail that meets raises NotAlmostDisjoint(i, j)
     with the smallness certificate of that ordered pair, the same one that
-    ``small`` gives (a plain sweep, then one ordered by left witness for
-    its least witness).  No sweep here records its moves.  The bounds
-    matrix holds the valuation of each pairwise intersection, from the
-    same sweeps.
+    ``small`` gives; the marks already gave its verdict, so only the sweep
+    ordered by left witness, for its least witness, is added.  No sweep
+    here records its moves.  The bounds matrix holds the valuation of each
+    pairwise intersection, from the same sweeps.
     """
     members = tuple(members)
     if not members:
@@ -94,7 +101,9 @@ def validate_family(members, tail_index, horizon):
     }
     for i, j in itertools.permutations(range(count), 2):
         if sweeps[i, j].tails[0] if i < j else sweeps[j, i].tails[1]:
-            certificate = _tail_certificate(truncations[i], truncations[j], tail_index, horizon)
+            certificate = _nonempty_certificate(
+                truncations[i], truncations[j], tail_index, horizon
+            )
             raise NotAlmostDisjoint(i, j, certificate)
     grid = [[None] * count for _ in range(count)]
     for (i, j), sweep in sweeps.items():
@@ -109,25 +118,42 @@ def validate_family(members, tail_index, horizon):
     )
 
 
-@dataclass(frozen=True)
-class StabilityCheck:
-    """Valuation of one member's intersection before and after a step."""
+class StabilityCheck(Record):
+    """Valuation of one member's intersection before and after a step.
 
-    member: int
-    before: object  # HorizonValuation
-    after: object
+    ``member`` is the member's index; ``before`` and ``after`` are the
+    HorizonValuations of its intersection with the chosen blocks' span.
+    """
+
+    __slots__ = ("member", "before", "after")
+
+    def __init__(self, member, before, after):
+        _setattr(self, "member", member)
+        _setattr(self, "before", before)
+        _setattr(self, "after", after)
 
     def render(self):
         return f"{self.member}:{self.before.render_value()}->{self.after.render_value()}"
 
 
-@dataclass(frozen=True)
-class DiagonalStep:
-    index: int
-    member: int
-    block: object  # Subblock
-    between_index: int | None
-    checks: tuple
+class DiagonalStep(Record):
+    """One step of the diagonal: the block chosen and the checks it passed.
+
+    ``index`` is the step number and ``member`` the source member's index
+    (ints); ``block`` is the chosen Subblock.  ``between_index`` is the
+    index in the source truncation of the block lying strictly between
+    the previous choice and this one, or None on the opening step.
+    ``checks`` is the tuple of StabilityChecks, one per engaged member.
+    """
+
+    __slots__ = ("index", "member", "block", "between_index", "checks")
+
+    def __init__(self, index, member, block, between_index, checks):
+        _setattr(self, "index", index)
+        _setattr(self, "member", member)
+        _setattr(self, "block", block)
+        _setattr(self, "between_index", between_index)
+        _setattr(self, "checks", checks)
 
     def render(self):
         j = "-" if self.between_index is None else str(self.between_index)
@@ -135,10 +161,18 @@ class DiagonalStep:
         return f"step={self.index} q={self.block.render()} J={j} checks=[{body}]"
 
 
-@dataclass(frozen=True)
-class DiagonalTrace:
-    steps: tuple
-    finals: tuple  # one HorizonValuation per member, over all chosen blocks
+class DiagonalTrace(Record):
+    """A whole run of the diagonal.
+
+    ``steps`` is the tuple of DiagonalSteps, and ``finals`` holds one
+    HorizonValuation per member, over the span of all chosen blocks.
+    """
+
+    __slots__ = ("steps", "finals")
+
+    def __init__(self, steps, finals):
+        _setattr(self, "steps", steps)
+        _setattr(self, "finals", finals)
 
     def chosen(self):
         return tuple(step.block for step in self.steps)

@@ -14,16 +14,13 @@ the number of positions, and every positive answer carries a witness
 combination that evaluates back to the queried subblock.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter, itemgetter
 
-from .blocks import Subblock, add, peak, tetris
+from .blocks import Record, Subblock, _setattr, add, peak, tetris
 from .errors import (
     EnumerationCapExceeded,
     HorizonExhausted,
@@ -133,23 +130,23 @@ class BlockSequence:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Combination:
+class Combination(Record):
     """A formal sum ``sum_l T^{j_l}(p_{n_l})`` over a block sequence.
 
     ``terms`` is a tuple of (generator index, tetris exponent) pairs with
-    strictly increasing indices.  Unstarred combinations are nonempty and
-    have minimal exponent 0, so they always evaluate to a block; the empty
-    starred combination stands for the empty subblock (the image of any
-    span element under T^k).
+    strictly increasing indices, and ``starred`` is a bool.  Unstarred
+    combinations are nonempty and have minimal exponent 0, so they always
+    evaluate to a block; the empty starred combination stands for the
+    empty subblock (the image of any span element under T^k).
     """
 
-    terms: tuple
-    starred: bool = False
+    __slots__ = ("terms", "starred")
 
-    def __post_init__(self):
+    def __init__(self, terms, starred=False):
+        _setattr(self, "terms", terms)
+        _setattr(self, "starred", starred)
         last = least = -1
-        for term in self.terms:
+        for term in terms:
             index, exponent = term
             if index <= last:
                 raise InvalidCombination(f"indices must strictly increase at {term}")
@@ -158,8 +155,8 @@ class Combination:
             last = index
             if least < 0 or exponent < least:
                 least = exponent
-        if not self.starred:
-            if not self.terms:
+        if not starred:
+            if not terms:
                 raise InvalidCombination("an unstarred combination needs at least one term")
             if least != 0:
                 raise InvalidCombination("an unstarred combination needs minimal exponent 0")
@@ -201,25 +198,27 @@ class Combination:
             raise ParseError(str(exc)) from None
 
 
-@dataclass(frozen=True)
-class HorizonValuation:
+class HorizonValuation(Record):
     """The valuation F over a finite set of blocks, tagged with its horizon.
 
-    ``value`` is the maximum over the set of the rightmost position where k
-    is attained, or None (bottom) for the empty set.  Bottom deliberately
-    differs from 0: an empty intersection and one whose elements attain k
-    only at position 0 are different findings.
+    ``value`` (an int, or None) is the maximum over the set of the
+    rightmost position where k is attained, or None (bottom) for the empty
+    set.  Bottom deliberately differs from 0: an empty intersection and one
+    whose elements attain k only at position 0 are different findings.
+    ``horizon`` (an int) bounds the positions looked at, and
+    ``element_count`` (an int) is the size of the set.
     """
 
-    value: int | None
-    horizon: int
-    element_count: int
+    __slots__ = ("value", "horizon", "element_count")
 
-    def __post_init__(self):
-        if (self.value is None) != (self.element_count == 0):
+    def __init__(self, value, horizon, element_count):
+        _setattr(self, "value", value)
+        _setattr(self, "horizon", horizon)
+        _setattr(self, "element_count", element_count)
+        if (value is None) != (element_count == 0):
             raise ValueError("value is bottom exactly for the empty set")
-        if self.value is not None and self.value > self.horizon:
-            raise ValueError(f"valuation {self.value} exceeds horizon {self.horizon}")
+        if value is not None and value > horizon:
+            raise ValueError(f"valuation {value} exceeds horizon {horizon}")
 
     @property
     def is_bottom(self):
@@ -232,16 +231,19 @@ class HorizonValuation:
         return f"F={self.render_value()} count={self.element_count} horizon={self.horizon}"
 
 
-@dataclass(frozen=True)
-class SpanEnumeration:
+class SpanEnumeration(Record):
     """All span elements with their witnesses, canonically ordered.
 
-    The empty subblock is never listed among ``elements``; it is a member
-    of every starred span (the empty sum) and ``includes_empty`` records that.
+    ``elements`` is a tuple of (Subblock, Combination) pairs.  The empty
+    subblock is never listed among them; it is a member of every starred
+    span (the empty sum) and ``includes_empty`` (a bool) records that.
     """
 
-    elements: tuple
-    includes_empty: bool
+    __slots__ = ("elements", "includes_empty")
+
+    def __init__(self, elements, includes_empty):
+        _setattr(self, "elements", elements)
+        _setattr(self, "includes_empty", includes_empty)
 
     def blocks(self):
         return tuple(block for block, _ in self.elements)
@@ -253,13 +255,19 @@ class SpanEnumeration:
         return iter(self.elements)
 
 
-@dataclass(frozen=True)
-class CommonElement:
-    """A subblock lying in two spans at once, with one witness per side."""
+class CommonElement(Record):
+    """A subblock lying in two spans at once, with one witness per side.
 
-    block: Subblock
-    left_witness: Combination
-    right_witness: Combination
+    ``block`` is the Subblock; ``left_witness`` and ``right_witness`` are
+    its Combinations over the left and the right sequence.
+    """
+
+    __slots__ = ("block", "left_witness", "right_witness")
+
+    def __init__(self, block, left_witness, right_witness):
+        _setattr(self, "block", block)
+        _setattr(self, "left_witness", left_witness)
+        _setattr(self, "right_witness", right_witness)
 
 
 def parse_block_lines(text):
@@ -362,6 +370,13 @@ def _iter_span_raw(seq, starred):
 def enumerate_span(seq, starred=False, cap_bits=DEFAULT_CAP_BITS):
     """Materialize the whole (starred) span with one witness per element."""
     k, n = seq.k, len(seq)
+    # both counts are at least (k+1)^(N-1); past 2^64 that bound refuses
+    # before the exact count, an integer of N*log2(k+1) bits, is built
+    bound = (n - 1) * math.log2(k + 1)
+    if bound > 64 and bound > cap_bits:
+        raise EnumerationCapExceeded(
+            f"over 2^64 combinations need at least {bound:.1f} bits, cap is {cap_bits}"
+        )
     # each generator unused or at one of k exponents, less the k^N choices
     # with no exponent 0, or less the empty one when starred
     _check_listing((k + 1) ** n - (1 if starred else k**n), "combinations", cap_bits)

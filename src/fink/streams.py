@@ -24,8 +24,6 @@ The stream spec text format (one line, ``key=value`` tokens):
 Periodic bases with several templates separate the bodies with ``;``.
 """
 
-from __future__ import annotations
-
 from itertools import chain, islice, repeat
 
 from .blocks import Subblock

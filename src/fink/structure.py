@@ -15,11 +15,7 @@ that window check (ClaimViolation) would falsify the construction and
 abort loudly rather than being papered over.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-from .blocks import add, star, tetris
+from .blocks import Record, _setattr, add, star, tetris
 from .errors import (
     ClaimViolation,
     MinimalityViolation,
@@ -48,13 +44,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DecompositionGraph:
-    """Bipartite graph over the generator indices used by the two witnesses."""
+class DecompositionGraph(Record):
+    """Bipartite graph over the generator indices used by the two witnesses.
 
-    left: tuple
-    right: tuple
-    edges: tuple
+    ``left`` and ``right`` are tuples of the generator indices each witness
+    uses, and ``edges`` is the sorted tuple of (left index, right index)
+    pairs whose tetris images share support.
+    """
+
+    __slots__ = ("left", "right", "edges")
+
+    def __init__(self, left, right, edges):
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
+        _setattr(self, "edges", edges)
 
     def is_connected(self):
         if not self.left:
@@ -120,12 +123,17 @@ def is_intertwined(block, left_witness, right_witness, left, right):
     return decomposition_graph(block, left_witness, right_witness, left, right).is_connected()
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
-    """An intertwined common block plus the minimal prefix length used."""
+class ExtractionResult(Record):
+    """An intertwined common block plus the minimal prefix length used.
 
-    prefix_length: int
-    element: CommonElement
+    ``prefix_length`` is an int and ``element`` the CommonElement.
+    """
+
+    __slots__ = ("prefix_length", "element")
+
+    def __init__(self, prefix_length, element):
+        _setattr(self, "prefix_length", prefix_length)
+        _setattr(self, "element", element)
 
 
 def _suffix_split(witness, kept_indices):
@@ -237,21 +245,25 @@ def star_split(anchor, other, left, right):
     return below, above
 
 
-@dataclass(frozen=True)
-class SmallnessCertificate:
+class SmallnessCertificate(Record):
     """Outcome of the horizon emptiness probe behind the smallness criterion.
 
-    ``empty_at_horizon`` certifies that after dropping ``tail_index`` blocks
-    from the left stream, the two truncated spans share nothing below the
-    horizon; ``witness`` carries a common element when the verdict is
-    ``nonempty``, its left witness indexing the whole left truncation (every
-    index at least ``tail_index``).
+    ``verdict`` is the string ``empty_at_horizon`` or ``nonempty``.  The
+    first certifies that after dropping ``tail_index`` (an int) blocks
+    from the left stream, the two truncated spans share nothing below
+    ``horizon`` (an int); ``witness`` carries a CommonElement when the
+    verdict is ``nonempty`` and is None otherwise, its left witness
+    indexing the whole left truncation (every index at least
+    ``tail_index``).
     """
 
-    tail_index: int
-    horizon: int
-    verdict: str
-    witness: CommonElement | None = None
+    __slots__ = ("tail_index", "horizon", "verdict", "witness")
+
+    def __init__(self, tail_index, horizon, verdict, witness=None):
+        _setattr(self, "tail_index", tail_index)
+        _setattr(self, "horizon", horizon)
+        _setattr(self, "verdict", verdict)
+        _setattr(self, "witness", witness)
 
     def render(self):
         return f"small? n={self.tail_index} H={self.horizon} verdict={self.verdict}"
@@ -263,19 +275,31 @@ def _tail_certificate(left, right, tail_index, horizon):
     Supports strictly increase, so the left tail from block n on is
     ``left.blocks[n:]``, and witnesses are unique: the tail meets ``right``
     exactly when the sweep with left generators below n forced unused finds
-    a common element.  The witness is the one with the least left witness,
-    indexed over the whole of ``left``.  An empty verdict takes one plain
-    sweep; only a nonempty one adds a second, ordered by left witness,
-    whose forward pass keeps the least witness reaching each state.
-    Neither records its moves, so memory does not grow with the horizon.
+    a common element.  An empty verdict takes that one plain sweep; only a
+    nonempty one adds a second (``_nonempty_certificate``).  Neither
+    records its moves, so memory does not grow with the horizon.
     """
     if tail_index < 0:
         raise ValueError(f"tail index must be nonnegative, got {tail_index}")
-    head = dict.fromkeys(range(min(tail_index, len(left))), _UNUSED)
-    if not _Sweep(left, right, head).count:
+    if not _Sweep(left, right, _head_unused(left, tail_index)).count:
         return SmallnessCertificate(tail_index, horizon, "empty_at_horizon")
-    witness = _Sweep(left, right, head, order="witness").least
+    return _nonempty_certificate(left, right, tail_index, horizon)
+
+
+def _nonempty_certificate(left, right, tail_index, horizon):
+    """The certificate of a left tail known to meet ``right``.
+
+    Its witness is the common element with the least left witness, indexed
+    over the whole of ``left``, from one sweep ordered by left witness,
+    whose forward pass keeps the least witness reaching each state.
+    """
+    witness = _Sweep(left, right, _head_unused(left, tail_index), order="witness").least
     return SmallnessCertificate(tail_index, horizon, "nonempty", witness=witness)
+
+
+def _head_unused(left, tail_index):
+    """The sweep's ``force`` for the left generators below the tail index."""
+    return dict.fromkeys(range(min(tail_index, len(left))), _UNUSED)
 
 
 def smallness_check(left_stream, right_stream, tail_index, horizon):

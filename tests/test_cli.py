@@ -460,6 +460,25 @@ class TestLargeLevel:
         assert (code, out, err) == (0, "0:1000 <- 0^0 | 0^0\n", "")
 
 
+class TestHugeSpanCount:
+    """A span whose size is far past the cap is refused from the lower
+    bound (k+1)^(N-1), before its exact count, an integer of N*log2(k+1)
+    bits, is built."""
+
+    def test_refused_before_the_exact_count(self, capsys, tmp_path):
+        k = 10**100
+        target = tmp_path / "huge.seq"
+        target.write_text(f"k={k}\n" + "".join(f"{i}:{k}\n" for i in range(20000)))
+        start = time.process_time()
+        code, out, err = run(capsys, "span", "--seq", str(target))
+        spent = time.process_time() - start
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: EnumerationCapExceeded: ")
+        assert spent < 0.5
+
+
 class TestPlumbing:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "member", "--seq", "/no/such/file", "--block", "0:2")

@@ -105,13 +105,13 @@ class TestValidate:
         members = [make_builtin(name, 2) for name in ("example13_P", "example13_Q", "evens")]
         validate_family(members, tail_index=1, horizon=21)
         assert built == [(False, None)] * math.comb(3, 2)
-        # a failing pair adds only its certificate: a count and a sweep
+        # a failing pair adds only its certificate's witness: one sweep
         # ordered by left witness; no sweep records its moves
         p = make_builtin("example13_P", 2)
         built.clear()
         with pytest.raises(NotAlmostDisjoint) as info:
             validate_family([p, p], tail_index=1, horizon=21)
-        assert built == [(False, None), (False, None), (False, "witness")]
+        assert built == [(False, None), (False, "witness")]
         truncation = p.truncate(21)
         assert info.value.pair == (0, 1)
         assert info.value.certificate == _tail_certificate(truncation, truncation, 1, 21)

@@ -1,0 +1,184 @@
+"""The result records behave as immutable values, and importing fink stays light."""
+
+import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from fink import (
+    AlmostDisjointFamily,
+    Combination,
+    CommonElement,
+    DecompositionGraph,
+    DiagonalStep,
+    DiagonalTrace,
+    ExtractionResult,
+    HorizonValuation,
+    InvalidCombination,
+    SmallnessCertificate,
+    SpanEnumeration,
+    StabilityCheck,
+    Subblock,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+R = Subblock.from_pairs(2, [(0, 2)])
+C0 = Combination(((0, 0),))
+C1 = Combination(((0, 0), (2, 1)))
+CE = CommonElement(R, C0, C0)
+HV = HorizonValuation(3, 9, 2)
+SC = StabilityCheck(0, HV, HV)
+DS = DiagonalStep(1, 0, R, None, (SC,))
+
+# class, field names in order, sample values, and (field, another value)
+RECORDS = [
+    (Combination, ("terms", "starred"), (C1.terms, False), ("starred", True)),
+    (HorizonValuation, ("value", "horizon", "element_count"), (3, 9, 2), ("value", 4)),
+    (
+        SpanEnumeration,
+        ("elements", "includes_empty"),
+        (((R, C0),), False),
+        ("includes_empty", True),
+    ),
+    (
+        CommonElement,
+        ("block", "left_witness", "right_witness"),
+        (R, C0, C0),
+        ("right_witness", C1),
+    ),
+    (
+        DecompositionGraph,
+        ("left", "right", "edges"),
+        ((0,), (0, 1), ((0, 0),)),
+        ("edges", ((0, 0), (0, 1))),
+    ),
+    (ExtractionResult, ("prefix_length", "element"), (2, CE), ("prefix_length", 3)),
+    (
+        SmallnessCertificate,
+        ("tail_index", "horizon", "verdict", "witness"),
+        (1, 9, "nonempty", CE),
+        ("verdict", "empty_at_horizon"),
+    ),
+    (
+        AlmostDisjointFamily,
+        ("members", "k", "tail_index", "horizon", "bounds", "truncations"),
+        (("P", "Q"), 2, 1, 9, ((None, HV), (HV, None)), ((), ())),
+        ("horizon", 10),
+    ),
+    (
+        StabilityCheck,
+        ("member", "before", "after"),
+        (0, HV, HV),
+        ("after", HorizonValuation(None, 9, 0)),
+    ),
+    (
+        DiagonalStep,
+        ("index", "member", "block", "between_index", "checks"),
+        (1, 0, R, None, (SC,)),
+        ("between_index", 0),
+    ),
+    (DiagonalTrace, ("steps", "finals"), ((DS,), (HV,)), ("finals", ())),
+]
+IDS = [cls.__name__ for cls, *_ in RECORDS]
+
+
+@pytest.mark.parametrize("cls, names, values, change", RECORDS, ids=IDS)
+def test_construction_by_position_and_keyword(cls, names, values, change):
+    record = cls(*values)
+    assert record == cls(**dict(zip(names, values)))
+    for name, value in zip(names, values):
+        assert getattr(record, name) is value
+
+
+def test_defaults():
+    assert Combination(C0.terms).starred is False
+    assert Combination(C0.terms) == Combination(C0.terms, False)
+    certificate = SmallnessCertificate(0, 9, "empty_at_horizon")
+    assert certificate.witness is None
+    assert certificate == SmallnessCertificate(0, 9, "empty_at_horizon", None)
+
+
+@pytest.mark.parametrize("cls, names, values, change", RECORDS, ids=IDS)
+def test_equality_and_hash_are_by_value(cls, names, values, change):
+    record = cls(*values)
+    twin = cls(*values)
+    assert record == twin and not record != twin
+    assert hash(record) == hash(twin)
+    assert copy.copy(record) == record
+    field, other = change
+    differs = cls(**{**dict(zip(names, values)), field: other})
+    assert record != differs and not record == differs
+
+
+@pytest.mark.parametrize("index", range(len(RECORDS)), ids=IDS)
+def test_equality_across_classes_is_not_implemented(index):
+    cls, _, values, _ = RECORDS[index]
+    other_cls, _, other_values, _ = RECORDS[(index + 1) % len(RECORDS)]
+    record, other = cls(*values), other_cls(*other_values)
+    assert record.__eq__(other) is NotImplemented
+    assert record != other
+    assert record != tuple(values)
+
+
+@pytest.mark.parametrize("cls, names, values, change", RECORDS, ids=IDS)
+def test_repr_lists_fields_in_order(cls, names, values, change):
+    body = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+    assert repr(cls(*values)) == f"{cls.__name__}({body})"
+
+
+@pytest.mark.parametrize("cls, names, values, change", RECORDS, ids=IDS)
+def test_fields_cannot_be_set_or_deleted(cls, names, values, change):
+    record = cls(*values)
+    for name in (*names, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert record == cls(*values)
+
+
+@pytest.mark.parametrize(
+    "terms, starred, message",
+    [
+        (((1, 0), (0, 0)), False, "indices must strictly increase at (0, 0)"),
+        (((0, 0), (0, 1)), True, "indices must strictly increase at (0, 1)"),
+        (((0, -1),), True, "negative exponent at (0, -1)"),
+        ((), False, "an unstarred combination needs at least one term"),
+        (((0, 1), (1, 2)), False, "an unstarred combination needs minimal exponent 0"),
+    ],
+)
+def test_combination_validation_errors(terms, starred, message):
+    with pytest.raises(InvalidCombination) as caught:
+        Combination(terms, starred)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((None, 3, 1), "value is bottom exactly for the empty set"),
+        ((1, 3, 0), "value is bottom exactly for the empty set"),
+        ((4, 3, 1), "valuation 4 exceeds horizon 3"),
+    ],
+)
+def test_horizon_valuation_validation_errors(args, message):
+    with pytest.raises(ValueError) as caught:
+        HorizonValuation(*args)
+    assert str(caught.value) == message
+
+
+def test_import_loads_no_code_introspection_modules():
+    script = (
+        "import sys; bare = set(sys.modules); import fink, fink.cli; "
+        "print(' '.join(sorted(set(sys.modules) - bare)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "fink.cli" in out
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(out)

@@ -209,6 +209,22 @@ class TestEnumerate:
         with pytest.raises(EnumerationCapExceeded, match="^8 combinations need 3.0 bits"):
             enumerate_span(s, starred=True, cap_bits=2.99)
 
+    @pytest.mark.parametrize("starred", [False, True])
+    def test_huge_count_refused_from_its_lower_bound(self, starred):
+        # both counts are about 2^79.2; the bound (k+1)^(N-1) is 2^77.7
+        s = seq(2, *[f"{2 * i}:2" for i in range(50)])
+        with pytest.raises(
+            EnumerationCapExceeded,
+            match=r"^over 2\^64 combinations need at least 77\.7 bits, cap is 24\.0$",
+        ):
+            enumerate_span(s, starred=starred)
+        # a cap above the bound is judged on the exact count
+        with pytest.raises(
+            EnumerationCapExceeded,
+            match=r"^over 2\^64 combinations need 79\.2 bits, cap is 78\.0$",
+        ):
+            enumerate_span(s, starred=starred, cap_bits=78.0)
+
     def test_cap_that_is_not_a_number_refuses_every_listing(self):
         s = seq(2, "0:2", "1:2")
         with pytest.raises(EnumerationCapExceeded, match="^5 combinations need 2.3 bits"):

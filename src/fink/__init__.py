@@ -6,96 +6,61 @@ values, and spans collect the sums of tetris images.  The library offers
 exact span enumeration and membership with witnesses, lazy block streams,
 decomposition-graph analysis (intertwined extraction, star splitting),
 horizon smallness certificates, and a verified diagonalization engine.
-"""
 
-from .blocks import Subblock, add, peak, star, tetris
-from .errors import (
-    ClaimViolation,
-    EnumerationCapExceeded,
-    FinkError,
-    HorizonExhausted,
-    IndexOutOfRange,
-    InvalidCombination,
-    InvalidSequence,
-    MinimalityViolation,
-    MismatchedLevel,
-    NoIntersection,
-    NotABlock,
-    NotAlmostDisjoint,
-    NotIntertwined,
-    OverlappingSupport,
-    ParseError,
-    PastEnd,
-    WitnessMismatch,
-)
-from .span import (
-    DEFAULT_CAP_BITS,
-    BlockSequence,
-    Combination,
-    CommonElement,
-    HorizonValuation,
-    SpanEnumeration,
-    enumerate_span,
-    evaluate,
-    first_common_element,
-    intersect_spans,
-    membership_witness,
-    valuation,
-)
-from .streams import (
-    BUILTIN_NAMES,
-    BuiltinStream,
-    ExplicitStream,
-    PeriodicStream,
-    Stream,
-    make_builtin,
-    parse_stream_spec,
-)
-from .structure import (
-    DecompositionGraph,
-    ExtractionResult,
-    SmallnessCertificate,
-    decomposition_graph,
-    extract_intertwined,
-    settle_intertwined,
-    is_intertwined,
-    smallness_check,
-    star_split,
-)
-from .diagonal import (
-    AlmostDisjointFamily,
-    DiagonalStep,
-    DiagonalTrace,
-    StabilityCheck,
-    choose_next,
-    run_diagonalization,
-    validate_family,
-)
+``import fink`` loads no submodule: each public name, and each submodule
+name, loads its home module on first use (PEP 562), so a program, like
+each CLI command, compiles only the modules it runs.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # blocks
-    "Subblock", "tetris", "add", "star", "peak",
-    # span
-    "DEFAULT_CAP_BITS", "BlockSequence", "Combination", "CommonElement",
-    "HorizonValuation", "SpanEnumeration", "evaluate", "enumerate_span",
-    "membership_witness", "intersect_spans", "first_common_element", "valuation",
-    # streams
-    "Stream", "ExplicitStream", "PeriodicStream", "BuiltinStream",
-    "BUILTIN_NAMES", "make_builtin", "parse_stream_spec",
-    # structure
-    "DecompositionGraph", "decomposition_graph", "is_intertwined",
-    "ExtractionResult", "extract_intertwined", "settle_intertwined", "star_split",
-    "SmallnessCertificate", "smallness_check",
-    # diagonal
-    "AlmostDisjointFamily", "StabilityCheck", "DiagonalStep", "DiagonalTrace",
-    "validate_family", "choose_next", "run_diagonalization",
-    # errors
-    "FinkError", "MismatchedLevel", "OverlappingSupport", "NotABlock",
-    "InvalidSequence", "InvalidCombination", "IndexOutOfRange",
-    "EnumerationCapExceeded", "PastEnd", "WitnessMismatch", "NoIntersection",
-    "MinimalityViolation", "NotIntertwined", "ClaimViolation",
-    "HorizonExhausted", "NotAlmostDisjoint", "ParseError",
-]
+# home module -> the public names it defines, in ``__all__`` order
+_EXPORTS = {
+    "blocks": ("Subblock", "tetris", "add", "star", "peak"),
+    "span": (
+        "DEFAULT_CAP_BITS", "BlockSequence", "Combination", "CommonElement",
+        "HorizonValuation", "SpanEnumeration", "evaluate", "enumerate_span",
+        "membership_witness", "intersect_spans", "first_common_element", "valuation",
+    ),
+    "streams": (
+        "Stream", "ExplicitStream", "PeriodicStream", "BuiltinStream",
+        "BUILTIN_NAMES", "make_builtin", "parse_stream_spec",
+    ),
+    "structure": (
+        "DecompositionGraph", "decomposition_graph", "is_intertwined",
+        "ExtractionResult", "extract_intertwined", "settle_intertwined", "star_split",
+        "SmallnessCertificate", "smallness_check",
+    ),
+    "diagonal": (
+        "AlmostDisjointFamily", "StabilityCheck", "DiagonalStep", "DiagonalTrace",
+        "validate_family", "choose_next", "run_diagonalization",
+    ),
+    "errors": (
+        "FinkError", "MismatchedLevel", "OverlappingSupport", "NotABlock",
+        "InvalidSequence", "InvalidCombination", "IndexOutOfRange",
+        "EnumerationCapExceeded", "PastEnd", "WitnessMismatch", "NoIntersection",
+        "MinimalityViolation", "NotIntertwined", "ClaimViolation",
+        "HorizonExhausted", "NotAlmostDisjoint", "ParseError",
+    ),
+}
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_HOMES]
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name in _EXPORTS:
+        # importing a submodule binds it on the package
+        return import_module(f".{name}", __name__)
+    module = _HOMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_HOMES})

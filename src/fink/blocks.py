@@ -79,6 +79,8 @@ class Subblock:
     @classmethod
     def parse_body(cls, k, text):
         """Parse the part after the bar: ``0:2,3:1`` or ``-`` for empty."""
+        if k < 1:
+            raise ParseError(f"level must be positive, got {k}")
         body = text.strip()
         if body == "-":
             return cls._raw(k, ())
@@ -114,8 +116,6 @@ class Subblock:
             k = int(head[2:])
         except ValueError:
             raise ParseError(f"bad level in {head!r}") from None
-        if k < 1:
-            raise ParseError(f"level must be positive, got {k}")
         return cls.parse_body(k, body)
 
     # --- inspection ---------------------------------------------------

@@ -5,10 +5,11 @@ that is not a member, an empty intersection, a nonempty smallness probe,
 a disconnected decomposition graph), 1 for every error including usage
 mistakes.  All output is deterministic; ``--format json`` emits one JSON
 object per result line with fixed keys (documented in the README).
+``streams``, ``structure``, ``diagonal`` and ``json`` are imported by the
+handlers that use them, so one run loads only its command's modules.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -27,14 +28,6 @@ from .span import (
     parse_block_lines,
     valuation,
 )
-from .streams import BuiltinStream, ExplicitStream, parse_stream_spec
-from .structure import (
-    decomposition_graph,
-    extract_intertwined,
-    smallness_check,
-    star_split,
-)
-from .diagonal import run_diagonalization, validate_family
 
 OK = 0
 ERROR = 1
@@ -92,6 +85,8 @@ def _load_blocks(path, k_flag):
 
 def _load_stream(arg, k_flag):
     """A stream argument: inline spec, sequence file path, or builtin name."""
+    from .streams import BuiltinStream, ExplicitStream, parse_stream_spec
+
     if "=" in arg:
         stream = parse_stream_spec(arg, read_file=_read)
     elif os.path.exists(arg):
@@ -106,6 +101,8 @@ def _load_stream(arg, k_flag):
 
 
 def _print_json(obj):
+    import json
+
     print(json.dumps(obj))
 
 
@@ -200,11 +197,16 @@ def _common_element(body, left, right):
 
 
 def _cmd_graph(args):
+    from .structure import decomposition_graph
+
     left = _load_sequence(args.P, args.k)
     right = _load_sequence(args.Q, args.k)
     element = _common_element(args.block, left, right)
     if element is None:
-        print(json.dumps({"member": False}) if args.format == "json" else "no")
+        if args.format == "json":
+            _print_json({"member": False})
+        else:
+            print("no")
         return NEGATIVE
     graph = decomposition_graph(
         element.block, element.left_witness, element.right_witness, left, right
@@ -219,6 +221,8 @@ def _cmd_graph(args):
 
 
 def _cmd_intertwined(args):
+    from .structure import decomposition_graph
+
     left = _load_sequence(args.P, args.k)
     right = _load_sequence(args.Q, args.k)
     element = _common_element(args.block, left, right)
@@ -233,12 +237,17 @@ def _cmd_intertwined(args):
 
 
 def _cmd_extract(args):
+    from .structure import extract_intertwined
+
     left = _load_sequence(args.P, args.k)
     right = _load_sequence(args.Q, args.k)
     try:
         result = extract_intertwined(left, right)
     except NoIntersection:
-        print(json.dumps({"found": False}) if args.format == "json" else "none")
+        if args.format == "json":
+            _print_json({"found": False})
+        else:
+            print("none")
         return NEGATIVE
     element = result.element
     if args.format == "json":
@@ -258,12 +267,17 @@ def _cmd_extract(args):
 
 
 def _cmd_split(args):
+    from .structure import star_split
+
     left = _load_sequence(args.P, args.k)
     right = _load_sequence(args.Q, args.k)
     anchor = _common_element(args.anchor, left, right)
     other = _common_element(args.other, left, right)
     if anchor is None or other is None:
-        print(json.dumps({"member": False}) if args.format == "json" else "no")
+        if args.format == "json":
+            _print_json({"member": False})
+        else:
+            print("no")
         return NEGATIVE
     below, above = star_split(anchor, other, left, right)
     if args.format == "json":
@@ -274,6 +288,8 @@ def _cmd_split(args):
 
 
 def _cmd_small(args):
+    from .structure import smallness_check
+
     left = _load_stream(args.P, args.k)
     right = _load_stream(args.Q, args.k)
     if left.k != right.k:
@@ -293,6 +309,8 @@ def _cmd_small(args):
 
 
 def _cmd_diag(args):
+    from .diagonal import run_diagonalization, validate_family
+
     members = [_load_stream(arg, args.k) for arg in args.member]
     family = validate_family(members, args.n, args.horizon)
     trace = run_diagonalization(family, cycles=args.cycles)

@@ -535,6 +535,13 @@ def _chain_terms(chain):
     return terms
 
 
+def _walked_terms(chains):
+    """Both witnesses' terms, in index order, from the chains a forward
+    walk grew."""
+    left, right = chains
+    return tuple(reversed(_chain_terms(left))), tuple(reversed(_chain_terms(right)))
+
+
 def _reaching(blocks, stop, lo):
     """The least index from which every window of ``blocks[:stop]`` reaches
     ``lo``: windows end in order, so the walk back from ``stop`` ends at the
@@ -713,7 +720,9 @@ class _Sweep:
     with the windows that straddle that position already open on both
     sides (on the left, only a generator forced unused can straddle it).
     It takes the kept sweep's move table, so its set-up grows with the
-    positions it walks, not with the sequences.  The kept layer holds no
+    positions it walks, not with the sequences, and the kept sweep's last
+    rechecked peak element, which ``peak_element`` hands out again while
+    the peak path keeps its terms.  The kept layer holds no
     least prefixes, so ``order`` is not asked of a resumed sweep.
     """
 
@@ -738,6 +747,8 @@ class _Sweep:
         walked, layer = None, {_START: [1, -1, (None, None), -1, _START, _LEFT_MARK | _RIGHT_MARK]}
         k = self.k
         self._table = _move_table(k) if resume is None else resume._table
+        # the last rechecked peak element's (left terms, right terms) and itself
+        self._rechecked = None if resume is None else resume._rechecked
         if resume is not None:
             # the kept sweep's fresh mark names another generator
             walked, layer = resume._kept
@@ -812,7 +823,8 @@ class _Sweep:
             if order is not None:
                 # keys differ among accepting states: each is one element
                 table = least if order == "value" else ended
-                self.least = self._walked(min(table[held[4]] for held in accepting)[1])
+                chains = min(table[held[4]] for held in accepting)[1]
+                self.least = self._element(*_walked_terms(chains))
 
     def _element(self, left_terms, right_terms):
         blocks = self.left.blocks
@@ -822,13 +834,6 @@ class _Sweep:
         element = CommonElement(block, Combination(left_terms), Combination(right_terms))
         check_witness(self.right, element.right_witness, block)
         return element
-
-    def _walked(self, chains):
-        """The element whose witnesses a forward walk grew as ``chains``."""
-        left, right = chains
-        return self._element(
-            tuple(reversed(_chain_terms(left))), tuple(reversed(_chain_terms(right)))
-        )
 
     def elements(self):
         """Every common element, in no particular order.
@@ -854,13 +859,23 @@ class _Sweep:
         ]
 
     def peak_element(self):
-        """The recorded element attaining F, both witnesses re-evaluated."""
-        element = self._walked(self._peak_chains)
+        """The recorded element attaining F, both witnesses re-evaluated.
+
+        A resumed sweep whose peak path has the terms of the element its
+        kept sweep rechecked last, at the same peak, hands that element out
+        again: the terms name the same blocks in both sweeps.
+        """
+        terms = _walked_terms(self._peak_chains)
+        held = self._rechecked
+        if held is not None and held[0] == terms and peak(held[1].block) == self.peak:
+            return held[1]
+        element = self._element(*terms)
         check_witness(self.left, element.left_witness, element.block)
         if peak(element.block) != self.peak:
             raise WitnessMismatch(
                 f"element {element.block.render()} does not attain F={self.peak}"
             )
+        self._rechecked = terms, element
         return element
 
     def valuation(self, horizon):

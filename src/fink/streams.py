@@ -160,8 +160,8 @@ class BuiltinStream(Stream):
     def __init__(self, name, k):
         if name not in _BUILTINS:
             raise ParseError(f"unknown builtin stream {name!r}; known: {', '.join(BUILTIN_NAMES)}")
-        Subblock.from_pairs(k, ())  # rejects a bad level before it fills in K
         head, base, shift = _BUILTINS[name]
+        # every builtin has a base body, and ``parse_body`` refuses a level below 1
         head, base = (
             [Subblock.parse_body(k, body.replace("K", str(k))) for body in bodies]
             for bodies in (head, base)

@@ -99,6 +99,11 @@ class TestParseRender:
         with pytest.raises(ParseError):
             Subblock.parse("k=x|0:2")
 
+    @pytest.mark.parametrize("k, body", [(-1, "-"), (0, "0:1"), (0, "-")])
+    def test_nonpositive_level_is_named(self, k, body):
+        with pytest.raises(ParseError, match=f"^level must be positive, got {k}$"):
+            Subblock.parse_body(k, body)
+
     @pytest.mark.parametrize("body", ["-3:1", "0:2,-3:1"])
     def test_negative_position_is_named(self, body):
         with pytest.raises(ParseError, match="^negative position at '-3:1'$"):

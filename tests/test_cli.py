@@ -375,6 +375,20 @@ class TestSmall:
         assert row["horizon"] == 9
         assert row["witness_block"] == "0:2"
 
+    @pytest.mark.parametrize(
+        "argv, level",
+        [
+            (["--P", "evens", "--Q", "evens", "--k", "0"], 0),
+            (["--P", "kind=builtin name=evens k=0", "--Q", "evens"], 0),
+            (["--P", "kind=periodic k=-1 shift=2 base=-", "--Q", "evens"], -1),
+        ],
+        ids=["builtin-flag", "builtin-spec", "periodic-spec"],
+    )
+    def test_nonpositive_level_is_a_parse_error(self, capsys, argv, level):
+        code, out, err = run(capsys, "small", *argv, "--n", "0", "--horizon", "5")
+        assert (code, out) == (1, "")
+        assert err == f"error: ParseError: level must be positive, got {level}\n"
+
     def test_builtin_needs_k(self, capsys):
         code, _, err = run(
             capsys, "small", "--P", "example13_P", "--Q", "example13_Q",
@@ -396,6 +410,14 @@ class TestDiag:
             "step=1 q=k=2|3:2,4:1 J=1 checks=[0:0->0]\n"
             "step=2 q=k=2|8:2 J=3 checks=[0:0->0,1:3->3]\n"
         )
+
+    def test_nonpositive_level_is_a_parse_error(self, capsys):
+        code, out, err = run(
+            capsys, "diag", "--member", "example13_P", "--member", "evens",
+            "--k", "-3", "--horizon", "9",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: ParseError: level must be positive, got -3\n"
 
     def test_not_almost_disjoint(self, capsys):
         code, _, err = run(

@@ -32,6 +32,7 @@ from fink import (
     validate_family,
     valuation,
 )
+from fink import span
 from fink.span import _UNUSED, _Sweep
 from fink.structure import _tail_certificate
 
@@ -274,6 +275,47 @@ class TestRun:
         assert not any(forced for forced, _ in built)
         marked = [fresh for _, fresh in built if fresh is not None]
         assert marked == [step.index for step in trace.steps for _ in step.checks]
+
+    def test_a_rechecked_peak_element_is_handed_out_again(self, monkeypatch):
+        family = three_family()
+        expected = diagonalized_by_fresh_sweeps(family, 2)
+        built, asked = [], []
+        element, peak_element = _Sweep._element, _Sweep.peak_element
+
+        def building(self, *terms):
+            built.append(terms)
+            return element(self, *terms)
+
+        def asking(self):
+            asked.append(self)
+            return peak_element(self)
+
+        monkeypatch.setattr(_Sweep, "_element", building)
+        monkeypatch.setattr(_Sweep, "peak_element", asking)
+        trace = run_diagonalization(family, cycles=2)
+        assert (trace.render_lines(), trace.finals) == expected
+        assert 0 < len(built) < len(asked)
+
+    def test_a_changed_peak_element_is_rechecked(self, monkeypatch):
+        right = seq(2, "0:2", "3:2", "5:2")
+        kept = _Sweep(seq(2, "0:2"), right)
+        rechecked = kept.peak_element()
+        checked = []
+        check = span.check_witness
+
+        def checking(sequence, witness, block):
+            checked.append((sequence, block.render_body()))
+            check(sequence, witness, block)
+
+        monkeypatch.setattr(span, "check_witness", checking)
+        # position 1 is in no right generator: the peak element stays 0:2
+        same = _Sweep(seq(2, "0:2", "1:2"), right, resume=kept)
+        assert same.peak_element() is rechecked
+        assert checked == []
+        # the new block carries the peak to 3, in a new element
+        moved = _Sweep(seq(2, "0:2", "3:2"), right, resume=kept)
+        assert moved.valuation(9).value == 3
+        assert checked == [(right, "3:2"), (moved.left, "3:2")]
 
 
 # --- the derived smallness, stability and reference answers ----------------

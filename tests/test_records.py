@@ -1,6 +1,7 @@
 """The result records behave as immutable values, and importing fink stays light."""
 
 import copy
+import importlib
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import fink
 from fink import (
     AlmostDisjointFamily,
     Combination,
@@ -171,14 +173,48 @@ def test_horizon_valuation_validation_errors(args, message):
     assert str(caught.value) == message
 
 
+# (script, modules it must load, modules it must not load)
+IMPORTS = [
+    ("import fink, fink.cli", {"fink.cli"}, {"dataclasses", "inspect", "ast", "dis", "tokenize"}),
+    # every submodule waits for its first use
+    ("import fink", {"fink"}, None),
+    (
+        "import fink.cli",
+        {"fink.cli"},
+        {"fink.streams", "fink.structure", "fink.diagonal", "json"},
+    ),
+]
+
+
 def test_import_loads_no_code_introspection_modules():
-    script = (
-        "import sys; bare = set(sys.modules); import fink, fink.cli; "
-        "print(' '.join(sorted(set(sys.modules) - bare)))"
-    )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
-    assert "fink.cli" in out
-    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(out)
+    for statement, loaded, unloaded in IMPORTS:
+        script = (
+            f"import sys; bare = set(sys.modules); {statement}; "
+            "print(' '.join(sorted(set(sys.modules) - bare)))"
+        )
+        out = set(subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout.split())
+        if unloaded is None:
+            assert out == loaded, statement
+        else:
+            assert loaded <= out and not unloaded & out, (statement, out)
+
+
+SUBMODULES = ("blocks", "errors", "span", "streams", "structure", "diagonal")
+
+
+def test_lazy_names_resolve_to_their_home_objects():
+    homes = {name: importlib.import_module(f"fink.{name}") for name in SUBMODULES}
+    assert "__version__" in vars(fink)
+    for name in fink.__all__:
+        if name == "__version__":
+            continue
+        owners = [module for module in homes.values() if name in vars(module)]
+        assert owners and all(getattr(fink, name) is vars(m)[name] for m in owners), name
+    for name, module in homes.items():
+        assert getattr(fink, name) is module
+    assert set(fink.__all__) | set(SUBMODULES) <= set(dir(fink))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        fink.no_such_name

@@ -40,6 +40,12 @@ class TestBuiltins:
         with pytest.raises(ParseError):
             make_builtin("nope", 2)
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_nonpositive_level_is_named(self, k):
+        for name in BUILTIN_NAMES:
+            with pytest.raises(ParseError, match=f"^level must be positive, got {k}$"):
+                make_builtin(name, k)
+
     def test_interlocked_singletons(self):
         p = make_builtin("example13_P", 2)
         assert p.block(0) == blk(2, [(0, 2)])

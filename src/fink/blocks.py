@@ -10,7 +10,8 @@ size of the support, whatever its positions.
 The text format for a subblock is ``k=<K>|<pos>:<val>,...`` with positions
 strictly increasing and values in 1..K; the empty subblock is ``k=<K>|-``.
 ``parse_body`` handles the part after the bar when the level is known from
-context (sequence files, CLI flags).
+context (sequence files, CLI flags).  Every integer in fink's text formats
+is read by ``parse_int``: an optional ``-`` and ASCII digits.
 """
 
 from bisect import bisect_left
@@ -24,6 +25,17 @@ from .errors import (
 )
 
 __all__ = ["Subblock", "tetris", "add", "star", "peak"]
+
+
+def parse_int(text):
+    """An optional ``-`` and ASCII digits, after ``strip()``; ValueError
+    otherwise.  Bare ``int()`` would also take ``+2``, ``1_0`` and
+    non-ASCII digits."""
+    text = text.strip()
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
 
 
 def _canonical_pairs(k, pairs):
@@ -92,7 +104,7 @@ class Subblock:
                 raise ParseError(f"expected <pos>:<val>, got {piece!r}")
             left, _, right = piece.partition(":")
             try:
-                pos, val = int(left), int(right)
+                pos, val = parse_int(left), parse_int(right)
             except ValueError:
                 raise ParseError(f"non-integer entry {piece!r}") from None
             if pos < 0:
@@ -113,7 +125,7 @@ class Subblock:
         if not bar or not head.startswith("k="):
             raise ParseError(f"expected k=<K>|<body>, got {stripped!r}")
         try:
-            k = int(head[2:])
+            k = parse_int(head[2:])
         except ValueError:
             raise ParseError(f"bad level in {head!r}") from None
         return cls.parse_body(k, body)

@@ -3,10 +3,16 @@
 Exit codes: 0 for success, 2 for a negative mathematical result (a block
 that is not a member, an empty intersection, a nonempty smallness probe,
 a disconnected decomposition graph), 1 for every error including usage
-mistakes.  All output is deterministic; ``--format json`` emits one JSON
-object per result line with fixed keys (documented in the README).
+mistakes.  All output is deterministic.
+
+Each handler returns its exit code and its result rows.  A row is a JSON
+object and the text line that says the same; listings yield their rows
+lazily.  ``main`` writes the rows once, one per line, as JSON under
+``--format json`` (keys documented in the README) and as text otherwise.
+It writes them inside the ``try`` that turns every error, a closed stdout
+included, into one ``error:`` line on stderr.
 ``streams``, ``structure``, ``diagonal`` and ``json`` are imported by the
-handlers that use them, so one run loads only its command's modules.
+code that uses them, so one run loads only its command's modules.
 """
 
 import argparse
@@ -14,7 +20,7 @@ import math
 import os
 import sys
 
-from .blocks import Subblock, peak
+from .blocks import Subblock, parse_int, peak
 from .errors import FinkError, MismatchedLevel, NoIntersection, ParseError
 from .span import (
     DEFAULT_CAP_BITS,
@@ -47,11 +53,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _number(kind, lower=-math.inf):
-    """An argparse type: a finite ``kind`` value no smaller than ``lower``."""
+    """An argparse type: a finite ``kind`` value no smaller than ``lower``.
+    An int is read by ``parse_int``, as every integer in an input file is."""
+    read = parse_int if kind is int else kind
 
     def parse(text):
         try:
-            value = kind(text)
+            value = read(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
         if value != value or value in (math.inf, -math.inf):
@@ -75,12 +83,16 @@ def _load_sequence(path, k_flag):
     return seq
 
 
+def _load_pair(args):
+    return _load_sequence(args.P, args.k), _load_sequence(args.Q, args.k)
+
+
 def _load_blocks(path, k_flag):
     """A block-set file: same format as a sequence file, ordering not required."""
     k, blocks = parse_block_lines(_read(path))
     if k_flag is not None and k_flag != k:
         raise MismatchedLevel(f"--k {k_flag} but {path} declares k={k}")
-    return k, blocks
+    return blocks
 
 
 def _load_stream(arg, k_flag):
@@ -100,93 +112,6 @@ def _load_stream(arg, k_flag):
     return stream
 
 
-def _print_json(obj):
-    import json
-
-    print(json.dumps(obj))
-
-
-# --- subcommand handlers ------------------------------------------------
-
-
-def _cmd_eval(args):
-    seq = _load_sequence(args.seq, args.k)
-    comb = Combination.parse(args.comb, starred=args.starred)
-    result = evaluate(seq, comb)
-    if args.format == "json":
-        _print_json({"block": result.render_body()})
-    else:
-        print(result.render_body())
-    return OK
-
-
-def _cmd_member(args):
-    seq = _load_sequence(args.seq, args.k)
-    t = Subblock.parse_body(seq.k, args.block)
-    witness = membership_witness(t, seq, starred=args.starred)
-    if args.format == "json":
-        _print_json(
-            {"member": witness is not None,
-             "witness": witness.render() if witness else None}
-        )
-    elif witness is not None:
-        print(f"yes {witness.render()}")
-    else:
-        print("no")
-    return OK if witness is not None else NEGATIVE
-
-
-def _cmd_span(args):
-    seq = _load_sequence(args.seq, args.k)
-    enum = enumerate_span(seq, starred=args.starred, cap_bits=args.cap)
-    if args.format == "json":
-        for block, witness in enum:
-            _print_json({"block": block.render_body(), "witness": witness.render()})
-        if enum.includes_empty:
-            _print_json({"block": "-", "witness": None})
-    else:
-        for block, witness in enum:
-            print(f"{block.render_body()} <- {witness.render()}")
-        if enum.includes_empty:
-            print("- <- -")
-    return OK
-
-
-def _cmd_intersect(args):
-    left = _load_sequence(args.P, args.k)
-    right = _load_sequence(args.Q, args.k)
-    common = intersect_spans(left, right, cap_bits=args.cap)
-    for ce in common:
-        if args.format == "json":
-            _print_json(
-                {"block": ce.block.render_body(),
-                 "left_witness": ce.left_witness.render(),
-                 "right_witness": ce.right_witness.render()}
-            )
-        else:
-            print(
-                f"{ce.block.render_body()} <- {ce.left_witness.render()}"
-                f" | {ce.right_witness.render()}"
-            )
-    return OK if common else NEGATIVE
-
-
-def _cmd_valuation(args):
-    _, blocks = _load_blocks(args.blocks, args.k)
-    for b in blocks:
-        peak(b)  # NotABlock for entries that never attain k
-    result = valuation(blocks, horizon=args.horizon)
-    if args.format == "json":
-        _print_json(
-            {"value": result.value,
-             "count": result.element_count,
-             "horizon": result.horizon}
-        )
-    else:
-        print(result.render())
-    return OK
-
-
 def _common_element(body, left, right):
     t = Subblock.parse_body(left.k, body)
     lw = membership_witness(t, left)
@@ -196,95 +121,119 @@ def _common_element(body, left, right):
     return CommonElement(t, lw, rw)
 
 
-def _cmd_graph(args):
+def _graph(args):
+    """The decomposition graph of ``--block`` over ``--P`` and ``--Q``, or
+    None when the block is not in both spans."""
     from .structure import decomposition_graph
 
-    left = _load_sequence(args.P, args.k)
-    right = _load_sequence(args.Q, args.k)
+    left, right = _load_pair(args)
     element = _common_element(args.block, left, right)
     if element is None:
-        if args.format == "json":
-            _print_json({"member": False})
-        else:
-            print("no")
-        return NEGATIVE
-    graph = decomposition_graph(
+        return None
+    return decomposition_graph(
         element.block, element.left_witness, element.right_witness, left, right
     )
-    if args.format == "json":
-        for i, j in graph.edges:
-            _print_json({"left": i, "right": j})
-    else:
-        for line in graph.render_lines():
-            print(line)
-    return OK
+
+
+# --- subcommand handlers ------------------------------------------------
+# Each returns (exit code, rows); a row is (JSON object, text line).
+
+_NOT_COMMON = (({"member": False}, "no"),)
+
+
+def _cmd_eval(args):
+    seq = _load_sequence(args.seq, args.k)
+    body = evaluate(seq, Combination.parse(args.comb, starred=args.starred)).render_body()
+    return OK, [({"block": body}, body)]
+
+
+def _cmd_member(args):
+    seq = _load_sequence(args.seq, args.k)
+    t = Subblock.parse_body(seq.k, args.block)
+    witness = membership_witness(t, seq, starred=args.starred)
+    if witness is None:
+        return NEGATIVE, [({"member": False, "witness": None}, "no")]
+    text = witness.render()
+    return OK, [({"member": True, "witness": text}, f"yes {text}")]
+
+
+def _span_rows(enum):
+    for block, witness in enum:
+        body, text = block.render_body(), witness.render()
+        yield {"block": body, "witness": text}, f"{body} <- {text}"
+    if enum.includes_empty:
+        yield {"block": "-", "witness": None}, "- <- -"
+
+
+def _cmd_span(args):
+    seq = _load_sequence(args.seq, args.k)
+    return OK, _span_rows(enumerate_span(seq, starred=args.starred, cap_bits=args.cap))
+
+
+def _rendered(ce):
+    """A common element's block body and its two witnesses, as text."""
+    return ce.block.render_body(), ce.left_witness.render(), ce.right_witness.render()
+
+
+def _intersect_rows(common):
+    for body, lw, rw in map(_rendered, common):
+        yield {"block": body, "left_witness": lw, "right_witness": rw}, f"{body} <- {lw} | {rw}"
+
+
+def _cmd_intersect(args):
+    common = intersect_spans(*_load_pair(args), cap_bits=args.cap)
+    return (OK if common else NEGATIVE), _intersect_rows(common)
+
+
+def _cmd_valuation(args):
+    blocks = _load_blocks(args.blocks, args.k)
+    for b in blocks:
+        peak(b)  # NotABlock for entries that never attain k
+    result = valuation(blocks, horizon=args.horizon)
+    row = {"value": result.value, "count": result.element_count, "horizon": result.horizon}
+    return OK, [(row, result.render())]
+
+
+def _cmd_graph(args):
+    graph = _graph(args)
+    if graph is None:
+        return NEGATIVE, _NOT_COMMON
+    lines = graph.render_lines()
+    return OK, [({"left": i, "right": j}, line) for (i, j), line in zip(graph.edges, lines)]
 
 
 def _cmd_intertwined(args):
-    from .structure import decomposition_graph
-
-    left = _load_sequence(args.P, args.k)
-    right = _load_sequence(args.Q, args.k)
-    element = _common_element(args.block, left, right)
-    connected = element is not None and decomposition_graph(
-        element.block, element.left_witness, element.right_witness, left, right
-    ).is_connected()
-    if args.format == "json":
-        _print_json({"intertwined": connected})
-    else:
-        print("yes" if connected else "no")
-    return OK if connected else NEGATIVE
+    graph = _graph(args)
+    connected = graph is not None and graph.is_connected()
+    row = ({"intertwined": connected}, "yes" if connected else "no")
+    return (OK if connected else NEGATIVE), [row]
 
 
 def _cmd_extract(args):
     from .structure import extract_intertwined
 
-    left = _load_sequence(args.P, args.k)
-    right = _load_sequence(args.Q, args.k)
+    left, right = _load_pair(args)
     try:
         result = extract_intertwined(left, right)
     except NoIntersection:
-        if args.format == "json":
-            _print_json({"found": False})
-        else:
-            print("none")
-        return NEGATIVE
-    element = result.element
-    if args.format == "json":
-        _print_json(
-            {"found": True,
-             "prefix_length": result.prefix_length,
-             "block": element.block.render_body(),
-             "left_witness": element.left_witness.render(),
-             "right_witness": element.right_witness.render()}
-        )
-    else:
-        print(
-            f"N={result.prefix_length} block={element.block.render_body()}"
-            f" P=[{element.left_witness.render()}] Q=[{element.right_witness.render()}]"
-        )
-    return OK
+        return NEGATIVE, [({"found": False}, "none")]
+    n = result.prefix_length
+    body, lw, rw = _rendered(result.element)
+    row = {"found": True, "prefix_length": n, "block": body, "left_witness": lw,
+           "right_witness": rw}
+    return OK, [(row, f"N={n} block={body} P=[{lw}] Q=[{rw}]")]
 
 
 def _cmd_split(args):
     from .structure import star_split
 
-    left = _load_sequence(args.P, args.k)
-    right = _load_sequence(args.Q, args.k)
+    left, right = _load_pair(args)
     anchor = _common_element(args.anchor, left, right)
     other = _common_element(args.other, left, right)
     if anchor is None or other is None:
-        if args.format == "json":
-            _print_json({"member": False})
-        else:
-            print("no")
-        return NEGATIVE
-    below, above = star_split(anchor, other, left, right)
-    if args.format == "json":
-        _print_json({"below": below.render_body(), "above": above.render_body()})
-    else:
-        print(f"s={below.render_body()} r={above.render_body()}")
-    return OK
+        return NEGATIVE, _NOT_COMMON
+    below, above = (part.render_body() for part in star_split(anchor, other, left, right))
+    return OK, [({"below": below, "above": above}, f"s={below} r={above}")]
 
 
 def _cmd_small(args):
@@ -295,17 +244,12 @@ def _cmd_small(args):
     if left.k != right.k:
         raise MismatchedLevel(f"stream levels {left.k} and {right.k}")
     certificate = smallness_check(left, right, args.n, args.horizon)
-    if args.format == "json":
-        witness = certificate.witness
-        _print_json(
-            {"tail_index": certificate.tail_index,
-             "horizon": certificate.horizon,
-             "verdict": certificate.verdict,
-             "witness_block": witness.block.render_body() if witness else None}
-        )
-    else:
-        print(certificate.verdict)
-    return OK if certificate.verdict == "empty_at_horizon" else NEGATIVE
+    witness = certificate.witness
+    row = {"tail_index": certificate.tail_index, "horizon": certificate.horizon,
+           "verdict": certificate.verdict,
+           "witness_block": witness.block.render_body() if witness else None}
+    code = OK if certificate.verdict == "empty_at_horizon" else NEGATIVE
+    return code, [(row, certificate.verdict)]
 
 
 def _cmd_diag(args):
@@ -314,23 +258,13 @@ def _cmd_diag(args):
     members = [_load_stream(arg, args.k) for arg in args.member]
     family = validate_family(members, args.n, args.horizon)
     trace = run_diagonalization(family, cycles=args.cycles)
-    if args.format == "json":
-        for step in trace.steps:
-            _print_json(
-                {"step": step.index,
-                 "q": step.block.render(),
-                 "between_index": step.between_index,
-                 "checks": [
-                     {"member": check.member,
-                      "before": check.before.value,
-                      "after": check.after.value}
-                     for check in step.checks
-                 ]}
-            )
-    else:
-        for line in trace.render_lines():
-            print(line)
-    return OK
+    return OK, [
+        ({"step": step.index, "q": step.block.render(), "between_index": step.between_index,
+          "checks": [{"member": c.member, "before": c.before.value, "after": c.after.value}
+                     for c in step.checks]},
+         step.render())
+        for step in trace.steps
+    ]
 
 
 # --- parser -------------------------------------------------------------
@@ -339,10 +273,15 @@ def _cmd_diag(args):
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--k", type=int, default=None, help="level; checked against inputs")
+    common.add_argument("--k", type=_number(int), default=None,
+                        help="level; checked against inputs")
     capped = argparse.ArgumentParser(add_help=False, parents=[common])
     capped.add_argument("--cap", type=_number(float), default=DEFAULT_CAP_BITS,
                         help="listing cap in bits: at most 2^BITS listed combinations")
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--P", required=True)
+    pair.add_argument("--Q", required=True)
+    with_pair = [common, pair]
 
     parser = _Parser(prog="fink", description="FIN_k block algebra and span computations")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
@@ -364,9 +303,7 @@ def _build_parser():
     p.add_argument("--starred", action="store_true")
     p.set_defaults(handler=_cmd_span)
 
-    p = sub.add_parser("intersect", parents=[capped], help="intersect two spans")
-    p.add_argument("--P", required=True)
-    p.add_argument("--Q", required=True)
+    p = sub.add_parser("intersect", parents=[capped, pair], help="intersect two spans")
     p.set_defaults(handler=_cmd_intersect)
 
     p = sub.add_parser("valuation", parents=[common], help="valuation F of a block set")
@@ -374,26 +311,18 @@ def _build_parser():
     p.add_argument("--horizon", type=_number(int, 0), default=None)
     p.set_defaults(handler=_cmd_valuation)
 
-    p = sub.add_parser("graph", parents=[common], help="decomposition graph of a common block")
-    p.add_argument("--P", required=True)
-    p.add_argument("--Q", required=True)
+    p = sub.add_parser("graph", parents=with_pair, help="decomposition graph of a common block")
     p.add_argument("--block", required=True)
     p.set_defaults(handler=_cmd_graph)
 
-    p = sub.add_parser("intertwined", parents=[common], help="is the common block intertwined?")
-    p.add_argument("--P", required=True)
-    p.add_argument("--Q", required=True)
+    p = sub.add_parser("intertwined", parents=with_pair, help="is the common block intertwined?")
     p.add_argument("--block", required=True)
     p.set_defaults(handler=_cmd_intertwined)
 
-    p = sub.add_parser("extract", parents=[common], help="extract an intertwined common block")
-    p.add_argument("--P", required=True)
-    p.add_argument("--Q", required=True)
+    p = sub.add_parser("extract", parents=with_pair, help="extract an intertwined common block")
     p.set_defaults(handler=_cmd_extract)
 
-    p = sub.add_parser("split", parents=[common], help="star-split around an intertwined anchor")
-    p.add_argument("--P", required=True)
-    p.add_argument("--Q", required=True)
+    p = sub.add_parser("split", parents=with_pair, help="star-split around an intertwined anchor")
     p.add_argument("--anchor", required=True, help="intertwined common block body")
     p.add_argument("--other", required=True, help="common block body to star against")
     p.set_defaults(handler=_cmd_split)
@@ -430,7 +359,17 @@ def main(argv=None):
         parser.print_help(sys.stderr)
         return ERROR
     try:
-        return args.handler(args)
+        code, rows = args.handler(args)
+        if args.format == "json":
+            import json
+
+            lines = (json.dumps(obj) for obj, _ in rows)
+        else:
+            lines = (line for _, line in rows)
+        write = sys.stdout.write
+        for line in lines:
+            write(line + "\n")
+        return code
     except (FinkError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return ERROR

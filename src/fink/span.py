@@ -20,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from functools import cached_property
 from operator import attrgetter, itemgetter
 
-from .blocks import Record, Subblock, _setattr, add, peak, tetris
+from .blocks import Record, Subblock, _setattr, add, parse_int, peak, tetris
 from .errors import (
     EnumerationCapExceeded,
     HorizonExhausted,
@@ -124,11 +124,6 @@ class BlockSequence:
         block body per line.  Blank lines and ``#`` comments are skipped."""
         return cls(*parse_block_lines(text))
 
-    def render_file(self):
-        lines = [f"k={self.k}"]
-        lines.extend(b.render_body() for b in self.blocks)
-        return "\n".join(lines) + "\n"
-
 
 class Combination(Record):
     """A formal sum ``sum_l T^{j_l}(p_{n_l})`` over a block sequence.
@@ -189,7 +184,7 @@ class Combination(Record):
                 raise ParseError(f"expected <index>^<exponent>, got {piece!r}")
             left, _, right = piece.partition("^")
             try:
-                terms.append((int(left), int(right)))
+                terms.append((parse_int(left), parse_int(right)))
             except ValueError:
                 raise ParseError(f"non-integer entry {piece!r}") from None
         try:
@@ -219,10 +214,6 @@ class HorizonValuation(Record):
             raise ValueError("value is bottom exactly for the empty set")
         if value is not None and value > horizon:
             raise ValueError(f"valuation {value} exceeds horizon {horizon}")
-
-    @property
-    def is_bottom(self):
-        return self.value is None
 
     def render_value(self):
         return "bottom" if self.value is None else str(self.value)
@@ -286,7 +277,7 @@ def parse_block_lines(text):
             if not line.startswith("k="):
                 raise ParseError("expected k=<K> header", line=lineno)
             try:
-                k = int(line[2:])
+                k = parse_int(line[2:])
             except ValueError:
                 raise ParseError(f"bad level {line!r}", line=lineno) from None
             if k < 1:

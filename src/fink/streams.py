@@ -26,7 +26,7 @@ Periodic bases with several templates separate the bodies with ``;``.
 
 from itertools import chain, islice, repeat
 
-from .blocks import Subblock
+from .blocks import Subblock, parse_int
 from .errors import EnumerationCapExceeded, InvalidSequence, ParseError, PastEnd
 from .span import BlockSequence
 
@@ -198,7 +198,7 @@ def _require(tokens, key):
 def _int_token(tokens, key):
     raw = _require(tokens, key)
     try:
-        return int(raw)
+        return parse_int(raw)
     except ValueError:
         raise ParseError(f"{key}= must be an integer, got {raw!r}") from None
 

@@ -267,7 +267,7 @@ def test_criterion_7_valuation_union_law():
             if expected:
                 assert got.value == max(expected)
             else:
-                assert got.is_bottom
+                assert got.value is None
             # the empty set is neutral on either side of a union
             assert valuation(union + []).value == got.value
             assert valuation([] + union).value == got.value

@@ -20,6 +20,7 @@ from fink import (
     star,
     tetris,
 )
+from fink.blocks import parse_int
 
 
 def blk(k, pairs):
@@ -98,6 +99,26 @@ class TestParseRender:
             Subblock.parse("0:2,1:1")  # missing level header
         with pytest.raises(ParseError):
             Subblock.parse("k=x|0:2")
+
+    @pytest.mark.parametrize("text, value", [("0", 0), (" -12 ", -12), ("007", 7)])
+    def test_parse_int_reads_plain_integers(self, text, value):
+        assert parse_int(text) == value
+
+    @pytest.mark.parametrize(
+        "text", ["", "-", "+2", "1_0", "\u0663", "\u00b2", "1.0", "- 1", "--1", "0x1"]
+    )
+    def test_parse_int_refuses_what_int_would_stretch_to(self, text):
+        with pytest.raises(ValueError):
+            parse_int(text)
+
+    @pytest.mark.parametrize("text", ["1_0", "+2", "\u0663"])
+    def test_literal_level_and_body_use_the_plain_grammar(self, text):
+        with pytest.raises(ParseError, match="^bad level in "):
+            Subblock.parse(f"k={text}|0:2")
+        with pytest.raises(ParseError, match="^non-integer entry "):
+            Subblock.parse(f"k=2|{text}:2")
+        with pytest.raises(ParseError, match="^non-integer entry "):
+            Subblock.parse_body(2, f"0:{text}")
 
     @pytest.mark.parametrize("k, body", [(-1, "-"), (0, "0:1"), (0, "-")])
     def test_nonpositive_level_is_named(self, k, body):

@@ -637,6 +637,187 @@ class TestPlumbing:
         assert first == second
 
 
+
+# Three cases per subcommand: a positive answer (exit 0), a negative one
+# (exit 2, for the subcommands that have one) and an error (exit 1).
+# File names are keys of the ``files`` fixture.
+FORMAT_CASES = {
+    "eval": [
+        (0, ["eval", "--seq", "P.seq", "--comb", "0^0 + 1^1 + 2^1"]),
+        (1, ["eval", "--seq", "P.seq", "--comb", "0^1"]),
+    ],
+    "member": [
+        (0, ["member", "--seq", "P.seq", "--block", "0:2,1:1,3:1"]),
+        (2, ["member", "--seq", "P.seq", "--block", "1:1"]),
+        (1, ["member", "--seq", "P.seq", "--block", "0:x"]),
+    ],
+    "span": [
+        (0, ["span", "--seq", "P3.seq", "--starred"]),
+        (1, ["span", "--seq", "P.seq", "--cap", "1"]),
+    ],
+    "intersect": [
+        (0, ["intersect", "--P", "P3.seq", "--Q", "Q.seq"]),
+        (2, ["intersect", "--P", "single.seq", "--Q", "late.seq"]),
+        (1, ["intersect", "--P", "P3.seq", "--Q", "blocks.txt"]),
+    ],
+    "valuation": [
+        (0, ["valuation", "--blocks", "blocks.txt", "--horizon", "4"]),
+        (1, ["valuation", "--blocks", "notblocks.txt"]),
+    ],
+    "graph": [
+        (0, ["graph", "--P", "P3.seq", "--Q", "Q.seq", "--block", "0:2,1:1,3:1"]),
+        (2, ["graph", "--P", "P3.seq", "--Q", "Q.seq", "--block", "1:2"]),
+        (1, ["graph", "--P", "P3.seq", "--Q", "Q.seq", "--block", "0:2,0:1"]),
+    ],
+    "intertwined": [
+        (0, ["intertwined", "--P", "P3.seq", "--Q", "Q.seq", "--block", "0:2"]),
+        (2, ["intertwined", "--P", "P3.seq", "--Q", "Q.seq", "--block", "0:2,1:1"]),
+        (1, ["intertwined", "--k", "3", "--P", "P3.seq", "--Q", "Q.seq", "--block", "0:2"]),
+    ],
+    "extract": [
+        (0, ["extract", "--P", "P3.seq", "--Q", "Q.seq"]),
+        (2, ["extract", "--P", "single.seq", "--Q", "late.seq"]),
+        (1, ["extract", "--P", "P3.seq", "--Q", "missing.seq"]),
+    ],
+    "split": [
+        (0, ["split", "--P", "P3.seq", "--Q", "Q.seq", "--anchor", "0:2",
+             "--other", "0:2,1:1,3:1"]),
+        (2, ["split", "--P", "P3.seq", "--Q", "Q.seq", "--anchor", "1:2", "--other", "0:2"]),
+        (1, ["split", "--P", "P3.seq", "--Q", "Q.seq", "--anchor", "0:2,1:1",
+             "--other", "0:2"]),
+    ],
+    "small": [
+        (0, ["small", "--P", "example13_P", "--Q", "example13_Q", "--k", "2",
+             "--n", "1", "--horizon", "9"]),
+        (2, ["small", "--P", "example13_P", "--Q", "example13_Q", "--k", "2",
+             "--n", "0", "--horizon", "9"]),
+        (1, ["small", "--P", "example13_P", "--Q", "example13_Q",
+             "--n", "1", "--horizon", "9"]),
+    ],
+    "diag": [
+        (0, ["diag", "--member", "example13_P", "--member", "example13_Q",
+             "--member", "evens", "--k", "2", "--horizon", "40", "--cycles", "2"]),
+        (1, ["diag", "--member", "example13_P", "--member", "example13_P",
+             "--k", "2", "--horizon", "9"]),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "code, argv",
+    [case for cases in FORMAT_CASES.values() for case in cases],
+    ids=[f"{name}-{code}" for name, cases in FORMAT_CASES.items() for code, _ in cases],
+)
+def test_text_and_json_modes_agree(capsys, files, code, argv):
+    argv = [files.get(arg, arg) for arg in argv]
+    text = run(capsys, *argv)
+    as_json = run(capsys, *argv, "--format", "json")
+    assert text[0] == as_json[0] == code
+    assert text[2] == as_json[2]
+    assert (text[2] == "") == (code != 1)
+    assert len(text[1].splitlines()) == len(as_json[1].splitlines())
+    assert (text[1] == "") == (code == 1 or argv[0] == "intersect" and code == 2)
+    for line in as_json[1].splitlines():
+        json.loads(line)
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (["eval", "--seq", "P.seq", "--comb", "0^0 + 1^1 + 2^1"], 0,
+         '{"block": "0:2,1:1,3:1"}\n'),
+        (["span", "--seq", "P2.seq", "--starred"], 0,
+         '{"block": "0:2", "witness": "0^0"}\n'
+         '{"block": "0:1", "witness": "0^1"}\n'
+         '{"block": "0:2,1:2", "witness": "0^0 + 1^0"}\n'
+         '{"block": "0:2,1:1", "witness": "0^0 + 1^1"}\n'
+         '{"block": "0:1,1:2", "witness": "0^1 + 1^0"}\n'
+         '{"block": "0:1,1:1", "witness": "0^1 + 1^1"}\n'
+         '{"block": "1:2", "witness": "1^0"}\n'
+         '{"block": "1:1", "witness": "1^1"}\n'
+         '{"block": "-", "witness": null}\n'),
+        (["graph", "--P", "P3.seq", "--Q", "Q.seq", "--block", "0:2,1:1"], 0,
+         '{"left": 0, "right": 0}\n{"left": 1, "right": 1}\n'),
+        (["graph", "--P", "P3.seq", "--Q", "Q.seq", "--block", "1:2"], 2,
+         '{"member": false}\n'),
+        (["intertwined", "--P", "P3.seq", "--Q", "Q.seq", "--block", "0:2"], 0,
+         '{"intertwined": true}\n'),
+        (["intertwined", "--P", "P3.seq", "--Q", "Q.seq", "--block", "0:2,1:1"], 2,
+         '{"intertwined": false}\n'),
+        (["split", "--P", "P3.seq", "--Q", "Q.seq", "--anchor", "0:2", "--other", "0:2,1:1"],
+         0, '{"below": "-", "above": "1:1"}\n'),
+        (["split", "--P", "P3.seq", "--Q", "Q.seq", "--anchor", "1:2", "--other", "0:2"],
+         2, '{"member": false}\n'),
+    ],
+    ids=["eval", "span-starred", "graph", "graph-not-common", "intertwined-yes",
+         "intertwined-no", "split", "split-not-common"],
+)
+def test_json_golden_bytes(capsys, files, tmp_path, argv, code, out):
+    two = tmp_path / "P2.seq"
+    two.write_text("k=2\n0:2\n1:2\n", encoding="utf-8")
+    argv = [{**files, "P2.seq": str(two)}.get(arg, arg) for arg in argv]
+    assert run(capsys, *argv, "--format", "json") == (code, out, "")
+
+
+class _BrokenPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("form", ["text", "json"])
+def test_closed_stdout_is_one_error_line(capsys, monkeypatch, files, form):
+    monkeypatch.setattr(sys, "stdout", _BrokenPipe())
+    code = main(["span", "--seq", files["P.seq"], "--format", form])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: BrokenPipeError: [Errno 32] Broken pipe\n"
+
+
+
+@pytest.mark.parametrize("number", ["1_0", "+2", "٣"], ids=["underscore", "plus", "arabic"])
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["member", "--seq", "P.seq", "--block", "{}:2"], "ParseError: non-integer entry '{}:2'"),
+        (["member", "--seq", "header.seq", "--block", "0:2"],
+         "ParseError: bad level 'k={}' (line 1)"),
+        (["eval", "--seq", "P.seq", "--comb", "0^0 + {}^1"],
+         "ParseError: non-integer entry '{}^1'"),
+        (["small", "--P", "kind=builtin name=evens k={}", "--Q", "evens", "--k", "2",
+          "--n", "1", "--horizon", "9"], "ParseError: k= must be an integer, got '{}'"),
+        (["small", "--P", "kind=periodic shift={} k=2 base=0:2", "--Q", "evens", "--k", "2",
+          "--n", "1", "--horizon", "9"], "ParseError: shift= must be an integer, got '{}'"),
+        (["small", "--P", "evens", "--Q", "evens", "--k", "2", "--n", "1", "--horizon", "{}"],
+         "usage: argument --horizon: invalid int value: '{}'"),
+        (["member", "--k", "{}", "--seq", "P.seq", "--block", "0:2"],
+         "usage: argument --k: invalid int value: '{}'"),
+        (["diag", "--member", "evens", "--k", "2", "--n", "{}", "--horizon", "9"],
+         "usage: argument --n: invalid int value: '{}'"),
+    ],
+    ids=["block-body", "file-header", "witness", "spec-k", "spec-shift", "horizon", "k", "n"],
+)
+def test_integers_are_an_optional_minus_and_ascii_digits(
+    capsys, files, tmp_path, number, argv, error
+):
+    header = tmp_path / "header.seq"
+    header.write_text(f"k={number}\n0:2\n", encoding="utf-8")
+    paths = {**files, "header.seq": str(header)}
+    argv = [paths.get(arg, arg.replace("{}", number)) for arg in argv]
+    if argv[0] == "eval" and number == "+2":
+        # "+" separates witness terms, so "+2" never reaches an integer read
+        error = "ParseError: expected <index>^<exponent>, got ''"
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert lines[-1] == "error: " + error.replace("{}", number)
+    # a usage error is preceded by the usage text; nothing else is printed
+    assert len(lines) == 1 or error.startswith("usage:")
+    assert sum(line.startswith("error:") for line in lines) == 1
+
+
 def test_module_entry_point(tmp_path):
     target = tmp_path / "P.seq"
     target.write_text(P_SEQ, encoding="utf-8")

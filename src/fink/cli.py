@@ -18,6 +18,7 @@ code that uses them, so one run loads only its command's modules.
 import argparse
 import math
 import os
+import re
 import sys
 
 from .blocks import Subblock, parse_int, peak
@@ -27,7 +28,7 @@ from .span import (
     BlockSequence,
     Combination,
     CommonElement,
-    enumerate_span,
+    _checked_span,
     evaluate,
     intersect_spans,
     membership_witness,
@@ -52,10 +53,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self)
 
 
+def _parse_float(text):
+    """An optional ``-``, ASCII digits and an optional ``.digits`` fraction,
+    after ``strip()``; ValueError otherwise.  Bare ``float()`` would also
+    take ``+2``, ``1_0``, ``1e3`` and non-ASCII digits.  Its spellings of
+    nan and infinity are still read, so that they are named as not finite."""
+    value = float(text)
+    if math.isfinite(value) and not re.fullmatch(r"-?[0-9]+(?:\.[0-9]+)?", text.strip()):
+        raise ValueError(f"invalid float {text!r}")
+    return value
+
+
 def _number(kind, lower=-math.inf):
     """An argparse type: a finite ``kind`` value no smaller than ``lower``.
-    An int is read by ``parse_int``, as every integer in an input file is."""
-    read = parse_int if kind is int else kind
+    An int is read by ``parse_int``, as every integer in an input file is,
+    and a float by ``_parse_float``."""
+    read = parse_int if kind is int else _parse_float
 
     def parse(text):
         try:
@@ -157,17 +170,18 @@ def _cmd_member(args):
     return OK, [({"member": True, "witness": text}, f"yes {text}")]
 
 
-def _span_rows(enum):
-    for block, witness in enum:
+def _span_rows(elements, starred):
+    for block, witness in elements:
         body, text = block.render_body(), witness.render()
         yield {"block": body, "witness": text}, f"{body} <- {text}"
-    if enum.includes_empty:
+    if starred:
         yield {"block": "-", "witness": None}, "- <- -"
 
 
 def _cmd_span(args):
+    # rows are written as the walk yields them, so memory stays flat
     seq = _load_sequence(args.seq, args.k)
-    return OK, _span_rows(enumerate_span(seq, starred=args.starred, cap_bits=args.cap))
+    return OK, _span_rows(_checked_span(seq, args.starred, args.cap), args.starred)
 
 
 def _rendered(ce):

@@ -177,9 +177,6 @@ class DiagonalTrace(Record):
     def chosen(self):
         return tuple(step.block for step in self.steps)
 
-    def render_lines(self):
-        return [step.render() for step in self.steps]
-
 
 def _engaged(family, step_index):
     member = step_index % len(family)

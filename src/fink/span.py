@@ -7,10 +7,12 @@ starred span drops the minimality constraint (equivalently: it is closed
 under further tetris moves) and additionally contains the empty subblock.
 
 Everything here is exact and deterministic: enumeration walks the
-``(k+1)^N`` generator-exponent assignments (capped), membership is decided
-directly from the forced exponents, questions about two spans at once are
-answered by one sweep over their support positions, in time polynomial in
-the number of positions, and every positive answer carries a witness
+``(k+1)^N`` generator-exponent assignments (capped) lazily, depth first
+over index subsets, so elements come out in witness order with no sort and
+a listing can be written as it is walked; membership is decided directly
+from the forced exponents, questions about two spans at once are answered
+by one sweep over their support positions, in time polynomial in the
+number of positions, and every positive answer carries a witness
 combination that evaluates back to the queried subblock.
 """
 
@@ -18,7 +20,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .blocks import Record, Subblock, _setattr, add, parse_int, peak, tetris
 from .errors import (
@@ -115,7 +117,7 @@ class BlockSequence:
     @cached_property
     def _images(self):
         # per generator, the pairs of its tetris image for exponents 0..k-1;
-        # read only by enumeration (``_iter_span_raw``)
+        # read only by enumeration (``_span_walk``)
         return [[tetris(b, e).pairs for e in range(self.k)] for b in self.blocks]
 
     @classmethod
@@ -335,31 +337,49 @@ def _check_listing(count, noun, cap_bits):
         )
 
 
-def _iter_span_raw(seq, starred):
-    """Yield (pairs, subset, exponents) for every nonempty span element.
+def _span_walk(seq, starred):
+    """Yield (pairs, terms) for every nonempty span element, in witness order.
 
-    Supports are ordered, so concatenating the images of the used
-    generators gives the element's canonical ascending pairs.
+    Index subsets come in lexicographic order from a depth-first walk that
+    keeps only the current subset, and each subset's exponent vectors in
+    lexicographic order from one ``itertools.product`` per column kind:
+    exponents, (index, exponent) terms and tetris images, in lockstep.
+    That is the order of ``Combination.sort_key``.  Supports are ordered,
+    so concatenating the images of the used generators gives the
+    element's canonical ascending pairs.
     """
-    n = len(seq)
-    if n == 0:
-        return
+    n, k = len(seq), seq.k
     images = seq._images
-    exponent_space = range(seq.k)
-    for m in range(1, n + 1):
-        for subset in itertools.combinations(range(n), m):
-            rows = [images[i] for i in subset]
-            for exps in itertools.product(exponent_space, repeat=m):
-                if not starred and 0 not in exps:
-                    continue
-                pairs = ()
-                for row, e in zip(rows, exps):
-                    pairs += row[e]
-                yield pairs, subset, exps
+    term_rows = [tuple((i, e) for e in range(k)) for i in range(n)]
+    exponents = range(k)
+    product, chain = itertools.product, itertools.chain.from_iterable
+    subset_terms, subset_images = [], []
+    # one iterator per depth over the indices that may come next
+    stack = [iter(range(n))]
+    while stack:
+        i = next(stack[-1], None)
+        if i is None:
+            stack.pop()
+            if subset_terms:
+                subset_terms.pop()
+                subset_images.pop()
+            continue
+        subset_terms.append(term_rows[i])
+        subset_images.append(images[i])
+        stack.append(iter(range(i + 1, n)))
+        for exps, terms, parts in zip(
+            product(exponents, repeat=len(subset_terms)),
+            product(*subset_terms),
+            product(*subset_images),
+        ):
+            if starred or 0 in exps:
+                yield tuple(chain(parts)), terms
 
 
-def enumerate_span(seq, starred=False, cap_bits=DEFAULT_CAP_BITS):
-    """Materialize the whole (starred) span with one witness per element."""
+def _checked_span(seq, starred, cap_bits):
+    """The span's (Subblock, Combination) pairs in witness order, as a lazy
+    iterator; the listing's size is checked against the cap first, so a
+    refusal comes before any element."""
     k, n = seq.k, len(seq)
     # both counts are at least (k+1)^(N-1); past 2^64 that bound refuses
     # before the exact count, an integer of N*log2(k+1) bits, is built
@@ -371,13 +391,21 @@ def enumerate_span(seq, starred=False, cap_bits=DEFAULT_CAP_BITS):
     # each generator unused or at one of k exponents, less the k^N choices
     # with no exponent 0, or less the empty one when starred
     _check_listing((k + 1) ** n - (1 if starred else k**n), "combinations", cap_bits)
-    # the raw (subset, exponents) order is the witnesses' sort_key order
-    raw = sorted(_iter_span_raw(seq, starred), key=itemgetter(1, 2))
-    elements = tuple(
-        (Subblock._raw(k, pairs), Combination(tuple(zip(subset, exps)), starred))
-        for pairs, subset, exps in raw
+    return (
+        (Subblock._raw(k, pairs), Combination(terms, starred))
+        for pairs, terms in _span_walk(seq, starred)
     )
-    return SpanEnumeration(elements, includes_empty=starred)
+
+
+def enumerate_span(seq, starred=False, cap_bits=DEFAULT_CAP_BITS):
+    """The whole (starred) span with one witness per element, in witness
+    order: by index tuple, then by exponents, as ``Combination.sort_key``.
+
+    Elements come from one depth-first walk over index subsets that yields
+    them already in that order, so nothing is sorted.  A listing of more
+    than 2^cap_bits combinations is refused before the walk starts.
+    """
+    return SpanEnumeration(tuple(_checked_span(seq, starred, cap_bits)), includes_empty=starred)
 
 
 def _witness_terms(pairs, seq, starred):

@@ -141,6 +141,24 @@ class TestEvalAndSpan:
         assert code == 1
         assert err == "error: EnumerationCapExceeded: 665 combinations need 9.4 bits, cap is 1.0\n"
 
+    def test_span_listing_is_written_as_it_is_walked(self, monkeypatch, tmp_path):
+        # 3^9 - 1 starred elements and the empty one.  A listing built whole
+        # before it is written peaks near 15 MiB of traced memory; written as
+        # it is walked, near 1 MiB, most of it tuples kept on CPython's free
+        # lists, whose size does not depend on the listing's length
+        target = tmp_path / "nine.seq"
+        target.write_text("k=2\n" + "".join(f"{2 * i}:2\n" for i in range(9)), encoding="utf-8")
+        sink = _LineCounter()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["span", "--seq", str(target), "--starred"])
+            _, peak_bytes = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, sink.lines) == (0, 19683)
+        assert peak_bytes < 4 * 2**20
+
 
 class TestIntersect:
     def test_golden(self, capsys, files):
@@ -759,6 +777,17 @@ def test_json_golden_bytes(capsys, files, tmp_path, argv, code, out):
     assert run(capsys, *argv, "--format", "json") == (code, out, "")
 
 
+class _LineCounter:
+    def __init__(self):
+        self.lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+
+    def flush(self):
+        pass
+
+
 class _BrokenPipe:
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")
@@ -777,7 +806,9 @@ def test_closed_stdout_is_one_error_line(capsys, monkeypatch, files, form):
 
 
 
-@pytest.mark.parametrize("number", ["1_0", "+2", "٣"], ids=["underscore", "plus", "arabic"])
+@pytest.mark.parametrize(
+    "number", ["1_0", "+2", "٣", "1e3"], ids=["underscore", "plus", "arabic", "exponent"]
+)
 @pytest.mark.parametrize(
     "argv, error",
     [
@@ -796,8 +827,11 @@ def test_closed_stdout_is_one_error_line(capsys, monkeypatch, files, form):
          "usage: argument --k: invalid int value: '{}'"),
         (["diag", "--member", "evens", "--k", "2", "--n", "{}", "--horizon", "9"],
          "usage: argument --n: invalid int value: '{}'"),
+        (["span", "--seq", "P.seq", "--cap", "{}"],
+         "usage: argument --cap: invalid float value: '{}'"),
     ],
-    ids=["block-body", "file-header", "witness", "spec-k", "spec-shift", "horizon", "k", "n"],
+    ids=["block-body", "file-header", "witness", "spec-k", "spec-shift", "horizon", "k", "n",
+         "cap"],
 )
 def test_integers_are_an_optional_minus_and_ascii_digits(
     capsys, files, tmp_path, number, argv, error
@@ -816,6 +850,19 @@ def test_integers_are_an_optional_minus_and_ascii_digits(
     # a usage error is preceded by the usage text; nothing else is printed
     assert len(lines) == 1 or error.startswith("usage:")
     assert sum(line.startswith("error:") for line in lines) == 1
+
+
+@pytest.mark.parametrize("cap", ["1.", ".5", "1.5e0", "- 2"])
+def test_a_cap_fraction_is_a_dot_between_digits(capsys, files, cap):
+    code, out, err = run(capsys, "span", "--seq", files["P.seq"], "--cap", cap)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == f"error: usage: argument --cap: invalid float value: '{cap}'"
+
+
+@pytest.mark.parametrize("cap", ["9.5", " 10 ", "09.50"])
+def test_a_cap_is_read_as_a_decimal(capsys, files, cap):
+    code, out, _ = run(capsys, "span", "--seq", files["P.seq"], "--cap", cap)
+    assert (code, len(out.splitlines())) == (0, 665)
 
 
 def test_module_entry_point(tmp_path):

@@ -199,7 +199,7 @@ class TestRun:
 
     def test_single_cycle_stability_checks(self):
         trace = run_diagonalization(three_family(), cycles=1)
-        rendered = trace.render_lines()
+        rendered = [s.render() for s in trace.steps]
         assert rendered == [
             "step=0 q=k=2|0:2 J=- checks=[]",
             "step=1 q=k=2|3:2,4:1 J=1 checks=[0:0->0]",
@@ -214,7 +214,7 @@ class TestRun:
             blk(2, [(20, 2)]),
         )
         assert [s.between_index for s in trace.steps[3:]] == [5, 7, 9]
-        assert trace.render_lines()[3:] == [
+        assert [s.render() for s in trace.steps[3:]] == [
             "step=3 q=k=2|11:2 J=5 checks=[1:3->3,2:8->8]",
             "step=4 q=k=2|15:2,16:1 J=7 checks=[0:11->11,2:8->8]",
             "step=5 q=k=2|20:2 J=9 checks=[0:11->11,1:15->15]",
@@ -253,7 +253,7 @@ class TestRun:
         t0 = seq(2, "0:2", "3:2")
         family = doctored_family(t0, seq(2, "0:2", "1:2", "3:2,4:1"))
         trace = run_diagonalization(family, cycles=1)
-        assert trace.render_lines() == [
+        assert [s.render() for s in trace.steps] == [
             "step=0 q=k=2|0:2 J=- checks=[]",
             "step=1 q=k=2|3:2,4:1 J=1 checks=[0:0->0]",
         ]
@@ -293,7 +293,7 @@ class TestRun:
         monkeypatch.setattr(_Sweep, "_element", building)
         monkeypatch.setattr(_Sweep, "peak_element", asking)
         trace = run_diagonalization(family, cycles=2)
-        assert (trace.render_lines(), trace.finals) == expected
+        assert ([s.render() for s in trace.steps], trace.finals) == expected
         assert 0 < len(built) < len(asked)
 
     def test_a_changed_peak_element_is_rechecked(self, monkeypatch):
@@ -468,4 +468,5 @@ def test_resumed_sweeps_match_fresh_sweeps_on_a_long_run():
     family = three_family(horizon=20001)
     trace = run_diagonalization(family, cycles=40)
     assert len(trace.steps) == 120
-    assert (trace.render_lines(), trace.finals) == diagonalized_by_fresh_sweeps(family, 40)
+    rendered = [s.render() for s in trace.steps]
+    assert (rendered, trace.finals) == diagonalized_by_fresh_sweeps(family, 40)

@@ -1,5 +1,6 @@
 """Span enumeration, membership witnesses, intersections, valuation."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -547,6 +548,24 @@ def test_membership_across_gaps_matches_oracle(k, data):
             assert (None if found is None else [found.terms]) == expected
 
 
+def _witness_order(terms):
+    return tuple(i for i, _ in terms), tuple(e for _, e in terms)
+
+
+def test_walk_starts_without_listing_the_subsets():
+    # 2^60 - 1 index subsets: a walk that gathered them first would not return
+    s = seq(1, *[f"{i}:1" for i in range(60)])
+    first = list(itertools.islice(span._span_walk(s, False), 3))
+    assert first == [
+        (((0, 1),), ((0, 0),)),
+        (((0, 1), (1, 1)), ((0, 0), (1, 0))),
+        (((0, 1), (1, 1), (2, 1)), ((0, 0), (1, 0), (2, 0))),
+    ]
+    # index subsets come in lexicographic order, each before its extensions
+    subsets = [tuple(i for i, _ in terms) for _, terms in span._span_walk(s.prefix(3), False)]
+    assert subsets == [(0,), (0, 1), (0, 1, 2), (0, 2), (1,), (1, 2), (2,)]
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @given(data=st.data())
 def test_enumeration_matches_oracle(k, data):
@@ -555,7 +574,12 @@ def test_enumeration_matches_oracle(k, data):
     for starred in (False, True):
         table = oracle.span_witnesses(gens, s.k, starred)
         got = enumerate_span(s, starred=starred)
-        assert {oracle.as_key(oracle.to_dict(b)) for b in got.blocks()} == set(table)
+        # the oracle's elements, listed in witness order
+        listed = [(w.sort_key(), oracle.as_key(oracle.to_dict(b))) for b, w in got.elements]
+        assert listed == sorted(
+            (_witness_order(terms), key) for key, witnesses in table.items() for terms in witnesses
+        )
+        assert all(a < b for (a, _), (b, _) in zip(listed, listed[1:]))
         # witnesses are unique, and membership agrees with enumeration
         for witnesses in table.values():
             assert len(witnesses) == 1

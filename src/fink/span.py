@@ -6,20 +6,20 @@ index tuples, with exponents in {0, ..., k-1} and minimal exponent 0.  The
 starred span drops the minimality constraint (equivalently: it is closed
 under further tetris moves) and additionally contains the empty subblock.
 
-Everything here is exact and deterministic: enumeration walks the
-``(k+1)^N`` generator-exponent assignments (capped) lazily, depth first
-over index subsets, so elements come out in witness order with no sort and
-a listing can be written as it is walked; membership is decided directly
-from the forced exponents, questions about two spans at once are answered
-by one sweep over their support positions, in time polynomial in the
-number of positions, and every positive answer carries a witness
-combination that evaluates back to the queried subblock.
+Everything here is exact and deterministic.  Enumeration walks index
+subsets depth first and lazily, so elements come out in witness order with
+no sort, and an unstarred listing steps only through exponent vectors it
+lists.  Membership is decided directly from the forced exponents.  A
+question about two spans at once is one forward pass over their support
+positions, polynomial in their number, that folds every answer, least
+elements keyed by one symbol per left generator opened.  Every positive
+answer carries a witness combination that evaluates back to the queried
+subblock.
 """
 
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from functools import cached_property
 from operator import attrgetter
 
 from .blocks import Record, Subblock, _setattr, add, parse_int, peak, tetris
@@ -113,12 +113,6 @@ class BlockSequence:
         last one."""
         BlockSequence(self.k, self.blocks[-1:] + (block,))
         return BlockSequence._trusted(self.k, self.blocks + (block,))
-
-    @cached_property
-    def _images(self):
-        # per generator, the pairs of its tetris image for exponents 0..k-1;
-        # read only by enumeration (``_span_walk``)
-        return [[tetris(b, e).pairs for e in range(self.k)] for b in self.blocks]
 
     @classmethod
     def parse_file(cls, text):
@@ -341,39 +335,46 @@ def _span_walk(seq, starred):
     """Yield (pairs, terms) for every nonempty span element, in witness order.
 
     Index subsets come in lexicographic order from a depth-first walk that
-    keeps only the current subset, and each subset's exponent vectors in
-    lexicographic order from one ``itertools.product`` per column kind:
-    exponents, (index, exponent) terms and tetris images, in lockstep.
-    That is the order of ``Combination.sort_key``.  Supports are ordered,
-    so concatenating the images of the used generators gives the
-    element's canonical ascending pairs.
+    keeps only the current subset.  Its head (all but the last generator)
+    takes its exponent vectors in lexicographic order from one
+    ``itertools.product`` per column kind (exponents, terms, images); the
+    last generator takes every exponent when starred or when the head holds
+    a 0, else 0 alone.  That is the order of ``Combination.sort_key``, and
+    every vector stepped through is listed.  Supports are ordered, so the
+    used generators' images concatenate to the element's pairs.
     """
     n, k = len(seq), seq.k
-    images = seq._images
-    term_rows = [tuple((i, e) for e in range(k)) for i in range(n)]
+    blocks, rows = seq.blocks, [None] * len(seq)
     exponents = range(k)
     product, chain = itertools.product, itertools.chain.from_iterable
-    subset_terms, subset_images = [], []
+    head_terms, head_images = [], []
     # one iterator per depth over the indices that may come next
     stack = [iter(range(n))]
     while stack:
         i = next(stack[-1], None)
         if i is None:
             stack.pop()
-            if subset_terms:
-                subset_terms.pop()
-                subset_images.pop()
+            if head_terms:
+                head_terms.pop()
+                head_images.pop()
             continue
-        subset_terms.append(term_rows[i])
-        subset_images.append(images[i])
-        stack.append(iter(range(i + 1, n)))
+        if rows[i] is None and (starred or head_terms or i + 1 < n):
+            # its terms and images at every exponent: listed when starred,
+            # after a nonempty head (whose first vector is all 0) or as a head
+            rows[i] = tuple(zip(*(((i, e), tetris(blocks[i], e).pairs) for e in exponents)))
+        only_zero = ((i, 0),), (blocks[i].pairs,)
         for exps, terms, parts in zip(
-            product(exponents, repeat=len(subset_terms)),
-            product(*subset_terms),
-            product(*subset_images),
+            product(exponents, repeat=len(head_terms)),
+            product(*head_terms),
+            product(*head_images),
         ):
-            if starred or 0 in exps:
-                yield tuple(chain(parts)), terms
+            head = tuple(chain(parts))
+            for term, image in zip(*(rows[i] if starred or 0 in exps else only_zero)):
+                yield head + image, (*terms, term)
+        if i + 1 < n:
+            head_terms.append(rows[i][0])
+            head_images.append(rows[i][1])
+            stack.append(iter(range(i + 1, n)))
 
 
 def _checked_span(seq, starred, cap_bits):
@@ -489,6 +490,8 @@ _START = (None, False, None, False)
 # has a left (right) witness that uses no generator below the tail index,
 # and bit 4 when some path uses left generator ``fresh`` at exponent 0
 _LEFT_MARK, _RIGHT_MARK, _FRESH_MARK = 1, 2, 4
+# a layer entry's (key, chains) slots: least prefix, least ended prefix
+_LEAST, _ENDED = 6, 7
 
 
 def _grow(lg, rg, state, chains):
@@ -501,48 +504,6 @@ def _grow(lg, rg, state, chains):
     if rg is not None and state[2] >= 0:
         right = ((rg, state[2]), right)
     return left, right
-
-
-def _least_layer(least, ended, moves, lg, rg, k, by_value):
-    """Per state, the key of the least prefix reaching it after one
-    position's ``moves``, and its witness terms.  By value a prefix is its
-    values at the walked positions.  By left witness it is one symbol per
-    left generator opened: the exponent when used; when unused, k while a
-    later left term follows (``least``) and -1 once the witness has ended
-    (``ended``, entered at its last term).  These compare as the terms do,
-    and each element has one ended path.  Inside a window the symbol is
-    the value, which the choices before it fix.  Prefixes in a layer are
-    equally long, so a key is the predecessor's key times k + 2 plus the
-    symbol + 1; keys past 2^64 are replaced by their ranks.
-    """
-    base = k + 2
-    opens = lg is not None or rg is not None
-    reach, stop = {}, {}
-    top = 0
-    sources = (least, reach, k), (ended, stop, -1)
-    for state, new, v in moves:
-        used = not by_value and lg is not None and new[0] >= 0
-        for source, target, unused in sources:
-            held = source.get(state)
-            if held is None or used and source is ended:
-                continue
-            key, chains = held
-            key = key * base + 1 + (v if by_value or lg is None else new[0] if used else unused)
-            if key > top:
-                top = key
-            if opens:
-                chains = _grow(lg, rg, new, chains)
-            for table in (target, stop) if used else (target,):
-                found = table.get(new)
-                if found is None or key < found[0]:
-                    table[new] = key, chains
-    if top >> 64:
-        keys = sorted({key for table in (reach, stop) for key, _ in table.values()})
-        ranks = dict(zip(keys, range(len(keys))))
-        for table in (reach, stop):
-            for new, (key, chains) in table.items():
-                table[new] = ranks[key], chains
-    return reach, stop
 
 
 def _chain_terms(chain):
@@ -688,6 +649,18 @@ def _sweep_steps(left, right, force, walked, table):
         yield pos, lstep, rstep
 
 
+def _ranked(layer):
+    """Replace every key held in ``layer`` by its rank and return how many
+    there are: keys in a layer are equally long, so ranks keep their order."""
+    keys = sorted({found[0] for held in layer.values() for found in held[_LEAST:] if found})
+    ranks = dict(zip(keys, range(len(keys))))
+    for held in layer.values():
+        for slot, found in enumerate(held[_LEAST:], _LEAST):
+            if found:
+                held[slot] = ranks[found[0]], found[1]
+    return len(keys)
+
+
 class _Sweep:
     """Every question about the common elements of two spans, in one pass.
 
@@ -703,46 +676,46 @@ class _Sweep:
     elements one to one.
 
     ``force`` maps left generator indices to a fixed choice: ``_UNUSED`` or
-    one exponent.  The forward pass keeps, per state, the number of paths,
-    the largest last position of value k (with the witness terms of a path
-    attaining it), the smallest largest left index used and three marks
-    merged by "or", which give ``count``, ``peak`` (the valuation F),
-    ``peak_element``, ``prefix_length``, ``tails`` and ``fresh_used``.
-    The left (right) mark says that some path reaching the state has a
-    left (right) witness using no generator below ``tail``: only the first
-    ``tail`` generators of a side clear it.  The fresh mark says that some
-    path uses left generator ``fresh`` at exponent 0.  Witnesses are
-    unique, so ``tails`` tells whether the left tail from generator
-    ``tail`` on meets the right span and whether the right tail meets the
-    left span, and ``fresh_used`` whether forcing ``fresh`` to exponent 0
-    leaves a common element: three sweeps' verdicts from one sweep that
-    answers everything else too.  With ``order`` the pass also keeps, per
-    state, the least prefix reaching it and its witness terms, from each
-    position's moves (``_least_layer``), so ``least`` is the common element
-    with the least value vector ("value") or left witness ("witness"), or
-    None.  Only ``walk``, for listing (``elements``), keeps every step's
-    moves; otherwise memory does not grow with the positions.  Witness
-    terms grow as cons chains.  Every element handed out builds its block
-    from the tetris images of its left terms and re-evaluates the right
-    witness.  Questions about a prefix of ``left`` are asked of a sweep
-    over ``left.prefix(n)``.
+    one exponent.  The forward pass folds, per state and move by move, the
+    number of paths, the largest last position of value k (with the terms
+    of a path attaining it), the smallest largest left index used and three
+    marks merged by "or": ``count``, ``peak`` (the valuation F) with
+    ``peak_element``, ``prefix_length``, and ``tails`` and ``fresh_used``,
+    which tell whether each side's tail from generator ``tail`` on meets
+    the other span and whether some common element uses left generator
+    ``fresh`` at exponent 0.
 
-    A sweep without ``walk`` keeps one layer: the states after the last
-    position at or below ``left``'s last ``max_support``.  Every later
-    block of a longer left sequence starts past that position, so the
-    layer is the same in a sweep over the longer sequence.  The layer at
-    the end of the hull is not kept: a right window can widen the hull
-    past that position, and the next left block can start inside it.
-    ``resume`` takes such a sweep over a prefix of ``left`` against the
-    same ``right``, with ``force`` and ``tail`` agreeing on the prefix and
-    ``fresh`` past it, and walks only the positions past its kept layer,
-    with the windows that straddle that position already open on both
-    sides (on the left, only a generator forced unused can straddle it).
-    It takes the kept sweep's move table, so its set-up grows with the
-    positions it walks, not with the sequences, and the kept sweep's last
-    rechecked peak element, which ``peak_element`` hands out again while
-    the peak path keeps its terms.  The kept layer holds no
-    least prefixes, so ``order`` is not asked of a resumed sweep.
+    With ``order`` the same moves fold the least prefix reaching each
+    state, so ``least`` is the common element with the least value vector
+    ("value") or left witness ("witness"), or None.  A prefix's key has one
+    symbol per left generator opened, since every value follows from the
+    choice made where its window starts (0 outside every window).  By value
+    the symbol is 0 for unused and k - e for exponent e: T^e(p) decreases
+    lexicographically in e and stays above the zero vector.  By witness it
+    is e when used; when unused, k while a later left term follows and -1
+    once the witness has ended, so that order also folds the least *ended*
+    prefix, entered at its last left term.  A key is its predecessor's
+    times k + 2 plus the symbol + 1; keys that may pass 2^64 are ranked.
+
+    Only ``walk``, for listing (``elements``), keeps every step's moves, so
+    otherwise memory does not grow with the positions.  Witness terms grow
+    as cons chains; an element handed out builds its block from its left
+    terms' tetris images and re-evaluates the right witness.
+
+    A sweep without ``walk`` keeps one layer, the states after its last
+    position at or below ``left``'s last ``max_support``, which a sweep
+    over a longer left sequence shares: its later blocks start past that
+    position.  (The hull's last layer is not kept: a right window can widen
+    the hull past it, into the next left block.)  ``resume`` takes such a
+    sweep over a prefix of ``left`` against the same ``right``, with
+    ``force`` and ``tail`` agreeing on the prefix and ``fresh`` past it,
+    and walks only the positions past its kept layer, with the windows
+    that straddle it already open (on the left, only a generator forced
+    unused can).  It reuses the kept sweep's move table, so its set-up
+    grows with the positions it walks, and its last rechecked peak
+    element, which ``peak_element`` hands out again while the peak path
+    keeps its terms.  An unordered sweep's kept layer holds no least
+    prefixes, so ``order`` is not asked of a resumed sweep.
     """
 
     def __init__(
@@ -756,14 +729,13 @@ class _Sweep:
         # None, and the right one; then the moves (state, next state, value)
         self.opened = [] if walk else None
         self.moves = [] if walk else None
-        record = walk or order is not None
-        least, ended = {_START: (0, (None, None))}, {}
         # per state of the current layer: [paths, last position of value k,
         # both witnesses' term chains on a path attaining it, largest left
-        # index used, the state, its marks], -1 standing for "none yet";
-        # earlier layers are not kept, so the path counts, which grow to big
-        # integers, are not stored, and a kept layer is only read
-        walked, layer = None, {_START: [1, -1, (None, None), -1, _START, _LEFT_MARK | _RIGHT_MARK]}
+        # index used, the state, its marks, least and least ended prefix],
+        # -1 standing for "none yet"; earlier layers are not kept, so the
+        # path counts, which grow to big integers, are not stored
+        start = 1, -1, (None, None), -1, _START, _LEFT_MARK | _RIGHT_MARK, (0, (None, None)), None
+        walked, layer = None, {_START: list(start)}
         k = self.k
         self._table = _move_table(k) if resume is None else resume._table
         # the last rechecked peak element's (left terms, right terms) and itself
@@ -771,8 +743,18 @@ class _Sweep:
         if resume is not None:
             # the kept sweep's fresh mark names another generator
             walked, layer = resume._kept
-            layer = {state: [*held[:5], held[5] & ~_FRESH_MARK] for state, held in layer.items()}
+            layer = {
+                state: [*held[:5], held[5] & ~_FRESH_MARK, None, None]
+                for state, held in layer.items()
+            }
         kept_pos, kept_layer = walked, layer
+        ordered, by_witness, base, bound = order is not None, order == "witness", k + 2, 1
+        if ordered:
+            # per left choice where a left generator opens: its symbol + 1
+            symbols = {e: 1 + (e if by_witness else k - e) for e in range(k)}
+            symbols[_UNUSED] = 1 + k if by_witness else 1
+        # the least prefixes a move extends, (slot, key, chains), or none
+        record, folds = walk or ordered, ()
         steps = _sweep_steps(left, right, force, walked, self._table)
         boundary = left.blocks[-1].max_support if left.blocks else -1
         for pos, (lg, lmoves), (rg, rmoves) in steps:
@@ -783,7 +765,7 @@ class _Sweep:
             lhead = lg is not None and lg < tail
             rhead = rg is not None and rg < tail
             lfresh = lg is not None and lg == fresh
-            for state, (paths, top, chains, last, _, marks) in layer.items():
+            for state, (paths, top, chains, last, _, marks, least, ended) in layer.items():
                 cl, zl, cr, zr = state
                 lopts = lmoves if lg is not None else lmoves[cl]
                 ropts = rmoves if rg is not None else rmoves[cr]
@@ -793,6 +775,17 @@ class _Sweep:
                     lm = marks & ~_LEFT_MARK if lhead and c1 >= 0 else marks
                     if lfresh and c1 == 0:
                         lm |= _FRESH_MARK
+                    if ordered:
+                        key, prior = least
+                        if lg is not None:
+                            key = key * base + symbols[c1]
+                        folds = ((_LEAST, key, prior),)
+                        if by_witness and lg is not None and c1 >= 0:
+                            # the witness may end at this term
+                            folds += ((_ENDED, key, prior),)
+                        elif ended is not None:
+                            ekey = ended[0] * base if lg is not None else ended[0]
+                            folds += ((_ENDED, ekey, ended[1]),)
                     for c2, v2 in ropts:
                         if v1 != v2:
                             continue
@@ -801,7 +794,7 @@ class _Sweep:
                         held = nxt.get(new)
                         if held is None:
                             grown = _grow(lg, rg, new, chains) if opens else chains
-                            nxt[new] = [paths, new_top, grown, new_last, new, m]
+                            nxt[new] = held = [paths, new_top, grown, new_last, new, m, None, None]
                         else:
                             new = held[4]  # one object per state keeps the moves small
                             held[0] += paths
@@ -812,12 +805,19 @@ class _Sweep:
                                 held[3] = new_last
                             held[5] |= m
                         if record:
-                            moves.append((state, new, v1))
+                            for slot, key, prior in folds:
+                                found = held[slot]
+                                if found is None or key < found[0]:
+                                    held[slot] = key, _grow(lg, rg, new, prior) if opens else prior
+                            if walk:
+                                moves.append((state, new, v1))
             layer = nxt
             if pos <= boundary:
                 kept_pos, kept_layer = pos, layer
-            if order is not None:
-                least, ended = _least_layer(least, ended, moves, lg, rg, k, order == "value")
+            if ordered and lg is not None:
+                bound *= base  # every key held stays below it
+                if bound >> 64:
+                    bound = _ranked(layer)
             if walk:
                 self.opened.append((lg, rg))
                 self.moves.append(moves)
@@ -839,10 +839,9 @@ class _Sweep:
             best = max(accepting, key=lambda held: held[1])
             self.peak, self._peak_chains = best[1], best[2]
             self.prefix_length = min(held[3] for held in accepting) + 1
-            if order is not None:
+            if ordered:
                 # keys differ among accepting states: each is one element
-                table = least if order == "value" else ended
-                chains = min(table[held[4]] for held in accepting)[1]
+                chains = min(held[_ENDED if by_witness else _LEAST] for held in accepting)[1]
                 self.least = self._element(*_walked_terms(chains))
 
     def _element(self, left_terms, right_terms):

@@ -1,5 +1,6 @@
 """Command-line behavior: golden outputs, exit codes, JSON mode."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -135,6 +136,27 @@ class TestEvalAndSpan:
         assert len(lines) == 9
         assert lines[-1] == "- <- -"
         assert "0:1,1:1 <- 0^1 + 1^1" in lines
+
+    def test_span_at_a_wide_level_costs_what_it_prints(self, capsys, tmp_path):
+        # unstarred, a lone generator lists its own pairs at exponent 0: the
+        # walk builds none of its 10^8 images and steps through no exponent
+        target = tmp_path / "wide.seq"
+        target.write_text("k=100000000\n0:100000000\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code = main(["span", "--seq", str(target)])
+            _, peak_bytes = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, capsys.readouterr().out) == (0, "0:100000000 <- 0^0\n")
+        assert peak_bytes < 2**20
+        # two generators list 2k + 1 elements, in the same bytes as before
+        target.write_text("k=3000\n0:3000\n5:3000\n", encoding="utf-8")
+        code, out, _ = run(capsys, "span", "--seq", str(target))
+        assert (code, out.count("\n")) == (0, 6001)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f63207e4a281323b92d75c1b7632cd0000daedd7d287c83f4caa39b9f38600b3"
+        )
 
     def test_span_cap(self, capsys, files):
         code, _, err = run(capsys, "span", "--seq", files["P.seq"], "--cap", "1.0")

@@ -320,7 +320,6 @@ class TestMembership:
             _, peak_bytes = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert "_images" not in s.__dict__
         # the element, its witness and its recheck: about 1.8 MB for these
         # 10001 generators; the k tetris images of each add 1.5 MB more
         assert peak_bytes < 2_000_000
@@ -684,24 +683,37 @@ def test_sweep_matches_oracle(k, data):
         assert table[oracle.as_key(oracle.to_dict(ce.block))] == (
             ce.left_witness.terms, ce.right_witness.terms
         )
-    # the least elements over every prefix of left
+    # the least elements over every prefix of left, and over every tail of
+    # it: the head forced unused, as the smallness certificate's sweep does
     for n in range(1, len(left) + 1):
-        within = [key for key, (a, _) in table.items() if a[-1][0] < n]
-        by_value = _Sweep(left.prefix(n), right, order="value").least
-        by_witness = _Sweep(left.prefix(n), right, order="witness").least
-        if not within:
-            assert by_value is None and by_witness is None
-            continue
-        assert oracle.as_key(oracle.to_dict(by_value.block)) == min(
-            within, key=lambda key: oracle.value_vector(dict(key))
-        )
-        assert by_witness.left_witness.terms == min(table[key][0] for key in within)
+        for within_left, force, within in (
+            (left.prefix(n), None, [key for key, (a, _) in table.items() if a[-1][0] < n]),
+            (
+                left,
+                dict.fromkeys(range(n), _UNUSED),
+                [key for key, (a, _) in table.items() if a[0][0] >= n],
+            ),
+        ):
+            by_value = _Sweep(within_left, right, force, order="value").least
+            by_witness = _Sweep(within_left, right, force, order="witness").least
+            if not within:
+                assert by_value is None and by_witness is None
+                continue
+            assert oracle.as_key(oracle.to_dict(by_value.block)) == min(
+                within, key=lambda key: oracle.value_vector(dict(key))
+            )
+            assert by_witness.left_witness.terms == min(table[key][0] for key in within)
+            for ce in (by_value, by_witness):
+                assert table[oracle.as_key(oracle.to_dict(ce.block))] == (
+                    ce.left_witness.terms, ce.right_witness.terms
+                )
 
 
 @pytest.mark.parametrize("k", [2, 4])
 def test_least_elements_after_many_positions(k):
-    # keys grow by a factor k + 2 per position and are re-ranked past 64
-    # bits, so over ~100 positions the least elements are found by ranks
+    # keys grow by a factor k + 2 per left generator opened and are
+    # re-ranked past 64 bits, so over 40 or more left generators the least
+    # elements are found by ranks
     rng = random.Random(7 + k)
     for _ in range(4):
         left = make_random_sequence(rng, k, max_generators=60, max_position=120)
@@ -716,6 +728,9 @@ def test_least_elements_after_many_positions(k):
             groups.append(evaluate(left, Combination(tuple(terms))))
             start += size + rng.randint(3, 12)
         right = BlockSequence(k, groups)
+        # more openings than 64 / log2(k + 2): the sweep over ``left`` re-ranks
+        opened = [lg for lg, _ in _Sweep(left, right, walk=True).opened if lg is not None]
+        assert len(opened) > 64 / math.log2(k + 2)
         for a, b in ((left, right), (right, left)):
             listing = intersect_spans(a, b)
             assert len(listing) > 1
@@ -855,11 +870,15 @@ def test_resumed_sweep_walks_only_past_its_kept_layer(monkeypatch):
     assert (kept.count, resumed.count) == (2, 5)
 
 
-def test_sweep_elements_build_only_the_images_they_use():
+def test_sweep_elements_build_only_the_images_they_use(monkeypatch):
     left = make_builtin("evens", 2).truncate(20001)
     right = make_builtin("example13_P", 2).truncate(20001)
-    assert _Sweep(left, right).valuation(20001).element_count == 1
-    assert "_images" not in left.__dict__ and "_images" not in right.__dict__
+    built = []
+    monkeypatch.setattr(span, "tetris", lambda b, e: built.append(e) or tetris(b, e))
+    sweep = _Sweep(left, right)
+    assert sweep.valuation(20001).element_count == 1
+    # one image per left term of the one element, which is rechecked once
+    assert len(built) == len(sweep.peak_element().left_witness.terms)
 
 
 @given(generator_lists(3))

@@ -173,9 +173,8 @@ class Subblock:
         """
         if self.k != other.k:
             raise MismatchedLevel(f"levels {self.k} and {other.k}")
-        if self.is_empty or other.is_empty:
-            return True
-        return self.max_support < other.min_support
+        a, b = self.pairs, other.pairs
+        return not a or not b or a[-1][0] < b[0][0]
 
     def __eq__(self, other):
         if not isinstance(other, Subblock):

@@ -14,7 +14,10 @@ question about two spans at once is one forward pass over their support
 positions, polynomial in their number, that folds every answer, least
 elements keyed by one symbol per left generator opened.  Every positive
 answer carries a witness combination that evaluates back to the queried
-subblock.
+subblock.  Evaluation appends each term's lowered pairs to one list.  A
+combination whose terms the library made itself is built unchecked
+(``Combination._trusted``), while one read from a caller or from text is
+checked; either way a positive answer's witness is evaluated again.
 """
 
 import itertools
@@ -152,6 +155,23 @@ class Combination(Record):
             if least != 0:
                 raise InvalidCombination("an unstarred combination needs minimal exponent 0")
 
+    @classmethod
+    def _trusted(cls, terms, starred=False):
+        """A combination built without checks, through the slot descriptors.
+
+        ``terms`` must be a tuple of (index, exponent) pairs with strictly
+        increasing indices and nonnegative exponents, nonempty with an
+        exponent 0 unless ``starred``.  The callers build the terms
+        themselves: ``_checked_span`` from its walk's subsets and exponent
+        vectors, ``membership_witness`` from ``_witness_terms`` (and then
+        rechecks the witness), and ``_Sweep._element`` from a sweep's
+        accepting paths, which see exponent 0 on both sides.
+        """
+        self = object.__new__(cls)
+        _set_terms(self, terms)
+        _set_starred(self, starred)
+        return self
+
     @property
     def indices(self):
         return tuple(i for i, _ in self.terms)
@@ -187,6 +207,10 @@ class Combination(Record):
             return cls(tuple(terms), starred=starred)
         except InvalidCombination as exc:
             raise ParseError(str(exc)) from None
+
+
+_set_terms = Combination.terms.__set__
+_set_starred = Combination.starred.__set__
 
 
 class HorizonValuation(Record):
@@ -291,27 +315,40 @@ def parse_block_lines(text):
 def evaluate(seq, comb):
     """Evaluate a combination over a sequence to the subblock it denotes.
 
-    Each term's tetris image is appended to one list of pairs, so ordered
-    supports cost one pass; an image that does not start after the pairs
-    gathered so far goes through ``add``, which reports an overlap.  No
-    cache of ``seq`` is read, so ``check_witness`` is an independent recheck.
+    Terms are checked in order, index before exponent, so the first bad
+    term is the one named.  A generator whose first position lies after
+    the pairs gathered so far (always, over ordered supports) has its
+    lowered pairs appended straight onto one result list, with no image
+    built; at exponent 0 its stored pairs are appended whole.  Any other
+    generator's image is built and, unless it still starts after the
+    gathered pairs, merged by ``add``, which reports an overlap.  No cache
+    of ``seq`` is read, so ``check_witness`` is an independent recheck.
     """
     k, blocks = seq.k, seq.blocks
     n = len(blocks)
     pairs = []
+    append = pairs.append
     for index, exponent in comb.terms:
         if not 0 <= index < n:
             raise IndexOutOfRange(f"index {index} outside 0..{n - 1}")
         if exponent >= k:
             raise InvalidCombination(f"exponent {exponent} not below level {k}")
-        image = blocks[index].pairs
-        if exponent:
-            image = [(pos, v - exponent) for pos, v in image if v > exponent]
-        if pairs and image and image[0][0] <= pairs[-1][0]:
-            total = add(Subblock._raw(k, tuple(pairs)), Subblock._raw(k, tuple(image)))
-            pairs = list(total.pairs)
+        stored = blocks[index].pairs
+        if pairs and stored[0][0] <= pairs[-1][0]:
+            image = stored
+            if exponent:
+                image = [(pos, v - exponent) for pos, v in stored if v > exponent]
+            if image and image[0][0] <= pairs[-1][0]:
+                total = add(Subblock._raw(k, tuple(pairs)), Subblock._raw(k, tuple(image)))
+                pairs[:] = total.pairs
+            else:
+                pairs += image
+        elif exponent:
+            for pos, v in stored:
+                if v > exponent:
+                    append((pos, v - exponent))
         else:
-            pairs += image
+            pairs += stored
     return Subblock._raw(k, tuple(pairs))
 
 
@@ -393,7 +430,7 @@ def _checked_span(seq, starred, cap_bits):
     # with no exponent 0, or less the empty one when starred
     _check_listing((k + 1) ** n - (1 if starred else k**n), "combinations", cap_bits)
     return (
-        (Subblock._raw(k, pairs), Combination(terms, starred))
+        (Subblock._raw(k, pairs), Combination._trusted(terms, starred))
         for pairs, terms in _span_walk(seq, starred)
     )
 
@@ -475,11 +512,11 @@ def membership_witness(t, seq, starred=False):
     if t.k != seq.k:
         raise MismatchedLevel(f"levels {t.k} and {seq.k}")
     if t.is_empty:
-        return Combination((), starred=True) if starred else None
+        return Combination._trusted((), True) if starred else None
     terms = _witness_terms(t.pairs, seq, starred)
     if terms is None:
         return None
-    witness = Combination(terms, starred)
+    witness = Combination._trusted(terms, starred)
     check_witness(seq, witness, t)
     return witness
 
@@ -699,8 +736,10 @@ class _Sweep:
 
     Only ``walk``, for listing (``elements``), keeps every step's moves, so
     otherwise memory does not grow with the positions.  Witness terms grow
-    as cons chains; an element handed out builds its block from its left
-    terms' tetris images and re-evaluates the right witness.
+    as cons chains, only on a move that uses a generator opened there and
+    once per move for the least and least ended prefix when they coincide;
+    an element handed out builds its block from its left terms' tetris
+    images and re-evaluates the right witness.
 
     A sweep without ``walk`` keeps one layer, the states after its last
     position at or below ``left``'s last ``max_support``, which a sweep
@@ -753,14 +792,15 @@ class _Sweep:
             # per left choice where a left generator opens: its symbol + 1
             symbols = {e: 1 + (e if by_witness else k - e) for e in range(k)}
             symbols[_UNUSED] = 1 + k if by_witness else 1
-        # the least prefixes a move extends, (slot, key, chains), or none
+        # the least prefixes a move extends, (slots, key, chains), or none;
+        # slots that fold the same prefix share its grown chains
         record, folds = walk or ordered, ()
         steps = _sweep_steps(left, right, force, walked, self._table)
         boundary = left.blocks[-1].max_support if left.blocks else -1
         for pos, (lg, lmoves), (rg, rmoves) in steps:
             nxt = {}
             moves = []
-            opens = lg is not None or rg is not None
+            ropens = rg is not None
             # a used generator below the tail index clears its side's mark
             lhead = lg is not None and lg < tail
             rhead = rg is not None and rg < tail
@@ -770,8 +810,9 @@ class _Sweep:
                 lopts = lmoves if lg is not None else lmoves[cl]
                 ropts = rmoves if rg is not None else rmoves[cr]
                 for c1, v1 in lopts:
+                    lused = lg is not None and c1 >= 0
                     new_top = pos if v1 == k else top
-                    new_last = lg if lg is not None and c1 >= 0 else last
+                    new_last = lg if lused else last
                     lm = marks & ~_LEFT_MARK if lhead and c1 >= 0 else marks
                     if lfresh and c1 == 0:
                         lm |= _FRESH_MARK
@@ -779,36 +820,44 @@ class _Sweep:
                         key, prior = least
                         if lg is not None:
                             key = key * base + symbols[c1]
-                        folds = ((_LEAST, key, prior),)
-                        if by_witness and lg is not None and c1 >= 0:
+                        if by_witness and lused:
                             # the witness may end at this term
-                            folds += ((_ENDED, key, prior),)
-                        elif ended is not None:
-                            ekey = ended[0] * base if lg is not None else ended[0]
-                            folds += ((_ENDED, ekey, ended[1]),)
+                            folds = (((_LEAST, _ENDED), key, prior),)
+                        else:
+                            folds = (((_LEAST,), key, prior),)
+                            if ended is not None:
+                                ekey = ended[0] * base if lg is not None else ended[0]
+                                folds += (((_ENDED,), ekey, ended[1]),)
                     for c2, v2 in ropts:
                         if v1 != v2:
                             continue
                         m = lm & ~_RIGHT_MARK if rhead and c2 >= 0 else lm
+                        # whether a witness gains a term: only then do chains grow
+                        grows = lused or ropens and c2 >= 0
                         new = (c1, zl or c1 == 0, c2, zr or c2 == 0)
                         held = nxt.get(new)
                         if held is None:
-                            grown = _grow(lg, rg, new, chains) if opens else chains
+                            grown = _grow(lg, rg, new, chains) if grows else chains
                             nxt[new] = held = [paths, new_top, grown, new_last, new, m, None, None]
                         else:
                             new = held[4]  # one object per state keeps the moves small
                             held[0] += paths
                             if new_top > held[1]:
                                 held[1] = new_top
-                                held[2] = _grow(lg, rg, new, chains) if opens else chains
+                                held[2] = _grow(lg, rg, new, chains) if grows else chains
                             if new_last < held[3]:
                                 held[3] = new_last
                             held[5] |= m
                         if record:
-                            for slot, key, prior in folds:
-                                found = held[slot]
-                                if found is None or key < found[0]:
-                                    held[slot] = key, _grow(lg, rg, new, prior) if opens else prior
+                            for slots, key, prior in folds:
+                                entry = None
+                                for slot in slots:
+                                    found = held[slot]
+                                    if found is None or key < found[0]:
+                                        entry = entry or (
+                                            key, _grow(lg, rg, new, prior) if grows else prior
+                                        )
+                                        held[slot] = entry
                             if walk:
                                 moves.append((state, new, v1))
             layer = nxt
@@ -849,7 +898,9 @@ class _Sweep:
         block = Subblock._raw(
             self.k, tuple(p for g, e in left_terms for p in tetris(blocks[g], e).pairs)
         )
-        element = CommonElement(block, Combination(left_terms), Combination(right_terms))
+        element = CommonElement(
+            block, Combination._trusted(left_terms), Combination._trusted(right_terms)
+        )
         check_witness(self.right, element.right_witness, block)
         return element
 

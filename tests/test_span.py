@@ -133,6 +133,21 @@ class TestCombination:
             Combination(((0, -1),), starred=True)
 
 
+def unchecked(k, *generators):
+    """A sequence built without validation: generators may come in any
+    order and need not attain k."""
+    s = object.__new__(BlockSequence)
+    s.k, s.blocks = k, tuple(blk(k, g) for g in generators)
+    return s
+
+
+def oracle_sum(s, terms):
+    """The oracle's pairs for ``terms`` over ``s``, or None on an overlap."""
+    gens = [oracle.to_dict(b) for b in s]
+    total = oracle.add_dicts([oracle.tetris_dict(gens[i], e) for i, e in terms])
+    return None if total is None else oracle.as_key(total)
+
+
 class TestEvaluate:
     def test_interleaved_sum(self):
         s = seq(2, "0:2", "1:2", "3:2")
@@ -159,6 +174,47 @@ class TestEvaluate:
         unordered.blocks = (blk(2, [(0, 2), (3, 2)]), blk(2, [(1, 1), (3, 2)]))
         with pytest.raises(OverlappingSupport, match="position 3$"):
             evaluate(unordered, both)
+
+    def test_image_that_drops_its_low_values_lands_after_the_pairs(self):
+        # generator 1 starts at 0, before the gathered (3, 3), but at
+        # exponent 1 its value 1 there drops and its image starts at 5
+        s = unchecked(3, [(3, 3)], [(0, 1), (5, 3)], [(1, 2), (7, 3)])
+        for terms, expected in (
+            (((0, 0), (1, 1)), ((3, 3), (5, 2))),
+            (((0, 0), (1, 1), (2, 2)), ((3, 3), (5, 2), (7, 1))),
+            (((0, 1), (1, 2), (2, 0)), ((1, 2), (3, 2), (5, 1), (7, 3))),
+        ):
+            assert oracle_sum(s, terms) == expected
+            assert evaluate(s, Combination(terms, starred=True)).pairs == expected
+        # a generator that starts before the gathered pairs and meets one
+        with pytest.raises(OverlappingSupport, match="^supports meet at position 3$"):
+            evaluate(unchecked(3, [(3, 3)], [(0, 1), (3, 1)]), Combination(((0, 0), (1, 0))))
+
+    def test_image_that_its_exponent_empties(self):
+        # values of at most e vanish under T^e, wherever the generator lies
+        s = unchecked(3, [(4, 2)], [(0, 1), (2, 2)], [(6, 3)], [(8, 1)])
+        for terms in (
+            ((0, 2), (2, 0)),  # emptied first: nothing gathered yet
+            ((0, 0), (1, 2), (2, 0)),  # starts before the gathered pairs
+            ((0, 0), (2, 0), (3, 1)),  # after them: appends nothing
+            ((0, 2), (1, 2), (3, 2)),  # every image empty
+        ):
+            expected = oracle_sum(s, terms)
+            assert evaluate(s, Combination(terms, starred=True)).pairs == expected
+        assert evaluate(s, Combination(((0, 2), (1, 2), (3, 2)), starred=True)).is_empty
+
+    def test_first_bad_term_is_named(self):
+        s = seq(2, "0:2", "1:2")
+        for terms, error, message in (
+            (((0, 0), (2, 0), (3, 5)), IndexOutOfRange, "index 2 outside 0..1"),
+            (((0, 3), (2, 0)), InvalidCombination, "exponent 3 not below level 2"),
+            (((0, 0), (1, 2), (5, 0)), InvalidCombination, "exponent 2 not below level 2"),
+            # one term bad in both ways: its index is checked first
+            (((0, 0), (4, 7)), IndexOutOfRange, "index 4 outside 0..1"),
+        ):
+            with pytest.raises(error) as caught:
+                evaluate(s, Combination(terms, starred=True))
+            assert str(caught.value) == message
 
 
 class TestEnumerate:
@@ -479,6 +535,58 @@ def test_evaluate_matches_oracle(k, data):
         if not starred and (not terms or min(e for _, e in terms)):
             continue
         assert evaluate(s, Combination(terms, starred)).pairs == oracle.as_key(expected)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@given(data=st.data())
+def test_evaluate_in_any_order_matches_oracle(k, data):
+    # unvalidated generators in any order, overlapping or not attaining k,
+    # so terms take both the append path and the image-and-add path
+    generators = data.draw(
+        st.lists(
+            st.dictionaries(st.integers(0, 9), st.integers(1, k), min_size=1, max_size=4),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    s = unchecked(k, *(g.items() for g in generators))
+    codes = data.draw(st.lists(st.integers(0, k), min_size=len(s), max_size=len(s)))
+    terms = tuple((i, c - 1) for i, c in enumerate(codes) if c)
+    expected = oracle_sum(s, terms)
+    if expected is None:
+        with pytest.raises(OverlappingSupport):
+            evaluate(s, Combination(terms, starred=True))
+    else:
+        assert evaluate(s, Combination(terms, starred=True)).pairs == expected
+
+
+def _assert_checked(witness, starred):
+    """A combination built on a trusted path passes every check of the
+    validating constructor and equals what it builds."""
+    assert type(witness.terms) is tuple and witness.starred is starred
+    rebuilt = Combination(witness.terms, witness.starred)
+    assert rebuilt == witness and hash(rebuilt) == hash(witness)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@given(data=st.data())
+def test_trusted_combinations_pass_the_checks(k, data):
+    left = data.draw(generator_lists(k))
+    right = data.draw(st.one_of(generator_lists(k), partners(left)))
+    for starred in (False, True):
+        for block, witness in enumerate_span(left, starred=starred):
+            _assert_checked(witness, starred)
+            _assert_checked(membership_witness(block, left, starred=starred), starred)
+    _assert_checked(membership_witness(Subblock._raw(k, ()), left, starred=True), True)
+    found = [*intersect_spans(left, right), first_common_element(left, right)]
+    found.append(_Sweep(left, right, order="value").least)
+    sweep = _Sweep(left, right)
+    if sweep.count:
+        found.append(sweep.peak_element())
+    for ce in found:
+        if ce is not None:
+            _assert_checked(ce.left_witness, False)
+            _assert_checked(ce.right_witness, False)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -15,6 +15,8 @@ is read by ``parse_int``: an optional ``-`` and ASCII digits.
 """
 
 from bisect import bisect_left
+from collections import deque
+from itertools import repeat
 from operator import attrgetter
 
 from .errors import (
@@ -79,6 +81,17 @@ class Subblock:
         _set_k(self, k)
         _set_pairs(self, pairs)
         return self
+
+    # ``_raw`` for ``count`` subblocks at once, as a tuple, one per pairs
+    # tuple drawn from ``pairs`` (which must yield at least ``count``): the
+    # instances are allocated and both slots filled by C-level maps, so no
+    # Python frame runs per subblock.
+    @classmethod
+    def _raw_many(cls, k, pairs, count):
+        made = tuple(map(object.__new__, repeat(cls, count)))
+        deque(map(_set_k, made, repeat(k)), maxlen=0)
+        deque(map(_set_pairs, made, pairs), maxlen=0)
+        return made
 
     def __setattr__(self, name, value):
         raise AttributeError("Subblock is immutable")

@@ -19,7 +19,6 @@ exponent 0, so only a failing check sweeps again to name that element.
 
 import itertools
 from bisect import bisect_right
-from operator import attrgetter
 
 from .blocks import Record, _setattr, peak
 from .errors import (
@@ -29,7 +28,7 @@ from .errors import (
     MismatchedLevel,
     NotAlmostDisjoint,
 )
-from .span import BlockSequence, _Sweep, membership_witness
+from .span import _BY_MIN_SUPPORT, BlockSequence, _Sweep, membership_witness
 from .structure import _nonempty_certificate
 
 __all__ = [
@@ -206,7 +205,7 @@ def choose_next(family, chosen, step_index):
     floors = [b.value for b in bounds if b is not None and b.value is not None]
     # candidates are ordered: the first one after ``previous`` lies between
     # it and every later candidate
-    between = bisect_right(candidates, previous.max_support, key=attrgetter("min_support"))
+    between = bisect_right(candidates, previous.max_support, key=_BY_MIN_SUPPORT)
     for candidate in itertools.islice(candidates, between + 1, None):
         if all(peak(candidate) > floor for floor in floors):
             return candidate, between

@@ -17,7 +17,9 @@ answer carries a witness combination that evaluates back to the queried
 subblock.  Evaluation appends each term's lowered pairs to one list.  A
 combination whose terms the library made itself is built unchecked
 (``Combination._trusted``), while one read from a caller or from text is
-checked; either way a positive answer's witness is evaluated again.
+checked; either way a positive answer's witness is evaluated again and
+compared with the answer (a membership answer compares the pairs alone,
+since its levels were checked on entry).
 """
 
 import itertools
@@ -57,6 +59,10 @@ DEFAULT_CAP_BITS = 24.0
 
 # a position sweep's choice for a generator it does not use
 _UNUSED = -1
+
+# bisection keys over a sequence's blocks
+_BY_MAX_SUPPORT = attrgetter("max_support")
+_BY_MIN_SUPPORT = attrgetter("min_support")
 
 
 class BlockSequence:
@@ -164,8 +170,9 @@ class Combination(Record):
         exponent 0 unless ``starred``.  The callers build the terms
         themselves: ``_checked_span`` from its walk's subsets and exponent
         vectors, ``membership_witness`` from ``_witness_terms`` (and then
-        rechecks the witness), and ``_Sweep._element`` from a sweep's
-        accepting paths, which see exponent 0 on both sides.
+        evaluates the witness again and compares the pairs it gives), and
+        ``_Sweep._element`` from a sweep's accepting paths, which see
+        exponent 0 on both sides.
         """
         self = object.__new__(cls)
         _set_terms(self, terms)
@@ -355,7 +362,11 @@ def evaluate(seq, comb):
 def check_witness(seq, witness, block):
     """Re-evaluate a witness; raise WitnessMismatch unless it produces ``block``."""
     if evaluate(seq, witness) != block:
-        raise WitnessMismatch(f"witness {witness.render()} does not produce {block.render()}")
+        raise _mismatch(witness, block)
+
+
+def _mismatch(witness, block):
+    return WitnessMismatch(f"witness {witness.render()} does not produce {block.render()}")
 
 
 def _check_listing(count, noun, cap_bits):
@@ -473,7 +484,7 @@ def _witness_terms(pairs, seq, starred):
             return None
         stored = blocks[g].pairs
         if stored[-1][0] < pos:
-            g = bisect_left(blocks, pos, g + 1, n, key=attrgetter("max_support"))
+            g = bisect_left(blocks, pos, g + 1, n, key=_BY_MAX_SUPPORT)
             if g == n:
                 return None
             stored = blocks[g].pairs
@@ -507,17 +518,21 @@ def membership_witness(t, seq, starred=False):
     """Decide span membership; returns the unique witness or None.
 
     A None result is the negative answer, not a failure.  The witness is
-    re-evaluated before being returned, so a positive answer is checked.
+    re-evaluated before being returned, so a positive answer is checked:
+    the levels agree, so comparing the evaluated pairs with ``t``'s is the
+    test ``check_witness`` makes, and a mismatch raises its error.
     """
     if t.k != seq.k:
         raise MismatchedLevel(f"levels {t.k} and {seq.k}")
-    if t.is_empty:
+    pairs = t.pairs
+    if not pairs:
         return Combination._trusted((), True) if starred else None
-    terms = _witness_terms(t.pairs, seq, starred)
+    terms = _witness_terms(pairs, seq, starred)
     if terms is None:
         return None
     witness = Combination._trusted(terms, starred)
-    check_witness(seq, witness, t)
+    if evaluate(seq, witness).pairs != pairs:
+        raise _mismatch(witness, t)
     return witness
 
 
@@ -624,13 +639,13 @@ def _sweep_steps(left, right, force, walked, table):
     if last < 0:
         return
     hi = blocks[last].pairs[-1][0]
-    rstop = bisect_right(others, hi, key=attrgetter("min_support"))
+    rstop = bisect_right(others, hi, key=_BY_MIN_SUPPORT)
     if walked is None:
         first = 0
         while force.get(first) == _UNUSED:
             first += 1
         lo = blocks[first].pairs[0][0]
-        rfirst = bisect_left(others, lo, 0, rstop, key=attrgetter("max_support"))
+        rfirst = bisect_left(others, lo, 0, rstop, key=_BY_MAX_SUPPORT)
     else:
         lo = walked + 1
         rfirst = _reaching(others, rstop, lo)
@@ -981,16 +996,23 @@ def valuation(blocks, horizon=None):
     """The valuation F of a finite set of blocks as a HorizonValuation.
 
     The horizon defaults to the widest support; a block reaching past an
-    explicit horizon raises HorizonExhausted.
+    explicit horizon raises HorizonExhausted.  Blocks are checked in order,
+    each for its peak first, so the first offending one names the error.
     """
     blocks = list(blocks)
     value = None
     widest = 0
     for b in blocks:
-        top = peak(b)
+        k, pairs = b.k, b.pairs
+        # the peak, scanned from the right as ``peak`` does
+        for top, v in reversed(pairs):
+            if v == k:
+                break
+        else:
+            peak(b)  # raises NotABlock
         if value is None or top > value:
             value = top
-        end = b.pairs[-1][0]  # a block has pairs: peak found one
+        end = pairs[-1][0]  # a block has pairs: the scan found one
         if end > widest:
             widest = end
         if horizon is not None and end > horizon:

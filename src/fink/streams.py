@@ -11,9 +11,10 @@ form with ``K`` for the level).
 refuses more than 2^16.  It then takes the head blocks that fit and shifts
 the base templates' pairs cycle by cycle.  The templates were validated
 once, when the stream was built, and shifting keeps what was validated, so
-the BlockSequence is built without checking its blocks again.  A tail of a
-stream is never built: the blocks from n on are ``truncate(h).blocks[n:]``,
-since supports strictly increase.
+the shifted blocks are built in one batch (``Subblock._raw_many``) and the
+BlockSequence without checking its blocks again.  A tail of a stream is
+never built: the blocks from n on are ``truncate(h).blocks[n:]``, since
+supports strictly increase.
 
 The stream spec text format (one line, ``key=value`` tokens):
 
@@ -41,10 +42,11 @@ __all__ = [
 ]
 
 
-# A truncation costs under a microsecond per shifted block (0.6-1.0 us with
-# Python 3.11 on a 2-vCPU Xeon VM; 2^16 blocks take about 70 ms), so this
-# many take well under a second; a horizon past it is refused rather than
-# walked.
+# A truncation costs about a microsecond per shifted block or less: with
+# Python 3.11 on a 2-vCPU Xeon VM, 2^16 builtin blocks take 46-64 ms of
+# CPU (0.7-1.0 us each), of which the cyclic garbage collector, set off by
+# the allocations, takes a third.  So this many take well under a second;
+# a horizon past it is refused rather than walked.
 _MAX_TRUNCATION = 2**16
 
 
@@ -100,14 +102,14 @@ class Stream:
             raise EnumerationCapExceeded(
                 f"more than {_MAX_TRUNCATION} blocks fit below horizon {horizon}"
             )
-        blocks = list(self.head[:count])
+        blocks = self.head[:count]
         rest = count - len(blocks)  # blocks past the head; none without a base
         if rest:
             cycles = -(-rest // len(self.base))  # the last one may be cut short
             columns = [_shifted_pairs(t, cycles, self.shift) for t in self.base]
             in_order = islice(chain.from_iterable(zip(*columns)), rest)
-            blocks += map(Subblock._raw, repeat(self.k), in_order)
-        return BlockSequence._trusted(self.k, tuple(blocks))
+            blocks += Subblock._raw_many(self.k, in_order, rest)
+        return BlockSequence._trusted(self.k, blocks)
 
 
 def _shifted_pairs(template, cycles, shift):

@@ -69,6 +69,29 @@ class TestConstruction:
             with pytest.raises(AttributeError):
                 setattr(p, name, None)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("count", [0, 1, 50])
+    def test_batch_constructor_builds_what_the_trusted_one_does(self, k, count):
+        rows = [
+            tuple((3 * i + j, 1 + (i + j) % k) for j in range(i % 3)) + ((3 * i + 2, k),)
+            for i in range(count)
+        ]
+        made = Subblock._raw_many(k, iter(rows), count)
+        assert type(made) is tuple and len(made) == count
+        for p, pairs in zip(made, rows):
+            one = Subblock._raw(k, pairs)
+            assert type(p) is Subblock and p == one and hash(p) == hash(one)
+            assert p.k == k and p.pairs is pairs
+            for name in ("k", "pairs"):
+                with pytest.raises(AttributeError):
+                    setattr(p, name, None)
+
+    def test_batch_constructor_takes_only_count_rows(self):
+        rows = iter([((0, 2),), ((2, 2),), ((4, 2),)])
+        made = Subblock._raw_many(2, rows, 2)
+        assert [p.pairs for p in made] == [((0, 2),), ((2, 2),)]
+        assert next(rows) == ((4, 2),)
+
     def test_is_block_requires_full_value(self):
         assert blk(2, [(0, 2), (1, 1)]).is_block
         assert not blk(2, [(0, 1), (1, 1)]).is_block

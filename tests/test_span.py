@@ -15,11 +15,13 @@ from fink import (
     BlockSequence,
     Combination,
     EnumerationCapExceeded,
+    HorizonExhausted,
     HorizonValuation,
     IndexOutOfRange,
     InvalidCombination,
     InvalidSequence,
     MismatchedLevel,
+    NotABlock,
     OverlappingSupport,
     ParseError,
     Subblock,
@@ -487,6 +489,29 @@ class TestValuation:
         b = [blk(2, [(5, 2)])]
         assert valuation(a + b).value == max(valuation(a).value, valuation(b).value)
         assert valuation(a + []).value == valuation(a).value
+
+    def test_peak_is_the_rightmost_full_value(self):
+        assert valuation([blk(2, [(0, 1), (1, 2), (3, 1)])]).value == 1
+        assert valuation([blk(3, [(0, 3), (2, 3), (4, 2)]), blk(3, [(6, 3)])]).value == 6
+
+    # errors come block by block, in order: a block's peak before its
+    # horizon, so the first offending block names the error
+    def test_non_block_before_a_block_past_the_horizon(self):
+        with pytest.raises(NotABlock, match=r"^value 2 never attained$"):
+            valuation([R, blk(2, [(1, 1)]), blk(2, [(5, 2)])], horizon=3)
+
+    def test_non_block_after_a_block_past_the_horizon(self):
+        with pytest.raises(HorizonExhausted, match=r"^block 5:2 reaches past horizon 3$"):
+            valuation([R, blk(2, [(5, 2)]), blk(2, [(7, 1)])], horizon=3)
+
+    def test_non_block_past_the_horizon(self):
+        with pytest.raises(NotABlock, match=r"^value 2 never attained$"):
+            valuation([blk(2, [(5, 1)])], horizon=3)
+
+    def test_empty_subblock(self):
+        for horizon in (None, 3):
+            with pytest.raises(NotABlock, match=r"^value 2 never attained$"):
+                valuation([R, Subblock._raw(2, ())], horizon=horizon)
 
 
 # one dict per generator, owner-partitioned so supports stay disjoint

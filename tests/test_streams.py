@@ -102,10 +102,18 @@ class TestTailAndTruncate:
 
     def test_refused_truncation_builds_no_block(self, monkeypatch):
         evens = make_builtin("evens", 2)
+        # count every block built, one at a time or in a batch
         built = []
-        raw = Subblock._raw
+        raw, raw_many = Subblock._raw, Subblock._raw_many
+
+        def counted_many(cls, k, pairs, count):
+            made = raw_many(k, pairs, count)
+            built.extend(p.pairs for p in made)
+            return made
+
         counted = classmethod(lambda cls, k, pairs: built.append(pairs) or raw(k, pairs))
         monkeypatch.setattr(Subblock, "_raw", counted)
+        monkeypatch.setattr(Subblock, "_raw_many", classmethod(counted_many))
         with pytest.raises(EnumerationCapExceeded):
             evens.truncate(10**18)
         assert built == []

@@ -11,8 +11,13 @@ subsets depth first and lazily, so elements come out in witness order with
 no sort, and an unstarred listing steps only through exponent vectors it
 lists.  Membership is decided directly from the forced exponents.  A
 question about two spans at once is one forward pass over their support
-positions, polynomial in their number, that folds every answer, least
-elements keyed by one symbol per left generator opened.  Every positive
+positions that folds every answer, least elements keyed by one symbol per
+left generator opened.  The pass skips whole every generator window
+``[min_support, max_support]`` that holds no support position of the
+other side: used at exponent e < k, the generator keeps the value
+k - e >= 1 at its peak, where the other side's value is 0, so it can only
+be unused.  Its cost is polynomial in the positions where both sides'
+windows meet, plus one step per window skipped.  Every positive
 answer carries a witness combination that evaluates back to the queried
 subblock.  Evaluation appends each term's lowered pairs to one list.  A
 combination whose terms the library made itself is built unchecked
@@ -615,6 +620,19 @@ def _move_table(k):
 _NO_PAIR = (math.inf, None, None)  # a used-up support walk
 
 
+def _support(blocks, first, stop):
+    """Per support position of ``blocks[first:stop]``, ascending, ``(pos,
+    generator, value)``, then ``_NO_PAIR`` for ever.  Sending a true value
+    skips the rest of the current generator's window and returns the next
+    generator's first position."""
+    for g in range(first, stop):
+        for pos, v in blocks[g].pairs:
+            if (yield pos, g, v):
+                break
+    while True:
+        yield _NO_PAIR
+
+
 def _sweep_steps(left, right, force, walked, table):
     """Per position a sweep walks, ascending, ``(pos, left step, right
     step)``, from one merged walk of both sides' supports.  A side's step
@@ -631,6 +649,16 @@ def _sweep_steps(left, right, force, walked, table):
     for the right side's upper end.  A fresh sweep opens no window before
     its first position (its hull may start inside the window of a left
     generator forced unused) and bisects for both ends of the right side.
+
+    Inside the hull, a window ``[min_support, max_support]`` that holds no
+    support position of the other side is skipped whole, unless ``force``
+    fixes its left generator to an exponent: used at exponent e < k, the
+    generator keeps the value k - e >= 1 at its peak, where the other
+    side's value is 0, so only "unused" survives it.  At its positions the
+    other side's step maps every choice to itself at value 0, so no
+    answer moves; the skipped side keeps a stale choice, which the next
+    opening overwrites or the next step outside every window maps to None.
+    The hull is the outer case of the same rule.
     """
     blocks, others = left.blocks, right.blocks
     last = len(blocks) - 1
@@ -665,39 +693,52 @@ def _sweep_steps(left, right, force, walked, table):
         lopen, lend = lfirst, blocks[lfirst].pairs[-1][0]
     if rfirst < rstop and others[rfirst].min_support < lo:
         ropen, rend = rfirst, others[rfirst].pairs[-1][0]
-    lsupport = ((pos, g, v) for g in range(lfirst, lstop) for pos, v in blocks[g].pairs)
-    rsupport = ((pos, g, v) for g in range(rfirst, rstop) for pos, v in others[g].pairs)
-    la, lg, lv = next(lsupport, _NO_PAIR)
+    lsupport = _support(blocks, lfirst, lstop)
+    rsupport = _support(others, rfirst, rstop)
+    la, lg, lv = next(lsupport)
     while la < lo:
-        la, lg, lv = next(lsupport, _NO_PAIR)
-    ra, rg, rv = next(rsupport, _NO_PAIR)
+        la, lg, lv = next(lsupport)
+    ra, rg, rv = next(rsupport)
     while ra < lo:
-        ra, rg, rv = next(rsupport, _NO_PAIR)
+        ra, rg, rv = next(rsupport)
     while True:
         pos = la if la < ra else ra
         if pos > hi:
             return
         if la != pos:
             lstep = inside[0] if pos < lend else outside
+        elif lg == lopen:
+            lstep = inside[lv]
         else:
-            if lg == lopen:
-                lstep = inside[lv]
-            else:
-                lopen, lend = lg, blocks[lg].pairs[-1][0]
-                moves = starts[lv]
-                if lg in force:
-                    moves = tuple(move for move in moves if move[0] == force[lg])
-                lstep = (lg, moves)
-            la, lg, lv = next(lsupport, _NO_PAIR)
+            # the next right position lies past the window: skip it unless
+            # ``force`` fixes an exponent
+            end = blocks[lg].pairs[-1][0]
+            choice = force.get(lg, _UNUSED)
+            if ra > end and choice == _UNUSED:
+                la, lg, lv = lsupport.send(True)
+                continue
+            lopen, lend = lg, end
+            moves = starts[lv]
+            if lg in force:
+                moves = tuple(move for move in moves if move[0] == choice)
+            lstep = (lg, moves)
         if ra != pos:
             rstep = inside[0] if pos < rend else outside
+        elif rg == ropen:
+            rstep = inside[rv]
         else:
-            if rg == ropen:
-                rstep = inside[rv]
-            else:
-                ropen, rend = rg, others[rg].pairs[-1][0]
-                rstep = (rg, starts[rv])
-            ra, rg, rv = next(rsupport, _NO_PAIR)
+            # a window skipped here holds no left position, so the left
+            # side is not at ``pos`` and its branch above changed nothing
+            end = others[rg].pairs[-1][0]
+            if la > end:
+                ra, rg, rv = rsupport.send(True)
+                continue
+            ropen, rend = rg, end
+            rstep = (rg, starts[rv])
+        if la == pos:
+            la, lg, lv = next(lsupport)
+        if ra == pos:
+            ra, rg, rv = next(rsupport)
         yield pos, lstep, rstep
 
 
@@ -717,7 +758,11 @@ class _Sweep:
     """Every question about the common elements of two spans, in one pass.
 
     The sweep walks both sequences' support positions inside the hull of
-    the left generators it may use (``_sweep_steps``).  Supports are
+    the left generators it may use (``_sweep_steps``), skipping every
+    window that holds no support position of the other side: its
+    generator keeps the value k - e >= 1 at its peak when used at exponent
+    e, where the other side's value is 0, so it can only be unused, and no
+    answer moves at its positions.  Supports are
     ordered, so on each side at most one generator window ``[min_support,
     max_support]`` holds a position, and that generator's choice (unused
     or an exponent) is fixed where its support starts.  A state is ``(left
@@ -730,7 +775,9 @@ class _Sweep:
     ``force`` maps left generator indices to a fixed choice: ``_UNUSED`` or
     one exponent.  The forward pass folds, per state and move by move, the
     number of paths, the largest last position of value k (with the terms
-    of a path attaining it), the smallest largest left index used and three
+    of a path attaining it: when several do, the fold order over the
+    positions walked picks one), the smallest largest left index used and
+    three
     marks merged by "or": ``count``, ``peak`` (the valuation F) with
     ``peak_element``, ``prefix_length``, and ``tails`` and ``fresh_used``,
     which tell whether each side's tail from generator ``tail`` on meets
@@ -748,6 +795,11 @@ class _Sweep:
     once the witness has ended, so that order also folds the least *ended*
     prefix, entered at its last left term.  A key is its predecessor's
     times k + 2 plus the symbol + 1; keys that may pass 2^64 are ranked.
+    A skipped left generator adds no symbol, and the order stays: every
+    path leaves it unused, so by value its symbol is 0 on every key, and
+    by witness it is k on every key that goes on and -1 on every ended
+    one, which holds -1 again at the next generator opened, where a key
+    that goes on holds a larger symbol.
 
     Only ``walk``, for listing (``elements``), keeps every step's moves, so
     otherwise memory does not grow with the positions.  Witness terms grow
@@ -757,10 +809,13 @@ class _Sweep:
     images and re-evaluates the right witness.
 
     A sweep without ``walk`` keeps one layer, the states after its last
-    position at or below ``left``'s last ``max_support``, which a sweep
-    over a longer left sequence shares: its later blocks start past that
-    position.  (The hull's last layer is not kept: a right window can widen
-    the hull past it, into the next left block.)  ``resume`` takes such a
+    walked position at or below ``left``'s last ``max_support``, which a
+    sweep over a longer left sequence shares: its later blocks start past
+    that position, a left window skipped before it is skipped again, and a
+    right window that reaches past it holds ``left``'s last position, so
+    it is never skipped.  (The hull's last layer is not kept: a right
+    window can widen the hull past it, into the next left block.)
+    ``resume`` takes such a
     sweep over a prefix of ``left`` against the same ``right``, with
     ``force`` and ``tail`` agreeing on the prefix and ``fresh`` past it,
     and walks only the positions past its kept layer, with the windows

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given
@@ -852,17 +853,19 @@ def test_least_elements_after_many_positions(k):
         left = make_random_sequence(rng, k, max_generators=60, max_position=120)
         while len(left) < 40:
             left = make_random_sequence(rng, k, max_generators=60, max_position=120)
-        groups, start = [], rng.randint(0, 3)
-        while start < len(left) and len(groups) < 6:
-            size = rng.randint(1, 3)
-            terms = [(g, rng.randrange(k)) for g in range(start, min(start + size, len(left)))]
+        # four sums of consecutive left generators, which together use every
+        # one, so that every left window holds a right position and is walked
+        cuts = [0, *sorted(rng.sample(range(1, len(left)), 3)), len(left)]
+        groups = []
+        for start, stop in zip(cuts, cuts[1:]):
+            terms = [(g, rng.randrange(k)) for g in range(start, stop)]
             i = rng.randrange(len(terms))
             terms[i] = (terms[i][0], 0)
             groups.append(evaluate(left, Combination(tuple(terms))))
-            start += size + rng.randint(3, 12)
         right = BlockSequence(k, groups)
         # more openings than 64 / log2(k + 2): the sweep over ``left`` re-ranks
         opened = [lg for lg, _ in _Sweep(left, right, walk=True).opened if lg is not None]
+        assert opened == list(range(len(left)))
         assert len(opened) > 64 / math.log2(k + 2)
         for a, b in ((left, right), (right, left)):
             listing = intersect_spans(a, b)
@@ -894,20 +897,40 @@ def test_tail_marks_match_head_forced_sweeps(k, data):
         assert sweep_answers(marked) == sweep_answers(plain)
 
 
+def walked_positions(left, right, force=None):
+    """The positions a fresh sweep of ``left`` against ``right`` walks."""
+    steps = span._sweep_steps(left, right, force or {}, None, span._move_table(left.k))
+    return [pos for pos, _, _ in steps]
+
+
 def test_sweep_walks_only_the_usable_left_hull():
     evens = make_builtin("evens", 2).truncate(20001)
     left = seq(2, "0:2", "2:2,3:1", "40000:2")
     # the hull of the first two generators is [0, 3]: positions 0, 2 and 3
     sweep = _Sweep(left, evens, {2: _UNUSED}, walk=True)
     assert len(sweep.moves) == 3
+    assert walked_positions(left, evens, {2: _UNUSED}) == [0, 2, 3]
     assert {ce.block for ce in sweep.elements()} == {blk(2, [(0, 2)]), blk(2, [(0, 2), (2, 1)])}
-    # with the last generator usable: every evens position, then 3 and 40000
-    assert len(_Sweep(left, evens, walk=True).moves) == 10001 + 2
-    # the right window [0, 2] cuts the hull [1, 1], which widens to it
-    assert len(_Sweep(seq(2, "1:2"), seq(2, "0:2,2:1", "5:2"), walk=True).moves) == 3
-    assert len(_Sweep(seq(2, "1:2", "4:2"), evens, {0: _UNUSED}, walk=True).moves) == 1
-    # a left generator forced unused inside the widened hull [0, 5] is walked
-    assert len(_Sweep(seq(2, "0:2", "3:2"), seq(2, "0:2,5:1"), {1: _UNUSED}, walk=True).moves) == 3
+    # with the last generator usable the hull is [0, 40000], but the evens
+    # window [4, 4] holds no left position and is skipped, as is every
+    # later one, and the left window [40000, 40000] holds no evens position
+    usable = _Sweep(left, evens, walk=True)
+    assert walked_positions(left, evens) == [0, 2, 3]
+    assert len(usable.moves) == 3
+    assert {ce.block for ce in usable.elements()} == {ce.block for ce in sweep.elements()}
+    # the right window [0, 2] cuts the hull [1, 1], which widens to it; it
+    # holds the left position 1, while the left window [1, 1] holds no
+    # right position and is skipped
+    assert walked_positions(seq(2, "1:2"), seq(2, "0:2,2:1", "5:2")) == [0, 2]
+    assert _Sweep(seq(2, "1:2"), seq(2, "0:2,2:1", "5:2")).count == 0
+    assert walked_positions(seq(2, "1:2", "4:2"), evens, {0: _UNUSED}) == [4]
+    # a left generator forced unused inside the widened hull [0, 5] is
+    # skipped when its window holds no right position, else walked
+    assert walked_positions(seq(2, "0:2", "3:2"), seq(2, "0:2,5:1"), {1: _UNUSED}) == [0, 5]
+    assert walked_positions(seq(2, "0:2", "3:2"), seq(2, "0:2,3:1,5:1"), {1: _UNUSED}) == [0, 3, 5]
+    # one forced to an exponent is walked, and no path survives it
+    assert walked_positions(seq(2, "0:2", "3:2"), seq(2, "0:2,5:1"), {1: 0}) == [0, 3, 5]
+    assert _Sweep(seq(2, "0:2", "3:2"), seq(2, "0:2,5:1"), {1: 0}).count == 0
 
 
 def sweep_answers(sweep, horizon=99):
@@ -962,6 +985,212 @@ def test_resumed_sweep_matches_a_fresh_one(k, data):
         assert chained.tails == direct.tails
 
 
+def _body(values, start, k):
+    """A block over ``start, start + 1, ...`` from ``values`` (0 leaves a
+    hole), its largest value raised to k."""
+    values = list(values)
+    values[values.index(max(values))] = k
+    return blk(k, [(start + i, v) for i, v in enumerate(values) if v])
+
+
+def interleaved_pairs(k):
+    """Two sequences laid out along one line of windows, each segment a
+    left or right window alone, one block on both sides, or one side's
+    window around the other's: most lone windows hold no position of the
+    other side, and the shared blocks give common elements past them."""
+    values = st.lists(st.integers(0, k), min_size=1, max_size=3).filter(any)
+    segment = st.tuples(
+        st.sampled_from(["left", "right", "both", "left around", "right around"]),
+        values,
+        st.tuples(st.integers(1, k), st.integers(1, k)),
+        st.integers(0, 2),
+    )
+
+    def lay_out(segments):
+        sides = {"left": [], "right": []}
+        pos = 0
+        for kind, inner, (a, b), gap in segments:
+            if kind.endswith("around"):
+                outer, other = kind.split()[0], "right" if kind.startswith("left") else "left"
+                block = _body(inner, pos + 1, k)
+                sides[other].append(block)
+                end = block.max_support + 1
+                sides[outer].append(_body([a] + [0] * (end - pos - 1) + [b], pos, k))
+                pos = end + 1 + gap
+                continue
+            block = _body(inner, pos, k)
+            for side in ("left", "right") if kind == "both" else (kind,):
+                sides[side].append(block)
+            pos = block.max_support + 1 + gap
+        for side in sides.values():
+            if not side:
+                side.append(_body([k], pos, k))
+        return BlockSequence(k, sides["left"]), BlockSequence(k, sides["right"])
+
+    return st.lists(segment, min_size=1, max_size=4).map(lay_out)
+
+
+def skipped_windows(left, right, force=None):
+    """Every window that holds no support position of the other side, the
+    left ones among them not forced to an exponent, as (side, generator)."""
+    force = force or {}
+    skipped = []
+    for side, blocks, others in (("left", left, right), ("right", right, left)):
+        positions = sorted(pos for b in others for pos, _ in b.pairs)
+        for g, b in enumerate(blocks):
+            if side == "left" and force.get(g, _UNUSED) != _UNUSED:
+                continue
+            i = bisect_left(positions, b.min_support)
+            if i == len(positions) or positions[i] > b.max_support:
+                skipped.append((side, g))
+    return skipped
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@given(data=st.data())
+def test_skipping_sweep_matches_oracle(k, data):
+    if data.draw(st.booleans()):
+        left, right = data.draw(interleaved_pairs(k))
+    else:
+        left = data.draw(generator_lists(k))
+        right = data.draw(st.one_of(generator_lists(k), partners(left)))
+    if data.draw(st.booleans()):
+        left, right = right, left
+    gens_l = [oracle.to_dict(b) for b in left]
+    gens_r = [oracle.to_dict(b) for b in right]
+    if len(gens_r) < len(gens_l):
+        table = {key: (a, b) for key, b, a in oracle.iter_common(gens_r, gens_l, k)}
+    else:
+        table = {key: (a, b) for key, a, b in oracle.iter_common(gens_l, gens_r, k)}
+    walking = _Sweep(left, right, walk=True)
+    assert walking.count == len(table)
+    assert walking.peak == oracle.valuation_value([dict(key) for key in table], k)
+    assert {
+        (oracle.as_key(oracle.to_dict(ce.block)), ce.left_witness.terms, ce.right_witness.terms)
+        for ce in walking.elements()
+    } == {(key, a, b) for key, (a, b) in table.items()}
+    meets = [n for n in range(1, len(left) + 1) if any(a[-1][0] < n for a, _ in table.values())]
+    assert walking.prefix_length == (meets[0] if meets else None)
+    for n in range(len(left) + 2):
+        assert _Sweep(left, right, tail=n).tails == (
+            any(a[0][0] >= n for a, _ in table.values()),
+            any(b[0][0] >= n for _, b in table.values()),
+        )
+    for h in range(len(left)):
+        assert _Sweep(left, right, fresh=h).fresh_used == any(
+            (h, 0) in a for a, _ in table.values()
+        )
+    by_value = _Sweep(left, right, order="value").least
+    by_witness = _Sweep(left, right, order="witness").least
+    if not table:
+        assert by_value is None and by_witness is None
+    else:
+        assert oracle.as_key(oracle.to_dict(by_value.block)) == min(
+            table, key=lambda key: oracle.value_vector(dict(key))
+        )
+        assert by_witness.left_witness.terms == min(a for a, _ in table.values())
+        for ce in (by_value, by_witness, walking.peak_element()):
+            assert table[oracle.as_key(oracle.to_dict(ce.block))] == (
+                ce.left_witness.terms, ce.right_witness.terms
+            )
+        assert peak(walking.peak_element().block) == walking.peak
+    for g in range(len(left)):
+        for choice in range(_UNUSED, k):
+            expected = sum(dict(a).get(g, _UNUSED) == choice for a, _ in table.values())
+            assert _Sweep(left, right, {g: choice}).count == expected
+    # only "unused" survives a skipped left window, so forcing an exponent
+    # walks it and every path dies there
+    for g in [g for side, g in skipped_windows(left, right) if side == "left"]:
+        assert _Sweep(left, right, {g: 0}).count == 0
+        assert left.blocks[g].min_support in walked_positions(left, right, {g: 0})
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@given(data=st.data())
+def test_resumed_skipping_sweep_matches_a_fresh_one(k, data):
+    left, right = data.draw(interleaved_pairs(k))
+    if data.draw(st.booleans()):
+        left, right = right, left
+    tail = data.draw(st.integers(0, len(left) + 1))
+    fresh = _Sweep(left, right, tail=tail)
+    answers = sweep_answers(fresh)
+    chained = None
+    for m in range(len(left) + 1):
+        kept = _Sweep(left.prefix(m), right, tail=tail)
+        resumed = _Sweep(left, right, resume=kept, tail=tail, fresh=len(left) - 1)
+        assert sweep_answers(resumed) == answers
+        assert resumed.tails == fresh.tails
+        chained = _Sweep(left.prefix(m), right, resume=chained, tail=tail, fresh=m - 1)
+        direct = _Sweep(left.prefix(m), right, tail=tail, fresh=m - 1)
+        assert sweep_answers(chained) == sweep_answers(direct)
+        assert (chained.tails, chained.fresh_used) == (direct.tails, direct.fresh_used)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@given(data=st.data())
+def test_no_walked_position_lies_in_a_skipped_window(k, data):
+    if data.draw(st.booleans()):
+        left, right = data.draw(interleaved_pairs(k))
+    else:
+        left = data.draw(generator_lists(k))
+        right = data.draw(st.one_of(generator_lists(k), partners(left)))
+    g = data.draw(st.integers(0, len(left) - 1))
+    force = data.draw(st.sampled_from([{}, {g: _UNUSED}, {g: 0}]))
+    windows = [
+        (left if side == "left" else right).blocks[h]
+        for side, h in skipped_windows(left, right, force)
+    ]
+    walked = []
+    sweep_steps = span._sweep_steps
+
+    def recording(*args):
+        for step in sweep_steps(*args):
+            walked.append(step[0])
+            yield step
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(span, "_sweep_steps", recording)
+        # a fresh sweep, then one resumed past each prefix
+        _Sweep(left, right, force)
+        for m in range(len(left)):
+            within = {h: c for h, c in force.items() if h < m}
+            _Sweep(left, right, force, resume=_Sweep(left.prefix(m), right, within))
+    for b in windows:
+        assert not [pos for pos in walked if b.min_support <= pos <= b.max_support]
+
+
+def test_resumed_sweep_skips_windows_around_its_kept_layer(monkeypatch):
+    walked = []
+    sweep_steps = span._sweep_steps
+
+    def recording(*args):
+        steps = list(sweep_steps(*args))
+        walked.append([pos for pos, _, _ in steps])
+        return iter(steps)
+
+    monkeypatch.setattr(span, "_sweep_steps", recording)
+    # the left windows [2, 2] and [9, 9] and the right windows [4, 4] and
+    # [8, 8] hold no position of the other side
+    left = seq(2, "0:2", "2:2", "6:2,7:1", "9:2", "11:2")
+    right = seq(2, "0:2", "4:2", "6:2,7:1", "8:2", "11:2")
+    fresh = _Sweep(left, right)
+    assert walked == [[0, 6, 7, 11]]
+    assert fresh.count == 3**3 - 2**3  # the three shared blocks at exponents 0 and 1
+    for m, kept_walk, resumed_walk in (
+        # the prefix's last window [2, 2] is skipped, so the kept layer is at 0
+        (2, [0], [6, 7, 11]),
+        # the windows at 8 and 9, just past the kept layer at 7, are skipped
+        (3, [0, 6, 7], [11]),
+        # the prefix's last window [9, 9] is skipped, so the kept layer is at 7
+        (4, [0, 6, 7], [11]),
+    ):
+        walked.clear()
+        kept = _Sweep(left.prefix(m), right)
+        resumed = _Sweep(left, right, resume=kept)
+        assert walked == [kept_walk, resumed_walk]
+        assert sweep_answers(resumed) == sweep_answers(fresh)
+
+
 def test_fresh_mark_survives_the_tail_marks():
     # the one common element {0:2,1:2} uses generator 0 at exponent 0, and
     # generator 1, below the tail index, clears the left tail mark after it
@@ -986,11 +1215,12 @@ def test_resumed_sweep_walks_only_past_its_kept_layer(monkeypatch):
     evens = make_builtin("evens", 2).truncate(20001)
     left = seq(2, "0:2", "4:2", "8:2")
     kept = _Sweep(left.prefix(2), evens)
-    assert walked[0] == [0, 2, 4]
+    # the evens windows [2, 2] and [6, 6] hold no left position
+    assert walked[0] == [0, 4]
     walked.clear()
     assert sweep_answers(_Sweep(left, evens, resume=kept)) == sweep_answers(_Sweep(left, evens))
     # the resumed sweep's steps, then the fresh sweep's from position 0
-    assert walked == [[6, 8], [0, 2, 4, 6, 8]]
+    assert walked == [[8], [0, 4, 8]]
     # the right window [3, 6] widens the kept hull to 6, and the appended
     # block starts inside it: the kept layer is at 3, the left's last position
     right = seq(2, "0:2", "3:2,6:1")

@@ -10,7 +10,7 @@ object and the text line that says the same; listings yield their rows
 lazily.  ``main`` writes the rows once, one per line, as JSON under
 ``--format json`` (keys documented in the README) and as text otherwise.
 It writes them inside the ``try`` that turns every error, a closed stdout
-included, into one ``error:`` line on stderr.
+and exhausted memory included, into one ``error:`` line on stderr.
 ``streams``, ``structure``, ``diagonal`` and ``json`` are imported by the
 code that uses them, so one run loads only its command's modules.
 """
@@ -384,7 +384,7 @@ def main(argv=None):
         for line in lines:
             write(line + "\n")
         return code
-    except (FinkError, OSError, ValueError) as exc:
+    except (FinkError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return ERROR
 

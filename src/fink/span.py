@@ -12,7 +12,9 @@ no sort, and an unstarred listing steps only through exponent vectors it
 lists.  Membership is decided directly from the forced exponents.  A
 question about two spans at once is one forward pass over their support
 positions that folds every answer, least elements keyed by one symbol per
-left generator opened.  The pass skips whole every generator window
+left generator opened.  Its moves come from one table per level, which
+joins both sides' choices on value and holds only the entries sweeps have
+met.  The pass skips whole every generator window
 ``[min_support, max_support]`` that holds no support position of the
 other side: used at exponent e < k, the generator keeps the value
 k - e >= 1 at its peak, where the other side's value is 0, so it can only
@@ -547,8 +549,6 @@ _START = (None, False, None, False)
 # has a left (right) witness that uses no generator below the tail index,
 # and bit 4 when some path uses left generator ``fresh`` at exponent 0
 _LEFT_MARK, _RIGHT_MARK, _FRESH_MARK = 1, 2, 4
-# a layer entry's (key, chains) slots: least prefix, least ended prefix
-_LEAST, _ENDED = 6, 7
 
 
 def _grow(lg, rg, state, chains):
@@ -589,32 +589,59 @@ def _reaching(blocks, stop, lo):
     return first
 
 
-class _WindowSteps(dict):
-    """Per value v inside an open window (0 off its support), the step that
-    maps each choice to its one move, built the first time v occurs."""
+def _side_moves(step, choice, k):
+    """One side's ``(choice, value, generator used)`` moves at a step, from
+    a state whose choice on that side is ``choice``: outside every window
+    (None), the one move to "no window" at value 0; inside a window open at
+    value v, the one move that keeps the choice; where a generator's
+    support starts at value v (``(v, forced)``), one move per choice, or
+    only ``forced``'s, each exponent using the generator.  Exponent e gives
+    the value v - e where that is positive, else 0, as "unused" does."""
+    if step is None:
+        return ((None, 0, False),)
+    opens = step.__class__ is tuple
+    v, forced = step if opens else (step, choice)
+    choices = range(_UNUSED, k) if forced is None else (forced,)
+    return tuple((c, v - c if 0 <= c < v else 0, opens and c >= 0) for c in choices)
 
-    def __init__(self, starts):
+
+class _Joins(dict):
+    """A level's sweep moves: per ``(state, left step, right step)``, the
+    legal moves ``(new state, value, left generator used, right generator
+    used)``, the left side's choices in order and, for each, the right
+    side's choices of the same value in order (``_side_moves`` gives the
+    steps' shapes).  The two sides are joined on value, so an entry costs
+    its own moves plus one pass over each side's choices.
+
+    An entry is built the first time a sweep meets its triple and kept for
+    every later sweep at the level, so the table holds one entry per
+    distinct triple that a sweep met: at most the level's 4(k+2)^2 states
+    times its pairs of steps.
+    """
+
+    def __init__(self, k):
+        # a start at a small value on both sides joins about (k+1)^2 moves
+        # of value 0, and the states they reach grow with k
+        if (k + 1) ** 2 > 2**22:
+            raise EnumerationCapExceeded(f"level {k} needs {(k + 1) ** 2} sweep moves, cap is 2^22")
         super().__init__()
-        self.starts = starts
+        self.k = k
 
-    def __missing__(self, v):
-        step = self[v] = (None, {move[0]: (move,) for move in self.starts[v]})
-        return step
+    def __missing__(self, key):
+        state, lstep, rstep = key
+        cl, zl, cr, zr = state
+        right = {}
+        for c2, v, rused in _side_moves(rstep, cr, self.k):
+            right.setdefault(v, []).append((c2, rused))
+        moves = self[key] = tuple(
+            ((c1, zl or c1 == 0, c2, zr or c2 == 0), v, lused, rused)
+            for c1, v, lused in _side_moves(lstep, cl, self.k)
+            for c2, rused in right.get(v, ())
+        )
+        return moves
 
 
-def _move_table(k):
-    """A sweep's moves, shared by every step: per value v where a
-    generator's support starts, its (choice, value) moves; the steps
-    inside an open window (``_WindowSteps``); and the step outside every
-    window, which maps every choice to "no window".  A level whose
-    (k+1)^2 moves pass 2^22 is refused before any is built."""
-    if (k + 1) ** 2 > 2**22:
-        raise EnumerationCapExceeded(f"level {k} needs {(k + 1) ** 2} sweep moves, cap is 2^22")
-    starts = [
-        tuple((c, v - c if 0 <= c < v else 0) for c in range(_UNUSED, k)) for v in range(k + 1)
-    ]
-    outside = (None, dict.fromkeys((None, *range(_UNUSED, k)), ((None, 0),)))
-    return starts, _WindowSteps(starts), outside
+_JOINS = {}  # per level, its ``_Joins``, made by the level's first sweep
 
 
 _NO_PAIR = (math.inf, None, None)  # a used-up support walk
@@ -633,12 +660,15 @@ def _support(blocks, first, stop):
         yield _NO_PAIR
 
 
-def _sweep_steps(left, right, force, walked, table):
-    """Per position a sweep walks, ascending, ``(pos, left step, right
-    step)``, from one merged walk of both sides' supports.  A side's step
-    is ``(opened generator or None, moves)``: its (choice, value) moves
-    where a generator's support starts, else a map from a state's choice
-    to its one move (``_move_table``).
+def _sweep_steps(left, right, force, walked):
+    """Per position a sweep walks, ascending, ``(pos, left generator
+    opened, left step, right generator opened, right step)``, from one
+    merged walk of both sides' supports.  A side's step is plain data,
+    which ``_Joins`` turns into moves: None outside every window, the value
+    v inside an open window (0 off its support), and ``(v, forced)`` where
+    a generator's support starts, ``forced`` being the one choice ``force``
+    allows or None.  A side opens its generator only at such a start; the
+    generator opened is None elsewhere.
 
     The positions lie inside the hull of the left generators not forced
     unused, widened to every right window it cuts: outside it every left
@@ -655,9 +685,10 @@ def _sweep_steps(left, right, force, walked, table):
     fixes its left generator to an exponent: used at exponent e < k, the
     generator keeps the value k - e >= 1 at its peak, where the other
     side's value is 0, so only "unused" survives it.  At its positions the
-    other side's step maps every choice to itself at value 0, so no
-    answer moves; the skipped side keeps a stale choice, which the next
-    opening overwrites or the next step outside every window maps to None.
+    other side is off its support, so its step (0 or None) gives the value
+    0 and no answer moves; the skipped side keeps a stale choice, which the
+    next opening overwrites or the next step outside every window maps to
+    None.
     The hull is the outer case of the same rule.
     """
     blocks, others = left.blocks, right.blocks
@@ -685,9 +716,9 @@ def _sweep_steps(left, right, force, walked, table):
     while lstop < len(blocks) and blocks[lstop].pairs[0][0] <= hi:
         lstop += 1
     lfirst = _reaching(blocks, lstop if walked is not None else first, lo)
-    starts, inside, outside = table
-    # per side: the open generator and its window's last position
-    lopen = ropen = None
+    # per side: the open generator, the one opened at the current position
+    # and the open window's last position
+    lopen = ropen = lopened = ropened = None
     lend = rend = -1
     if walked is not None and lfirst < lstop and blocks[lfirst].min_support < lo:
         lopen, lend = lfirst, blocks[lfirst].pairs[-1][0]
@@ -706,26 +737,23 @@ def _sweep_steps(left, right, force, walked, table):
         if pos > hi:
             return
         if la != pos:
-            lstep = inside[0] if pos < lend else outside
+            lstep = 0 if pos < lend else None
         elif lg == lopen:
-            lstep = inside[lv]
+            lstep = lv
         else:
             # the next right position lies past the window: skip it unless
             # ``force`` fixes an exponent
             end = blocks[lg].pairs[-1][0]
-            choice = force.get(lg, _UNUSED)
-            if ra > end and choice == _UNUSED:
+            forced = force.get(lg)
+            if ra > end and forced in (None, _UNUSED):
                 la, lg, lv = lsupport.send(True)
                 continue
-            lopen, lend = lg, end
-            moves = starts[lv]
-            if lg in force:
-                moves = tuple(move for move in moves if move[0] == choice)
-            lstep = (lg, moves)
+            lopen, lend, lopened = lg, end, lg
+            lstep = lv, forced
         if ra != pos:
-            rstep = inside[0] if pos < rend else outside
+            rstep = 0 if pos < rend else None
         elif rg == ropen:
-            rstep = inside[rv]
+            rstep = rv
         else:
             # a window skipped here holds no left position, so the left
             # side is not at ``pos`` and its branch above changed nothing
@@ -733,24 +761,63 @@ def _sweep_steps(left, right, force, walked, table):
             if la > end:
                 ra, rg, rv = rsupport.send(True)
                 continue
-            ropen, rend = rg, end
-            rstep = (rg, starts[rv])
+            ropen, rend, ropened = rg, end, rg
+            rstep = rv, None
         if la == pos:
             la, lg, lv = next(lsupport)
         if ra == pos:
             ra, rg, rv = next(rsupport)
-        yield pos, lstep, rstep
+        yield pos, lopened, lstep, ropened, rstep
+        lopened = ropened = None
 
 
-def _ranked(layer):
-    """Replace every key held in ``layer`` by its rank and return how many
-    there are: keys in a layer are equally long, so ranks keep their order."""
-    keys = sorted({found[0] for held in layer.values() for found in held[_LEAST:] if found})
+def _fold_least(seen, least, ended, lg, rg, symbols, base, by_witness):
+    """The least prefix reaching each state after one position, and by
+    witness the least ended prefix, as maps state -> (key, chains).
+
+    ``seen`` holds the position's (state, moves) for every state before
+    it, and ``least`` and ``ended`` the prefixes that reach those states.
+    Where left generator ``lg`` opens, a key gains the symbol of the move's
+    left choice (``symbols``), and an ended key the symbol -1 + 1 = 0.  By
+    witness, a move that uses ``lg`` may end the witness at that term, so
+    its prefix is an ended one too, sharing the grown chains; every other
+    move carries the ended prefix on.
+    """
+    nleast, nended = {}, {}
+    for state, moves in seen:
+        key, chains = least[state]
+        prior = ended.get(state)
+        if lg is not None:
+            key *= base
+            if prior is not None:
+                prior = prior[0] * base, prior[1]
+        for new, _, lused, rused in moves:
+            grows = lused or rused
+            new_key = key + symbols[new[0]] if lg is not None else key
+            entry = None
+            found = nleast.get(new)
+            if found is None or new_key < found[0]:
+                entry = nleast[new] = new_key, _grow(lg, rg, new, chains) if grows else chains
+            if lused and by_witness:
+                found = nended.get(new)
+                if found is None or new_key < found[0]:
+                    nended[new] = entry or (new_key, _grow(lg, rg, new, chains))
+            elif prior is not None:
+                found = nended.get(new)
+                if found is None or prior[0] < found[0]:
+                    nended[new] = prior[0], _grow(lg, rg, new, prior[1]) if grows else prior[1]
+    return nleast, nended
+
+
+def _ranked(*prefixes):
+    """Replace every key in the maps ``prefixes`` by its rank and return
+    how many keys there are: keys held after one position are equally
+    long, so ranks keep their order."""
+    keys = sorted({key for held in prefixes for key, _ in held.values()})
     ranks = dict(zip(keys, range(len(keys))))
-    for held in layer.values():
-        for slot, found in enumerate(held[_LEAST:], _LEAST):
-            if found:
-                held[slot] = ranks[found[0]], found[1]
+    for held in prefixes:
+        for state, (key, chains) in held.items():
+            held[state] = ranks[key], chains
     return len(keys)
 
 
@@ -769,8 +836,11 @@ class _Sweep:
     choice, left saw exponent 0, right choice, right saw exponent 0)``, the
     choice being None outside every window, so there are at most
     4(k+2)^2 states; a move is legal only where both sides give the same
-    value.  Witnesses are unique, so the accepting paths match the common
-    elements one to one.
+    value.  A state's moves at a position come from the level's table
+    (``_Joins``), keyed by the state and both sides' steps and joined on
+    value, so a sweep builds only the moves it meets and every sweep at
+    the level shares them.  Witnesses are unique, so the accepting paths
+    match the common elements one to one.
 
     ``force`` maps left generator indices to a fixed choice: ``_UNUSED`` or
     one exponent.  The forward pass folds, per state and move by move, the
@@ -784,8 +854,9 @@ class _Sweep:
     the other span and whether some common element uses left generator
     ``fresh`` at exponent 0.
 
-    With ``order`` the same moves fold the least prefix reaching each
-    state, so ``least`` is the common element with the least value vector
+    With ``order``, each position's moves also fold, after that pass and
+    in ``_fold_least``, into the least prefix reaching each state, so
+    ``least`` is the common element with the least value vector
     ("value") or left witness ("witness"), or None.  A prefix's key has one
     symbol per left generator opened, since every value follows from the
     choice made where its window starts (0 outside every window).  By value
@@ -820,11 +891,11 @@ class _Sweep:
     ``force`` and ``tail`` agreeing on the prefix and ``fresh`` past it,
     and walks only the positions past its kept layer, with the windows
     that straddle it already open (on the left, only a generator forced
-    unused can).  It reuses the kept sweep's move table, so its set-up
-    grows with the positions it walks, and its last rechecked peak
-    element, which ``peak_element`` hands out again while the peak path
-    keeps its terms.  An unordered sweep's kept layer holds no least
-    prefixes, so ``order`` is not asked of a resumed sweep.
+    unused can).  Its set-up grows with the positions it walks, and it
+    takes its kept sweep's last rechecked peak element, which
+    ``peak_element`` hands out again while the peak path keeps its terms.
+    A kept layer holds no least prefixes, so ``order`` is not asked of a
+    resumed sweep.
     """
 
     def __init__(
@@ -834,134 +905,99 @@ class _Sweep:
             raise MismatchedLevel(f"levels {left.k} and {right.k}")
         self.left, self.right, self.k = left, right, left.k
         force = force or {}
+        k = self.k
+        joins = _JOINS[k] if k in _JOINS else _JOINS.setdefault(k, _Joins(k))
         # with ``walk``, per step: the left generator opened there, or
-        # None, and the right one; then the moves (state, next state, value)
+        # None, and the right one; then (state, moves) per state before it
         self.opened = [] if walk else None
         self.moves = [] if walk else None
         # per state of the current layer: [paths, last position of value k,
         # both witnesses' term chains on a path attaining it, largest left
-        # index used, the state, its marks, least and least ended prefix],
-        # -1 standing for "none yet"; earlier layers are not kept, so the
-        # path counts, which grow to big integers, are not stored
-        start = 1, -1, (None, None), -1, _START, _LEFT_MARK | _RIGHT_MARK, (0, (None, None)), None
-        walked, layer = None, {_START: list(start)}
-        k = self.k
-        self._table = _move_table(k) if resume is None else resume._table
+        # index used, its marks], -1 standing for "none yet"; earlier
+        # layers are not kept, so the path counts, which grow to big
+        # integers, are not stored
+        walked, layer = None, {_START: [1, -1, (None, None), -1, _LEFT_MARK | _RIGHT_MARK]}
         # the last rechecked peak element's (left terms, right terms) and itself
         self._rechecked = None if resume is None else resume._rechecked
         if resume is not None:
             # the kept sweep's fresh mark names another generator
             walked, layer = resume._kept
-            layer = {
-                state: [*held[:5], held[5] & ~_FRESH_MARK, None, None]
-                for state, held in layer.items()
-            }
+            layer = {state: [*held[:4], held[4] & ~_FRESH_MARK] for state, held in layer.items()}
         kept_pos, kept_layer = walked, layer
         ordered, by_witness, base, bound = order is not None, order == "witness", k + 2, 1
         if ordered:
             # per left choice where a left generator opens: its symbol + 1
             symbols = {e: 1 + (e if by_witness else k - e) for e in range(k)}
             symbols[_UNUSED] = 1 + k if by_witness else 1
-        # the least prefixes a move extends, (slots, key, chains), or none;
-        # slots that fold the same prefix share its grown chains
-        record, folds = walk or ordered, ()
-        steps = _sweep_steps(left, right, force, walked, self._table)
+            least, ended = {_START: (0, (None, None))}, {}
+        record = walk or ordered
         boundary = left.blocks[-1].max_support if left.blocks else -1
-        for pos, (lg, lmoves), (rg, rmoves) in steps:
+        for pos, lg, lstep, rg, rstep in _sweep_steps(left, right, force, walked):
             nxt = {}
-            moves = []
-            ropens = rg is not None
-            # a used generator below the tail index clears its side's mark
-            lhead = lg is not None and lg < tail
-            rhead = rg is not None and rg < tail
-            lfresh = lg is not None and lg == fresh
-            for state, (paths, top, chains, last, _, marks, least, ended) in layer.items():
-                cl, zl, cr, zr = state
-                lopts = lmoves if lg is not None else lmoves[cl]
-                ropts = rmoves if rg is not None else rmoves[cr]
-                for c1, v1 in lopts:
-                    lused = lg is not None and c1 >= 0
-                    new_top = pos if v1 == k else top
+            seen = []
+            # a used generator below the tail index clears its side's mark,
+            # and left generator ``fresh`` used at exponent 0 sets its own
+            lkeep = ~_LEFT_MARK if lg is not None and lg < tail else -1
+            rkeep = ~_RIGHT_MARK if rg is not None and rg < tail else -1
+            lfresh = _FRESH_MARK if lg is not None and lg == fresh else 0
+            for state, (paths, top, chains, last, marks) in layer.items():
+                moves = joins[state, lstep, rstep]
+                if record:
+                    seen.append((state, moves))
+                for new, v, lused, rused in moves:
+                    m = marks
+                    if lused:
+                        m = m & lkeep | (lfresh if new[0] == 0 else 0)
+                    if rused:
+                        m &= rkeep
+                    new_top = pos if v == k else top
                     new_last = lg if lused else last
-                    lm = marks & ~_LEFT_MARK if lhead and c1 >= 0 else marks
-                    if lfresh and c1 == 0:
-                        lm |= _FRESH_MARK
-                    if ordered:
-                        key, prior = least
-                        if lg is not None:
-                            key = key * base + symbols[c1]
-                        if by_witness and lused:
-                            # the witness may end at this term
-                            folds = (((_LEAST, _ENDED), key, prior),)
-                        else:
-                            folds = (((_LEAST,), key, prior),)
-                            if ended is not None:
-                                ekey = ended[0] * base if lg is not None else ended[0]
-                                folds += (((_ENDED,), ekey, ended[1]),)
-                    for c2, v2 in ropts:
-                        if v1 != v2:
-                            continue
-                        m = lm & ~_RIGHT_MARK if rhead and c2 >= 0 else lm
-                        # whether a witness gains a term: only then do chains grow
-                        grows = lused or ropens and c2 >= 0
-                        new = (c1, zl or c1 == 0, c2, zr or c2 == 0)
-                        held = nxt.get(new)
-                        if held is None:
-                            grown = _grow(lg, rg, new, chains) if grows else chains
-                            nxt[new] = held = [paths, new_top, grown, new_last, new, m, None, None]
-                        else:
-                            new = held[4]  # one object per state keeps the moves small
-                            held[0] += paths
-                            if new_top > held[1]:
-                                held[1] = new_top
-                                held[2] = _grow(lg, rg, new, chains) if grows else chains
-                            if new_last < held[3]:
-                                held[3] = new_last
-                            held[5] |= m
-                        if record:
-                            for slots, key, prior in folds:
-                                entry = None
-                                for slot in slots:
-                                    found = held[slot]
-                                    if found is None or key < found[0]:
-                                        entry = entry or (
-                                            key, _grow(lg, rg, new, prior) if grows else prior
-                                        )
-                                        held[slot] = entry
-                            if walk:
-                                moves.append((state, new, v1))
+                    held = nxt.get(new)
+                    if held is None:
+                        # chains grow only when a witness gains a term
+                        grown = _grow(lg, rg, new, chains) if lused or rused else chains
+                        nxt[new] = [paths, new_top, grown, new_last, m]
+                    else:
+                        held[0] += paths
+                        if new_top > held[1]:
+                            held[1] = new_top
+                            held[2] = _grow(lg, rg, new, chains) if lused or rused else chains
+                        if new_last < held[3]:
+                            held[3] = new_last
+                        held[4] |= m
             layer = nxt
             if pos <= boundary:
                 kept_pos, kept_layer = pos, layer
-            if ordered and lg is not None:
-                bound *= base  # every key held stays below it
-                if bound >> 64:
-                    bound = _ranked(layer)
+            if ordered:
+                least, ended = _fold_least(seen, least, ended, lg, rg, symbols, base, by_witness)
+                if lg is not None:
+                    bound *= base  # every key held stays below it
+                    if bound >> 64:
+                        bound = _ranked(least, ended)
             if walk:
                 self.opened.append((lg, rg))
-                self.moves.append(moves)
+                self.moves.append(seen)
         self._kept = kept_pos, kept_layer
-        accepting = [held for state, held in layer.items() if state[1] and state[3]]
-        self.accepting = {held[4] for held in accepting}
-        self.count = sum(held[0] for held in accepting)
+        self.accepting = accepting = [state for state in layer if state[1] and state[3]]
+        self.count = sum(layer[state][0] for state in accepting)
         # whether the left (right) tail from generator ``tail`` on meets the
         # other span: some common element's left (right) witness uses no
         # generator below ``tail``
         marks = 0
-        for held in accepting:
-            marks |= held[5]
+        for state in accepting:
+            marks |= layer[state][4]
         self.tails = bool(marks & _LEFT_MARK), bool(marks & _RIGHT_MARK)
         # whether some common element uses generator ``fresh`` at exponent 0
         self.fresh_used = bool(marks & _FRESH_MARK)
         self.peak = self.prefix_length = self.least = None
         if accepting:
-            best = max(accepting, key=lambda held: held[1])
+            best = layer[max(accepting, key=lambda state: layer[state][1])]
             self.peak, self._peak_chains = best[1], best[2]
-            self.prefix_length = min(held[3] for held in accepting) + 1
+            self.prefix_length = min(layer[state][3] for state in accepting) + 1
             if ordered:
                 # keys differ among accepting states: each is one element
-                chains = min(held[_ENDED if by_witness else _LEAST] for held in accepting)[1]
-                self.least = self._element(*_walked_terms(chains))
+                held = ended if by_witness else least
+                self.least = self._element(*_walked_terms(min(map(held.get, accepting))[1]))
 
     def _element(self, left_terms, right_terms):
         blocks = self.left.blocks
@@ -984,13 +1020,14 @@ class _Sweep:
         for i in range(len(self.moves) - 1, -1, -1):
             lg, rg = self.opened[i]
             before = {}
-            for state, new, _ in self.moves[i]:
-                found = suffixes.get(new)
-                if found is None:
-                    continue
-                if lg is not None and new[0] >= 0 or rg is not None and new[2] >= 0:
-                    found = [_grow(lg, rg, new, chains) for chains in found]
-                before.setdefault(state, []).extend(found)
+            for state, moves in self.moves[i]:
+                for new, _, lused, rused in moves:
+                    found = suffixes.get(new)
+                    if found is None:
+                        continue
+                    if lused or rused:
+                        found = [_grow(lg, rg, new, chains) for chains in found]
+                    before.setdefault(state, []).extend(found)
             suffixes = before
         return [
             self._element(tuple(_chain_terms(left)), tuple(_chain_terms(right)))

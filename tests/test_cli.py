@@ -827,6 +827,14 @@ def test_closed_stdout_is_one_error_line(capsys, monkeypatch, files, form):
     assert err == "error: BrokenPipeError: [Errno 32] Broken pipe\n"
 
 
+def test_memory_error_is_one_error_line(capsys, monkeypatch, files):
+    def exhausted(args):
+        raise MemoryError("out of memory")
+
+    monkeypatch.setattr("fink.cli._cmd_intersect", exhausted)
+    code, out, err = run(capsys, "intersect", "--P", files["P.seq"], "--Q", files["Q.seq"])
+    assert (code, out, err) == (1, "", "error: MemoryError: out of memory\n")
+
 
 @pytest.mark.parametrize(
     "number", ["1_0", "+2", "٣", "1e3"], ids=["underscore", "plus", "arabic", "exponent"]

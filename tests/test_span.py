@@ -34,8 +34,10 @@ from fink import (
     make_builtin,
     membership_witness,
     peak,
+    run_diagonalization,
     star,
     tetris,
+    validate_family,
     valuation,
 )
 from fink import span
@@ -752,7 +754,7 @@ def partners(left):
     return st.lists(st.sampled_from(pool), min_size=1, max_size=4).map(assemble)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
 @given(data=st.data())
 def test_sweep_matches_oracle(k, data):
     left = data.draw(generator_lists(k))
@@ -897,10 +899,71 @@ def test_tail_marks_match_head_forced_sweeps(k, data):
         assert sweep_answers(marked) == sweep_answers(plain)
 
 
+def product_moves(k, state, lstep, rstep):
+    """The moves of the per-level move table that the value join replaced,
+    as the reference: the (choice, value) moves ``(c, v - c if 0 <= c < v
+    else 0)`` of every choice where a generator's support starts at value v,
+    the state's own choice inside a window open at value v, and "no window"
+    at value 0 outside every window; then the product of both sides' moves,
+    left choices first, filtered on equal value."""
+    starts = [
+        tuple((c, v - c if 0 <= c < v else 0) for c in range(_UNUSED, k)) for v in range(k + 1)
+    ]
+
+    def side(step, choice):
+        if step is None:
+            return [(None, 0, False)]
+        if isinstance(step, tuple):
+            v, forced = step
+            return [(c, w, c >= 0) for c, w in starts[v] if forced in (None, c)]
+        return [(c, w, False) for c, w in starts[step] if c == choice]
+
+    cl, zl, cr, zr = state
+    return tuple(
+        ((c1, zl or c1 == 0, c2, zr or c2 == 0), v1, lused, rused)
+        for c1, v1, lused in side(lstep, cl)
+        for c2, v2, rused in side(rstep, cr)
+        if v1 == v2
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_joined_moves_match_the_move_product(k):
+    # every step the sweep can take: inside a window a state's choice is
+    # never None, and only the left side is ever forced
+    choices = [None, *range(_UNUSED, k)]
+    states = list(itertools.product(choices, (False, True), choices, (False, True)))
+    inside = list(range(k + 1))
+    left_steps = [None, *inside, *itertools.product(inside, [None, *range(_UNUSED, k)])]
+    right_steps = [None, *inside, *((v, None) for v in inside)]
+    joins = span._Joins(k)
+    for state, lstep, rstep in itertools.product(states, left_steps, right_steps):
+        cl, _, cr, _ = state
+        if cl is None and lstep.__class__ is int or cr is None and rstep.__class__ is int:
+            continue
+        assert joins[state, lstep, rstep] == product_moves(k, state, lstep, rstep)
+
+
+def test_the_move_table_lives_with_its_level():
+    members = [make_builtin(name, 2) for name in ("example13_P", "example13_Q", "evens")]
+    family = validate_family(members, tail_index=1, horizon=21)
+    run_diagonalization(family, cycles=2)
+    met = dict(span._JOINS[2])
+    assert met
+    # a second identical run meets only triples the first one met
+    family = validate_family(members, tail_index=1, horizon=21)
+    run_diagonalization(family, cycles=2)
+    assert span._JOINS[2] == met
+    # a refused level makes no table
+    edge = seq(2048, "0:2048")
+    with pytest.raises(EnumerationCapExceeded):
+        _Sweep(edge, edge)
+    assert 2048 not in span._JOINS
+
+
 def walked_positions(left, right, force=None):
     """The positions a fresh sweep of ``left`` against ``right`` walks."""
-    steps = span._sweep_steps(left, right, force or {}, None, span._move_table(left.k))
-    return [pos for pos, _, _ in steps]
+    return [step[0] for step in span._sweep_steps(left, right, force or {}, None)]
 
 
 def test_sweep_walks_only_the_usable_left_hull():
@@ -1046,7 +1109,7 @@ def skipped_windows(left, right, force=None):
     return skipped
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
 @given(data=st.data())
 def test_skipping_sweep_matches_oracle(k, data):
     if data.draw(st.booleans()):
@@ -1165,7 +1228,7 @@ def test_resumed_sweep_skips_windows_around_its_kept_layer(monkeypatch):
 
     def recording(*args):
         steps = list(sweep_steps(*args))
-        walked.append([pos for pos, _, _ in steps])
+        walked.append([step[0] for step in steps])
         return iter(steps)
 
     monkeypatch.setattr(span, "_sweep_steps", recording)
@@ -1208,7 +1271,7 @@ def test_resumed_sweep_walks_only_past_its_kept_layer(monkeypatch):
 
     def recording(*args):
         steps = list(sweep_steps(*args))
-        walked.append([pos for pos, _, _ in steps])
+        walked.append([step[0] for step in steps])
         return iter(steps)
 
     monkeypatch.setattr(span, "_sweep_steps", recording)

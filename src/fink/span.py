@@ -14,7 +14,11 @@ question about two spans at once is one forward pass over their support
 positions that folds every answer, least elements keyed by one symbol per
 left generator opened.  Its moves come from one table per level, which
 joins both sides' choices on value and holds only the entries sweeps have
-met.  The pass skips whole every generator window
+met; it interns states and each position's pair of steps as small ints, so
+a state's moves are two list indexings away.  A pass resumed from an
+earlier one over a prefix of the left sequence shares that pass's kept
+layer instead of copying it, since a pass writes only the layer it builds.
+The pass skips whole every generator window
 ``[min_support, max_support]`` that holds no support position of the
 other side: used at exponent e < k, the generator keeps the value
 k - e >= 1 at its peak, where the other side's value is 0, so it can only
@@ -204,11 +208,11 @@ class Combination(Record):
 
     @classmethod
     def parse(cls, text, starred=False):
+        """Read ``render``'s form: ``-`` is the empty combination, which
+        only a starred one may be."""
         body = text.strip()
-        if body == "-":
-            return cls((), starred=True)
         terms = []
-        for chunk in body.split("+"):
+        for chunk in body.split("+") if body != "-" else ():
             piece = chunk.strip()
             if "^" not in piece:
                 raise ParseError(f"expected <index>^<exponent>, got {piece!r}")
@@ -549,6 +553,8 @@ _START = (None, False, None, False)
 # has a left (right) witness that uses no generator below the tail index,
 # and bit 4 when some path uses left generator ``fresh`` at exponent 0
 _LEFT_MARK, _RIGHT_MARK, _FRESH_MARK = 1, 2, 4
+# below every layer entry's peak position, which is -1 at the least
+_NO_PEAK = (None, -2)
 
 
 def _grow(lg, rg, state, chains):
@@ -605,18 +611,27 @@ def _side_moves(step, choice, k):
     return tuple((c, v - c if 0 <= c < v else 0, opens and c >= 0) for c in choices)
 
 
-class _Joins(dict):
-    """A level's sweep moves: per ``(state, left step, right step)``, the
-    legal moves ``(new state, value, left generator used, right generator
-    used)``, the left side's choices in order and, for each, the right
-    side's choices of the same value in order (``_side_moves`` gives the
-    steps' shapes).  The two sides are joined on value, so an entry costs
-    its own moves plus one pass over each side's choices.
+class _Joins:
+    """A level's sweep moves, between states and pairs of steps interned
+    as small ints.
 
-    An entry is built the first time a sweep meets its triple and kept for
-    every later sweep at the level, so the table holds one entry per
-    distinct triple that a sweep met: at most the level's 4(k+2)^2 states
-    times its pairs of steps.
+    A state gets the next id the first time a move reaches it, and the
+    start state has id 0; per id, ``states`` holds the state, ``accepts``
+    whether both sides saw exponent 0 (the state accepts) and ``zeros``
+    whether its left choice is 0.  A position's ``(left step, right
+    step)`` gets its id from ``pair``.  ``rows[state id][pair id]`` holds
+    the legal moves ``(new state id, value, left generator used, right
+    generator used)``, or None until ``join`` builds them: the left
+    side's choices in order and, for each, the right side's choices of
+    the same value in order (``_side_moves`` gives the steps' shapes).
+    The two sides are joined on value, so an entry costs its own moves
+    plus one pass over each side's choices.
+
+    An entry is built the first time a sweep meets it and kept for every
+    later sweep at the level, so the table holds one entry per state and
+    pair of steps that a sweep met: at most the level's 4(k+2)^2 states
+    times its pairs of steps.  Ids are never given again, so a layer keyed
+    by them holds for every later sweep at the level.
     """
 
     def __init__(self, k):
@@ -624,24 +639,53 @@ class _Joins(dict):
         # of value 0, and the states they reach grow with k
         if (k + 1) ** 2 > 2**22:
             raise EnumerationCapExceeded(f"level {k} needs {(k + 1) ** 2} sweep moves, cap is 2^22")
-        super().__init__()
         self.k = k
+        self.state_ids, self.states, self.accepts, self.zeros = {}, [], [], []
+        self.pair_ids, self.pairs, self.rows = {}, [], []
+        self.intern(_START)
 
-    def __missing__(self, key):
-        state, lstep, rstep = key
-        cl, zl, cr, zr = state
+    def intern(self, state):
+        """The id of ``state``, given the first time it is met."""
+        sid = self.state_ids.get(state)
+        if sid is None:
+            sid = self.state_ids[state] = len(self.states)
+            self.states.append(state)
+            self.accepts.append(state[1] and state[3])
+            self.zeros.append(state[0] == 0)
+            self.rows.append([None] * len(self.pairs))
+        return sid
+
+    def pair(self, steps):
+        """The id of ``steps``, a ``(left step, right step)``, given the
+        first time it is met."""
+        pid = self.pair_ids.get(steps)
+        if pid is None:
+            pid = self.pair_ids[steps] = len(self.pairs)
+            self.pairs.append(steps)
+            for row in self.rows:
+                row.append(None)
+        return pid
+
+    def join(self, sid, pid):
+        """The moves from state ``sid`` at steps ``pid``, built and kept."""
+        (lstep, rstep), (cl, zl, cr, zr) = self.pairs[pid], self.states[sid]
         right = {}
         for c2, v, rused in _side_moves(rstep, cr, self.k):
             right.setdefault(v, []).append((c2, rused))
-        moves = self[key] = tuple(
-            ((c1, zl or c1 == 0, c2, zr or c2 == 0), v, lused, rused)
+        moves = self.rows[sid][pid] = tuple(
+            (self.intern((c1, zl or c1 == 0, c2, zr or c2 == 0)), v, lused, rused)
             for c1, v, lused in _side_moves(lstep, cl, self.k)
             for c2, rused in right.get(v, ())
         )
         return moves
 
 
-_JOINS = {}  # per level, its ``_Joins``, made by the level's first sweep
+_JOINS = {}  # per level, its ``_Joins``
+
+
+def _joins(k):
+    """The level's move table, made by its first sweep."""
+    return _JOINS[k] if k in _JOINS else _JOINS.setdefault(k, _Joins(k))
 
 
 _NO_PAIR = (math.inf, None, None)  # a used-up support walk
@@ -660,11 +704,12 @@ def _support(blocks, first, stop):
         yield _NO_PAIR
 
 
-def _sweep_steps(left, right, force, walked):
+def _sweep_steps(left, right, force, walked, joins):
     """Per position a sweep walks, ascending, ``(pos, left generator
-    opened, left step, right generator opened, right step)``, from one
-    merged walk of both sides' supports.  A side's step is plain data,
-    which ``_Joins`` turns into moves: None outside every window, the value
+    opened, steps id, right generator opened)``, from one merged walk of
+    both sides' supports, the steps id being the id in ``joins`` of
+    ``(left step, right step)``.  A side's step is plain data, which
+    ``_Joins`` turns into moves: None outside every window, the value
     v inside an open window (0 off its support), and ``(v, forced)`` where
     a generator's support starts, ``forced`` being the one choice ``force``
     allows or None.  A side opens its generator only at such a start; the
@@ -692,6 +737,7 @@ def _sweep_steps(left, right, force, walked):
     The hull is the outer case of the same rule.
     """
     blocks, others = left.blocks, right.blocks
+    pair = joins.pair
     last = len(blocks) - 1
     while last >= 0 and force.get(last) == _UNUSED:
         last -= 1
@@ -767,16 +813,17 @@ def _sweep_steps(left, right, force, walked):
             la, lg, lv = next(lsupport)
         if ra == pos:
             ra, rg, rv = next(rsupport)
-        yield pos, lopened, lstep, ropened, rstep
+        yield pos, lopened, pair((lstep, rstep)), ropened
         lopened = ropened = None
 
 
-def _fold_least(seen, least, ended, lg, rg, symbols, base, by_witness):
+def _fold_least(seen, least, ended, lg, rg, states, symbols, base, by_witness):
     """The least prefix reaching each state after one position, and by
-    witness the least ended prefix, as maps state -> (key, chains).
+    witness the least ended prefix, as maps state id -> (key, chains).
 
-    ``seen`` holds the position's (state, moves) for every state before
-    it, and ``least`` and ``ended`` the prefixes that reach those states.
+    ``seen`` holds the position's (state id, moves) for every state before
+    it, ``states`` the level's states by id, and ``least`` and ``ended``
+    the prefixes that reach those states.
     Where left generator ``lg`` opens, a key gains the symbol of the move's
     left choice (``symbols``), and an ended key the symbol -1 + 1 = 0.  By
     witness, a move that uses ``lg`` may end the witness at that term, so
@@ -793,19 +840,20 @@ def _fold_least(seen, least, ended, lg, rg, symbols, base, by_witness):
                 prior = prior[0] * base, prior[1]
         for new, _, lused, rused in moves:
             grows = lused or rused
-            new_key = key + symbols[new[0]] if lg is not None else key
+            state = states[new]
+            new_key = key + symbols[state[0]] if lg is not None else key
             entry = None
             found = nleast.get(new)
             if found is None or new_key < found[0]:
-                entry = nleast[new] = new_key, _grow(lg, rg, new, chains) if grows else chains
+                entry = nleast[new] = new_key, _grow(lg, rg, state, chains) if grows else chains
             if lused and by_witness:
                 found = nended.get(new)
                 if found is None or new_key < found[0]:
-                    nended[new] = entry or (new_key, _grow(lg, rg, new, chains))
+                    nended[new] = entry or (new_key, _grow(lg, rg, state, chains))
             elif prior is not None:
                 found = nended.get(new)
                 if found is None or prior[0] < found[0]:
-                    nended[new] = prior[0], _grow(lg, rg, new, prior[1]) if grows else prior[1]
+                    nended[new] = prior[0], _grow(lg, rg, state, prior[1]) if grows else prior[1]
     return nleast, nended
 
 
@@ -839,8 +887,12 @@ class _Sweep:
     value.  A state's moves at a position come from the level's table
     (``_Joins``), keyed by the state and both sides' steps and joined on
     value, so a sweep builds only the moves it meets and every sweep at
-    the level shares them.  Witnesses are unique, so the accepting paths
-    match the common elements one to one.
+    the level shares them.  The table interns states and pairs of steps as
+    small ints: a layer is keyed by state id, each position carries its
+    steps' id, and a state's moves are ``rows[state id][steps id]``.
+    Witnesses are unique, so the accepting paths match the common elements
+    one to one.  After the last position, one pass over the layer reads
+    every answer off its accepting states.
 
     ``force`` maps left generator indices to a fixed choice: ``_UNUSED`` or
     one exponent.  The forward pass folds, per state and move by move, the
@@ -891,11 +943,15 @@ class _Sweep:
     ``force`` and ``tail`` agreeing on the prefix and ``fresh`` past it,
     and walks only the positions past its kept layer, with the windows
     that straddle it already open (on the left, only a generator forced
-    unused can).  Its set-up grows with the positions it walks, and it
-    takes its kept sweep's last rechecked peak element, which
-    ``peak_element`` hands out again while the peak path keeps its terms.
-    A kept layer holds no least prefixes, so ``order`` is not asked of a
-    resumed sweep.
+    unused can).  It starts from the kept layer itself, not a copy: the
+    fold writes only to the layer it builds, so no sweep writes to a layer
+    another one holds.  Only a kept layer that carries a fresh mark, which
+    names the kept sweep's generator, is copied with the mark cleared.  So
+    its set-up grows with the positions it walks, and it takes its kept
+    sweep's last rechecked peak element, which ``peak_element`` hands out
+    again while the peak path holds the same chains at the same F.  A kept
+    layer holds no least prefixes, so ``order`` is not asked of a resumed
+    sweep.
     """
 
     def __init__(
@@ -906,33 +962,41 @@ class _Sweep:
         self.left, self.right, self.k = left, right, left.k
         force = force or {}
         k = self.k
-        joins = _JOINS[k] if k in _JOINS else _JOINS.setdefault(k, _Joins(k))
+        self._joins = joins = _joins(k)
+        rows, states, zeros = joins.rows, joins.states, joins.zeros
         # with ``walk``, per step: the left generator opened there, or
-        # None, and the right one; then (state, moves) per state before it
+        # None, and the right one; then (state id, moves) per state before it
         self.opened = [] if walk else None
         self.moves = [] if walk else None
-        # per state of the current layer: [paths, last position of value k,
+        # per state id of the current layer: [paths, last position of value k,
         # both witnesses' term chains on a path attaining it, largest left
         # index used, its marks], -1 standing for "none yet"; earlier
         # layers are not kept, so the path counts, which grow to big
         # integers, are not stored
-        walked, layer = None, {_START: [1, -1, (None, None), -1, _LEFT_MARK | _RIGHT_MARK]}
-        # the last rechecked peak element's (left terms, right terms) and itself
+        walked, layer = None, {0: [1, -1, (None, None), -1, _LEFT_MARK | _RIGHT_MARK]}
+        # the last rechecked peak element's chains, its F and itself
         self._rechecked = None if resume is None else resume._rechecked
         if resume is not None:
-            # the kept sweep's fresh mark names another generator
+            # the fold writes only to the layer it builds, so the kept layer
+            # is shared, and copied only to clear a fresh mark, which names
+            # the kept sweep's generator
             walked, layer = resume._kept
-            layer = {state: [*held[:4], held[4] & ~_FRESH_MARK] for state, held in layer.items()}
+            for held in layer.values():
+                if held[4] & _FRESH_MARK:
+                    layer = {
+                        sid: [*entry[:4], entry[4] & ~_FRESH_MARK] for sid, entry in layer.items()
+                    }
+                    break
         kept_pos, kept_layer = walked, layer
         ordered, by_witness, base, bound = order is not None, order == "witness", k + 2, 1
         if ordered:
             # per left choice where a left generator opens: its symbol + 1
             symbols = {e: 1 + (e if by_witness else k - e) for e in range(k)}
             symbols[_UNUSED] = 1 + k if by_witness else 1
-            least, ended = {_START: (0, (None, None))}, {}
+            least, ended = {0: (0, (None, None))}, {}
         record = walk or ordered
         boundary = left.blocks[-1].max_support if left.blocks else -1
-        for pos, lg, lstep, rg, rstep in _sweep_steps(left, right, force, walked):
+        for pos, lg, pid, rg in _sweep_steps(left, right, force, walked, joins):
             nxt = {}
             seen = []
             # a used generator below the tail index clears its side's mark,
@@ -940,14 +1004,16 @@ class _Sweep:
             lkeep = ~_LEFT_MARK if lg is not None and lg < tail else -1
             rkeep = ~_RIGHT_MARK if rg is not None and rg < tail else -1
             lfresh = _FRESH_MARK if lg is not None and lg == fresh else 0
-            for state, (paths, top, chains, last, marks) in layer.items():
-                moves = joins[state, lstep, rstep]
+            for sid, (paths, top, chains, last, marks) in layer.items():
+                moves = rows[sid][pid]
+                if moves is None:
+                    moves = joins.join(sid, pid)
                 if record:
-                    seen.append((state, moves))
+                    seen.append((sid, moves))
                 for new, v, lused, rused in moves:
                     m = marks
                     if lused:
-                        m = m & lkeep | (lfresh if new[0] == 0 else 0)
+                        m = m & lkeep | (lfresh if zeros[new] else 0)
                     if rused:
                         m &= rkeep
                     new_top = pos if v == k else top
@@ -955,13 +1021,14 @@ class _Sweep:
                     held = nxt.get(new)
                     if held is None:
                         # chains grow only when a witness gains a term
-                        grown = _grow(lg, rg, new, chains) if lused or rused else chains
+                        grown = _grow(lg, rg, states[new], chains) if lused or rused else chains
                         nxt[new] = [paths, new_top, grown, new_last, m]
                     else:
                         held[0] += paths
                         if new_top > held[1]:
                             held[1] = new_top
-                            held[2] = _grow(lg, rg, new, chains) if lused or rused else chains
+                            grown = _grow(lg, rg, states[new], chains) if lused or rused else chains
+                            held[2] = grown
                         if new_last < held[3]:
                             held[3] = new_last
                         held[4] |= m
@@ -969,7 +1036,9 @@ class _Sweep:
             if pos <= boundary:
                 kept_pos, kept_layer = pos, layer
             if ordered:
-                least, ended = _fold_least(seen, least, ended, lg, rg, symbols, base, by_witness)
+                least, ended = _fold_least(
+                    seen, least, ended, lg, rg, states, symbols, base, by_witness
+                )
                 if lg is not None:
                     bound *= base  # every key held stays below it
                     if bound >> 64:
@@ -978,22 +1047,32 @@ class _Sweep:
                 self.opened.append((lg, rg))
                 self.moves.append(seen)
         self._kept = kept_pos, kept_layer
-        self.accepting = accepting = [state for state in layer if state[1] and state[3]]
-        self.count = sum(layer[state][0] for state in accepting)
+        # one pass over the accepting states, in layer order: the first
+        # one with the largest peak position is the peak entry
+        self.accepting = accepting = []
+        count = marks = 0
+        best, least_last = _NO_PEAK, math.inf
+        accepts = joins.accepts
+        for sid, held in layer.items():
+            if accepts[sid]:
+                accepting.append(sid)
+                count += held[0]
+                marks |= held[4]
+                if held[1] > best[1]:
+                    best = held
+                if held[3] < least_last:
+                    least_last = held[3]
+        self.count = count
         # whether the left (right) tail from generator ``tail`` on meets the
         # other span: some common element's left (right) witness uses no
         # generator below ``tail``
-        marks = 0
-        for state in accepting:
-            marks |= layer[state][4]
         self.tails = bool(marks & _LEFT_MARK), bool(marks & _RIGHT_MARK)
         # whether some common element uses generator ``fresh`` at exponent 0
         self.fresh_used = bool(marks & _FRESH_MARK)
         self.peak = self.prefix_length = self.least = None
         if accepting:
-            best = layer[max(accepting, key=lambda state: layer[state][1])]
             self.peak, self._peak_chains = best[1], best[2]
-            self.prefix_length = min(layer[state][3] for state in accepting) + 1
+            self.prefix_length = least_last + 1
             if ordered:
                 # keys differ among accepting states: each is one element
                 held = ended if by_witness else least
@@ -1016,42 +1095,45 @@ class _Sweep:
         Walks the moves backward from the accepting states: every recorded
         state is reachable from the start, so no partial path dies.
         """
-        suffixes = {state: [(None, None)] for state in self.accepting}
+        states = self._joins.states
+        suffixes = {sid: [(None, None)] for sid in self.accepting}
         for i in range(len(self.moves) - 1, -1, -1):
             lg, rg = self.opened[i]
             before = {}
-            for state, moves in self.moves[i]:
+            for sid, moves in self.moves[i]:
                 for new, _, lused, rused in moves:
                     found = suffixes.get(new)
                     if found is None:
                         continue
                     if lused or rused:
-                        found = [_grow(lg, rg, new, chains) for chains in found]
-                    before.setdefault(state, []).extend(found)
+                        found = [_grow(lg, rg, states[new], chains) for chains in found]
+                    before.setdefault(sid, []).extend(found)
             suffixes = before
         return [
             self._element(tuple(_chain_terms(left)), tuple(_chain_terms(right)))
-            for left, right in suffixes.get(_START, ())
+            for left, right in suffixes.get(0, ())
         ]
 
     def peak_element(self):
         """The recorded element attaining F, both witnesses re-evaluated.
 
-        A resumed sweep whose peak path has the terms of the element its
-        kept sweep rechecked last, at the same peak, hands that element out
-        again: the terms name the same blocks in both sweeps.
+        A resumed sweep whose peak path holds the very chains of the
+        element its kept sweep rechecked last, at the same F, hands that
+        element out again without walking them: chains are never changed,
+        so they hold the same terms, which name the same blocks in both
+        sweeps.
         """
-        terms = _walked_terms(self._peak_chains)
+        chains = self._peak_chains
         held = self._rechecked
-        if held is not None and held[0] == terms and peak(held[1].block) == self.peak:
-            return held[1]
-        element = self._element(*terms)
+        if held is not None and held[0] is chains and held[1] == self.peak:
+            return held[2]
+        element = self._element(*_walked_terms(chains))
         check_witness(self.left, element.left_witness, element.block)
         if peak(element.block) != self.peak:
             raise WitnessMismatch(
                 f"element {element.block.render()} does not attain F={self.peak}"
             )
-        self._rechecked = terms, element
+        self._rechecked = chains, self.peak, element
         return element
 
     def valuation(self, horizon):

@@ -114,6 +114,17 @@ class TestEvalAndSpan:
         assert code == 0
         assert out == "1:1\n"
 
+    @pytest.mark.parametrize("form", ["text", "json"])
+    def test_eval_empty_combination(self, capsys, files, form):
+        argv = ["eval", "--seq", files["P.seq"], "--comb", "-", "--format", form]
+        # only a starred combination may be empty
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: ParseError: an unstarred combination needs at least one term\n"
+        code, out, err = run(capsys, *argv, "--starred")
+        assert (code, err) == (0, "")
+        assert out == ("-\n" if form == "text" else '{"block": "-"}\n')
+
     def test_span_golden(self, capsys, tmp_path):
         target = tmp_path / "two.seq"
         target.write_text("k=2\n0:2\n1:2\n", encoding="utf-8")
@@ -939,13 +950,19 @@ def test_optimized_interpreter_keeps_the_witness_rechecks():
     script = (
         "import fink.span as span\n"
         "from fink import BlockSequence, Subblock, WitnessMismatch, make_builtin\n"
+        "from fink.diagonal import run_diagonalization, validate_family\n"
         "from fink.structure import extract_intertwined, smallness_check\n"
         "seq = BlockSequence(2, [Subblock.parse_body(2, b) for b in ('0:2', '1:2')])\n"
         "stream = make_builtin('example13_P', 2)\n"
+        "members = [make_builtin(name, 2) for name in ('example13_P', 'example13_Q', 'evens')]\n"
+        "family = validate_family(members, tail_index=1, horizon=21)\n"
+        "resumed = lambda a, b: span._Sweep(a, b, resume=span._Sweep(a.prefix(1), b))\n"
         "span.evaluate = lambda s, c: Subblock.parse_body(2, '99:2')\n"
         "for ask in (span.intersect_spans, span.first_common_element,\n"
         "            lambda a, b: span._Sweep(a, b).valuation(9), extract_intertwined,\n"
-        "            lambda a, b: smallness_check(stream, stream, 0, 9)):\n"
+        "            lambda a, b: smallness_check(stream, stream, 0, 9),\n"
+        "            lambda a, b: resumed(a, b).valuation(9),\n"
+        "            lambda a, b: run_diagonalization(family, cycles=2)):\n"
         "    try:\n"
         "        ask(seq, seq)\n"
         "    except WitnessMismatch:\n"
@@ -956,4 +973,4 @@ def test_optimized_interpreter_keeps_the_witness_rechecks():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "caught\n" * 5
+    assert proc.stdout == "caught\n" * 7

@@ -1,5 +1,6 @@
 """Span enumeration, membership witnesses, intersections, valuation."""
 
+import copy
 import itertools
 import math
 import random
@@ -117,6 +118,10 @@ class TestCombination:
         c = Combination.parse("-", starred=True)
         assert c.terms == ()
         assert c.render() == "-"
+
+    def test_empty_unstarred_is_refused(self):
+        with pytest.raises(ParseError, match="an unstarred combination needs at least one term"):
+            Combination.parse(" - ")
 
     def test_unstarred_needs_zero_exponent(self):
         with pytest.raises(InvalidCombination):
@@ -941,19 +946,47 @@ def test_joined_moves_match_the_move_product(k):
         cl, _, cr, _ = state
         if cl is None and lstep.__class__ is int or cr is None and rstep.__class__ is int:
             continue
-        assert joins[state, lstep, rstep] == product_moves(k, state, lstep, rstep)
+        sid, pid = joins.intern(state), joins.pair((lstep, rstep))
+        assert joins.rows[sid][pid] is None
+        moves = joins.join(sid, pid)
+        assert joins.rows[sid][pid] is moves
+        # each id names its state, and the lists beside the ids agree with it
+        assert tuple(
+            (joins.states[new], v, lused, rused) for new, v, lused, rused in moves
+        ) == product_moves(k, state, lstep, rstep)
+    for sid, (cl, zl, cr, zr) in enumerate(joins.states):
+        assert joins.state_ids[cl, zl, cr, zr] == sid
+        assert joins.accepts[sid] == (zl and zr) and joins.zeros[sid] == (cl == 0)
+    assert joins.states[0] == span._START
+    assert [joins.pair_ids[steps] for steps in joins.pairs] == list(range(len(joins.pairs)))
+    assert all(len(row) == len(joins.pairs) for row in joins.rows)
+
+
+def met_moves(joins):
+    """Every built entry of a move table, by state and steps."""
+    return {
+        (joins.states[sid], joins.pairs[pid]): moves
+        for sid, row in enumerate(joins.rows)
+        for pid, moves in enumerate(row)
+        if moves is not None
+    }
 
 
 def test_the_move_table_lives_with_its_level():
     members = [make_builtin(name, 2) for name in ("example13_P", "example13_Q", "evens")]
     family = validate_family(members, tail_index=1, horizon=21)
     run_diagonalization(family, cycles=2)
-    met = dict(span._JOINS[2])
+    joins = span._JOINS[2]
+    met = met_moves(joins)
+    states, pairs = list(joins.states), list(joins.pairs)
     assert met
-    # a second identical run meets only triples the first one met
+    # a second identical run meets only entries the first one met, and
+    # interns no new state and no new pair of steps
     family = validate_family(members, tail_index=1, horizon=21)
     run_diagonalization(family, cycles=2)
-    assert span._JOINS[2] == met
+    assert span._JOINS[2] is joins
+    assert met_moves(joins) == met
+    assert (joins.states, joins.pairs) == (states, pairs)
     # a refused level makes no table
     edge = seq(2048, "0:2048")
     with pytest.raises(EnumerationCapExceeded):
@@ -963,7 +996,8 @@ def test_the_move_table_lives_with_its_level():
 
 def walked_positions(left, right, force=None):
     """The positions a fresh sweep of ``left`` against ``right`` walks."""
-    return [step[0] for step in span._sweep_steps(left, right, force or {}, None)]
+    joins = span._joins(left.k)
+    return [step[0] for step in span._sweep_steps(left, right, force or {}, None, joins)]
 
 
 def test_sweep_walks_only_the_usable_left_hull():
@@ -1046,6 +1080,50 @@ def test_resumed_sweep_matches_a_fresh_one(k, data):
         assert sweep_answers(chained) == sweep_answers(direct)
         assert chained.fresh_used == uses_at_zero(m, within, m - 1)
         assert chained.tails == direct.tails
+
+
+def resumed_answers(sweep):
+    element = sweep.peak_element() if sweep.count else None
+    return sweep.count, sweep.peak, sweep.tails, sweep.fresh_used, element, sweep.valuation(99)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@given(data=st.data())
+def test_resuming_never_writes_to_the_kept_sweep(k, data):
+    left = data.draw(generator_lists(k))
+    right = data.draw(st.one_of(generator_lists(k), partners(left)))
+    tail = data.draw(st.integers(0, len(left) + 1))
+    for m in range(1, len(left) + 1):
+        # a kept sweep with and without a fresh mark, as the diagonal
+        # engine keeps one after each check
+        for fresh in (None, m - 1):
+            kept = _Sweep(left.prefix(m), right, tail=tail, fresh=fresh)
+            snapshot = copy.deepcopy(kept._kept)
+            first = _Sweep(left, right, resume=kept, tail=tail, fresh=len(left) - 1)
+            assert kept._kept == snapshot
+            second = _Sweep(left, right, resume=kept, tail=tail, fresh=len(left) - 1)
+            assert kept._kept == snapshot
+            assert resumed_answers(first) == resumed_answers(second)
+            assert kept._kept == snapshot
+
+
+def test_a_kept_layer_is_copied_only_to_clear_a_fresh_mark():
+    # the one common element 0:2 uses left generator 0 at exponent 0, and
+    # the left window [1, 1] holds no right position, so a resumed sweep
+    # walks nothing and ends on the kept layer
+    left, right = seq(2, "0:2", "1:2"), seq(2, "0:2")
+    plain = _Sweep(left.prefix(1), right)
+    shared = _Sweep(left, right, resume=plain, fresh=1)
+    assert shared._kept[1] is plain._kept[1]
+    marked = _Sweep(left.prefix(1), right, fresh=0)
+    assert marked.fresh_used
+    snapshot = copy.deepcopy(marked._kept)
+    cleared = _Sweep(left, right, resume=marked, fresh=1)
+    # the kept mark named generator 0, not the resumed sweep's fresh one
+    assert not cleared.fresh_used
+    assert cleared._kept[1] is not marked._kept[1]
+    assert marked._kept == snapshot
+    assert resumed_answers(cleared) == resumed_answers(shared)
 
 
 def _body(values, start, k):

@@ -26,11 +26,14 @@ be unused.  Its cost is polynomial in the positions where both sides'
 windows meet, plus one step per window skipped.  Every positive
 answer carries a witness combination that evaluates back to the queried
 subblock.  Evaluation appends each term's lowered pairs to one list.  A
-combination whose terms the library made itself is built unchecked
-(``Combination._trusted``), while one read from a caller or from text is
-checked; either way a positive answer's witness is evaluated again and
-compared with the answer (a membership answer compares the pairs alone,
-since its levels were checked on entry).
+combination whose terms the library made itself is built unchecked, while
+one read from a caller or from text is checked; either way a positive
+answer's witness is evaluated again and compared with the answer (a
+membership answer compares the pairs alone, since its levels were checked
+on entry).  The records made once per element run no Python frame of
+their own: ``_span_walk`` builds each listed element and its witness,
+``membership_witness`` its witness and ``evaluate`` its subblock, each
+allocated with ``object.__new__`` and filled through the slot setters.
 """
 
 import itertools
@@ -38,7 +41,17 @@ import math
 from bisect import bisect_left, bisect_right
 from operator import attrgetter
 
-from .blocks import Record, Subblock, _setattr, add, parse_int, peak, tetris
+from .blocks import (
+    Record,
+    Subblock,
+    _set_k,
+    _set_pairs,
+    _setattr,
+    add,
+    parse_int,
+    peak,
+    tetris,
+)
 from .errors import (
     EnumerationCapExceeded,
     HorizonExhausted,
@@ -71,9 +84,13 @@ DEFAULT_CAP_BITS = 24.0
 # a position sweep's choice for a generator it does not use
 _UNUSED = -1
 
+# allocates an instance whose slots the caller fills through their setters
+_new = object.__new__
+
 # bisection keys over a sequence's blocks
 _BY_MAX_SUPPORT = attrgetter("max_support")
 _BY_MIN_SUPPORT = attrgetter("min_support")
+_PAIRS = attrgetter("pairs")
 
 
 class BlockSequence:
@@ -178,12 +195,13 @@ class Combination(Record):
 
         ``terms`` must be a tuple of (index, exponent) pairs with strictly
         increasing indices and nonnegative exponents, nonempty with an
-        exponent 0 unless ``starred``.  The callers build the terms
-        themselves: ``_checked_span`` from its walk's subsets and exponent
-        vectors, ``membership_witness`` from ``_witness_terms`` (and then
-        evaluates the witness again and compares the pairs it gives), and
-        ``_Sweep._element`` from a sweep's accepting paths, which see
-        exponent 0 on both sides.
+        exponent 0 unless ``starred``.  Its caller, ``_Sweep._element``,
+        builds the terms from a sweep's accepting paths, which see exponent
+        0 on both sides.  The per-element builders fill the same slots
+        inline, with no call: ``_span_walk`` from its walk's subsets and
+        exponent vectors, and ``membership_witness`` from the runs it
+        decided (and then evaluates the witness again and compares the
+        pairs it gives).
         """
         self = object.__new__(cls)
         _set_terms(self, terms)
@@ -367,7 +385,10 @@ def evaluate(seq, comb):
                     append((pos, v - exponent))
         else:
             pairs += stored
-    return Subblock._raw(k, tuple(pairs))
+    result = _new(Subblock)
+    _set_k(result, k)
+    _set_pairs(result, tuple(pairs))
+    return result
 
 
 def check_witness(seq, witness, block):
@@ -391,7 +412,8 @@ def _check_listing(count, noun, cap_bits):
 
 
 def _span_walk(seq, starred):
-    """Yield (pairs, terms) for every nonempty span element, in witness order.
+    """Yield every nonempty span element as a (Subblock, Combination)
+    record, in witness order.
 
     Index subsets come in lexicographic order from a depth-first walk that
     keeps only the current subset.  Its head (all but the last generator)
@@ -400,7 +422,9 @@ def _span_walk(seq, starred):
     last generator takes every exponent when starred or when the head holds
     a 0, else 0 alone.  That is the order of ``Combination.sort_key``, and
     every vector stepped through is listed.  Supports are ordered, so the
-    used generators' images concatenate to the element's pairs.
+    used generators' images concatenate to the element's pairs.  Each
+    record is built where its element is found, its slots filled through
+    their setters, so no (pairs, terms) row is kept beside it.
     """
     n, k = len(seq), seq.k
     blocks, rows = seq.blocks, [None] * len(seq)
@@ -418,10 +442,11 @@ def _span_walk(seq, starred):
                 head_images.pop()
             continue
         if rows[i] is None and (starred or head_terms or i + 1 < n):
-            # its terms and images at every exponent: listed when starred,
-            # after a nonempty head (whose first vector is all 0) or as a head
-            rows[i] = tuple(zip(*(((i, e), tetris(blocks[i], e).pairs) for e in exponents)))
-        only_zero = ((i, 0),), (blocks[i].pairs,)
+            # its terms (as 1-tuples, appended by concatenation) and images
+            # at every exponent: listed when starred, after a nonempty head
+            # (whose first vector is all 0) or as a head
+            rows[i] = tuple(zip(*((((i, e),), tetris(blocks[i], e).pairs) for e in exponents)))
+        only_zero = (((i, 0),),), (blocks[i].pairs,)
         for exps, terms, parts in zip(
             product(exponents, repeat=len(head_terms)),
             product(*head_terms),
@@ -429,16 +454,23 @@ def _span_walk(seq, starred):
         ):
             head = tuple(chain(parts))
             for term, image in zip(*(rows[i] if starred or 0 in exps else only_zero)):
-                yield head + image, (*terms, term)
+                block = _new(Subblock)
+                _set_k(block, k)
+                _set_pairs(block, head + image)
+                witness = _new(Combination)
+                _set_terms(witness, terms + term)
+                _set_starred(witness, starred)
+                yield block, witness
         if i + 1 < n:
-            head_terms.append(rows[i][0])
+            # the head's products take the row's terms unwrapped
+            head_terms.append(tuple(chain(rows[i][0])))
             head_images.append(rows[i][1])
             stack.append(iter(range(i + 1, n)))
 
 
 def _checked_span(seq, starred, cap_bits):
-    """The span's (Subblock, Combination) pairs in witness order, as a lazy
-    iterator; the listing's size is checked against the cap first, so a
+    """The span's (Subblock, Combination) records in witness order, as a
+    lazy iterator; the listing's size is checked against the cap first, so a
     refusal comes before any element."""
     k, n = seq.k, len(seq)
     # both counts are at least (k+1)^(N-1); past 2^64 that bound refuses
@@ -451,10 +483,7 @@ def _checked_span(seq, starred, cap_bits):
     # each generator unused or at one of k exponents, less the k^N choices
     # with no exponent 0, or less the empty one when starred
     _check_listing((k + 1) ** n - (1 if starred else k**n), "combinations", cap_bits)
-    return (
-        (Subblock._raw(k, pairs), Combination._trusted(terms, starred))
-        for pairs, terms in _span_walk(seq, starred)
-    )
+    return _span_walk(seq, starred)
 
 
 def enumerate_span(seq, starred=False, cap_bits=DEFAULT_CAP_BITS):
@@ -468,21 +497,29 @@ def enumerate_span(seq, starred=False, cap_bits=DEFAULT_CAP_BITS):
     return SpanEnumeration(tuple(_checked_span(seq, starred, cap_bits)), includes_empty=starred)
 
 
-def _witness_terms(pairs, seq, starred):
-    """The unique witness terms for the nonempty ``pairs`` in seq's span, or None.
+def membership_witness(t, seq, starred=False):
+    """Decide span membership; returns the unique witness or None.
 
-    Supports are ordered, so the pairs split into runs, one per generator
-    used.  A run's first position must lie in the support of the generator
-    whose window ``[min_support, max_support]`` holds it: the generator
-    after the previous run's is tried first, and the sequence is bisected
-    only when the position lies past that one's window.  The generator's
-    value there forces the exponent, and the run must then be exactly the
-    generator's tetris image at that exponent, checked against the stored
-    pairs: one tuple compare at exponent 0, and above it a walk that
-    compares each lowered pair in place and builds no image.  Unstarred,
-    exponent 0 must occur.
+    A None result is the negative answer, not a failure.  Supports are
+    ordered, so ``t``'s pairs split into runs, one per generator used.  A
+    run's first position must lie in the support of the generator whose
+    window ``[min_support, max_support]`` holds it: the generator after the
+    previous run's is tried first, and the sequence is bisected only when
+    the position lies past that one's window.  The generator's value there
+    forces the exponent, and the run must then be exactly the generator's
+    tetris image at that exponent, checked against the stored pairs: one
+    tuple compare at exponent 0, and above it a walk that compares each
+    lowered pair in place and builds no image.  Unstarred, exponent 0 must
+    occur.
+
+    The witness is built here and re-evaluated before being returned, so a
+    positive answer is checked: the levels agree, so comparing the
+    evaluated pairs with ``t``'s is the test ``check_witness`` makes, and a
+    mismatch raises its error.
     """
-    blocks = seq.blocks
+    if t.k != seq.k:
+        raise MismatchedLevel(f"levels {t.k} and {seq.k}")
+    pairs, blocks = t.pairs, seq.blocks
     n = len(blocks)
     terms = []
     zero = starred
@@ -495,10 +532,13 @@ def _witness_terms(pairs, seq, starred):
             return None
         stored = blocks[g].pairs
         if stored[-1][0] < pos:
-            g = bisect_left(blocks, pos, g + 1, n, key=_BY_MAX_SUPPORT)
-            if g == n:
-                return None
+            # the last generator to start at or before ``pos``: the pairs
+            # tuples order as their first positions do; unless its window
+            # holds ``pos``, no window does
+            g = bisect_left(blocks, ((pos + 1,),), g + 1, n, key=_PAIRS) - 1
             stored = blocks[g].pairs
+            if stored[-1][0] < pos:
+                return None
         at, w = stored[0]
         if at != pos:
             # off the support this reads another position's value, and the
@@ -522,26 +562,11 @@ def _witness_terms(pairs, seq, starred):
                 return None
             i, zero = end, True
         terms.append((g, e))
-    return tuple(terms) if zero else None
-
-
-def membership_witness(t, seq, starred=False):
-    """Decide span membership; returns the unique witness or None.
-
-    A None result is the negative answer, not a failure.  The witness is
-    re-evaluated before being returned, so a positive answer is checked:
-    the levels agree, so comparing the evaluated pairs with ``t``'s is the
-    test ``check_witness`` makes, and a mismatch raises its error.
-    """
-    if t.k != seq.k:
-        raise MismatchedLevel(f"levels {t.k} and {seq.k}")
-    pairs = t.pairs
-    if not pairs:
-        return Combination._trusted((), True) if starred else None
-    terms = _witness_terms(pairs, seq, starred)
-    if terms is None:
+    if not zero:
         return None
-    witness = Combination._trusted(terms, starred)
+    witness = _new(Combination)
+    _set_terms(witness, tuple(terms))
+    _set_starred(witness, starred)
     if evaluate(seq, witness).pairs != pairs:
         raise _mismatch(witness, t)
     return witness

@@ -1,9 +1,13 @@
 """Span enumeration, membership witnesses, intersections, valuation."""
 
+import contextlib
 import copy
+import io
 import itertools
 import math
+import os
 import random
+import tempfile
 import tracemalloc
 from bisect import bisect_left
 
@@ -42,6 +46,7 @@ from fink import (
     valuation,
 )
 from fink import span
+from fink.cli import main
 from fink.span import _UNUSED, _Sweep
 
 
@@ -457,8 +462,16 @@ class TestWitnessRecheck:
         monkeypatch.setattr(fink.span, "evaluate", lambda seq, comb: blk(seq.k, [(99, seq.k)]))
 
     def test_membership(self, lying_evaluate):
-        with pytest.raises(WitnessMismatch):
-            membership_witness(S2, seq(2, "0:2", "1:2", "3:2"))
+        s = seq(2, "0:2", "1:2", "3:2")
+        # every path of the decision ends in the recheck: unstarred, starred
+        # with no exponent 0, and a run past a gap, which bisects the sequence
+        for block, starred in (
+            (S2, False),
+            (blk(2, [(0, 1), (1, 1)]), True),
+            (blk(2, [(3, 2)]), False),
+        ):
+            with pytest.raises(WitnessMismatch):
+                membership_witness(block, s, starred=starred)
 
     def test_intersection(self, lying_evaluate):
         left = seq(2, "0:2", "1:2", "3:2")
@@ -695,14 +708,14 @@ def _witness_order(terms):
 def test_walk_starts_without_listing_the_subsets():
     # 2^60 - 1 index subsets: a walk that gathered them first would not return
     s = seq(1, *[f"{i}:1" for i in range(60)])
-    first = list(itertools.islice(span._span_walk(s, False), 3))
+    first = [(b.pairs, w.terms) for b, w in itertools.islice(span._span_walk(s, False), 3)]
     assert first == [
         (((0, 1),), ((0, 0),)),
         (((0, 1), (1, 1)), ((0, 0), (1, 0))),
         (((0, 1), (1, 1), (2, 1)), ((0, 0), (1, 0), (2, 0))),
     ]
     # index subsets come in lexicographic order, each before its extensions
-    subsets = [tuple(i for i, _ in terms) for _, terms in span._span_walk(s.prefix(3), False)]
+    subsets = [w.indices for _, w in span._span_walk(s.prefix(3), False)]
     assert subsets == [(0,), (0, 1), (0, 1, 2), (0, 2), (1,), (1, 2), (2,)]
 
 
@@ -727,6 +740,39 @@ def test_enumeration_matches_oracle(k, data):
             found = membership_witness(block, s, starred=starred)
             assert found == witness
         assert got.includes_empty is starred
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@given(data=st.data())
+def test_listing_and_streamed_rows_agree(k, data):
+    s = data.draw(generator_lists(k))
+    text = f"k={k}\n" + "".join(f"{b.render_body()}\n" for b in s)
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "drawn.seq")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        for starred in (False, True):
+            listed = [f"{b.render_body()} <- {w.render()}" for b, w in enumerate_span(s, starred)]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["span", "--seq", path, *(["--starred"] if starred else [])])
+            assert code == 0
+            assert out.getvalue().splitlines() == listed + (["- <- -"] if starred else [])
+
+
+def test_listing_at_a_wide_level_builds_one_element():
+    # unstarred, one generator lists its exponent 0 alone: no tetris image
+    # and no exponent is stepped through
+    k = 10**8
+    s = seq(k, f"0:{k}")
+    tracemalloc.start()
+    try:
+        listing = enumerate_span(s)
+        _, peak_bytes = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [(b.pairs, w.terms) for b, w in listing] == [(((0, k),), ((0, 0),))]
+    assert peak_bytes < 64 * 1024
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -9,7 +9,14 @@ horizon smallness certificates, and a verified diagonalization engine.
 
 ``import fink`` loads no submodule: each public name, and each submodule
 name, loads its home module on first use (PEP 562), so a program, like
-each CLI command, compiles only the modules it runs.
+each CLI command, compiles only the modules it runs.  Every command loads
+``cli``, ``span``, ``blocks`` and ``errors``, and ``eval``, ``member``,
+``span`` and ``valuation`` load nothing more.  ``graph``, ``intertwined``
+and ``split`` add ``structure``.  The commands that ask about two spans at
+once add the position sweep (``sweep``): ``intersect`` alone, ``extract``
+with ``structure``, ``small`` with ``structure`` and ``streams``, and
+``diag`` with those three and ``diagonal``.  The CLI also builds the
+argument parser of the one subcommand a run names.
 """
 
 __version__ = "0.1.0"

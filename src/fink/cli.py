@@ -12,7 +12,9 @@ lazily.  ``main`` writes the rows once, one per line, as JSON under
 It writes them inside the ``try`` that turns every error, a closed stdout
 and exhausted memory included, into one ``error:`` line on stderr.
 ``streams``, ``structure``, ``diagonal`` and ``json`` are imported by the
-code that uses them, so one run loads only its command's modules.
+code that uses them, so one run loads only its command's modules.  The
+parser is built from one table of subcommands (``_COMMANDS``), and a run
+whose first argument names a subcommand builds that one's parser alone.
 """
 
 import argparse
@@ -282,87 +284,95 @@ def _cmd_diag(args):
 
 
 # --- parser -------------------------------------------------------------
+# An argument is (flag, ``add_argument`` keywords).  Every subcommand takes
+# ``_COMMON``; a listing also takes ``--cap``.
+
+_COMMON = (
+    ("--format", {"choices": ("text", "json"), "default": "text"}),
+    ("--k", {"type": _number(int), "default": None, "help": "level; checked against inputs"}),
+)
+_CAPPED = (
+    *_COMMON,
+    ("--cap", {"type": _number(float), "default": DEFAULT_CAP_BITS,
+               "help": "listing cap in bits: at most 2^BITS listed combinations"}),
+)
+_PAIR = (("--P", {"required": True}), ("--Q", {"required": True}))
+_SEQ = ("--seq", {"required": True})
+_STARRED = ("--starred", {"action": "store_true"})
+_HORIZON = ("--horizon", {"type": _number(int, 0), "required": True})
+_BLOCK = ("--block", {"required": True})
+
+# subcommand -> (help, arguments), in the order ``fink -h`` lists them; the
+# handler of subcommand ``name`` is ``_cmd_<name>``
+_COMMANDS = {
+    "eval": ("evaluate a combination over a sequence", (
+        *_COMMON, _SEQ,
+        ("--comb", {"required": True, "help": 'witness text, e.g. "0^0 + 1^1"'}),
+        _STARRED,
+    )),
+    "member": ("decide span membership", (
+        *_COMMON, _SEQ,
+        ("--block", {"required": True, "help": 'block body, e.g. "0:2,1:1"'}),
+        _STARRED,
+    )),
+    "span": ("enumerate a span with witnesses", (*_CAPPED, _SEQ, _STARRED)),
+    "intersect": ("intersect two spans", (*_CAPPED, *_PAIR)),
+    "valuation": ("valuation F of a block set", (
+        *_COMMON,
+        ("--blocks", {"required": True}),
+        ("--horizon", {"type": _number(int, 0), "default": None}),
+    )),
+    "graph": ("decomposition graph of a common block", (*_COMMON, *_PAIR, _BLOCK)),
+    "intertwined": ("is the common block intertwined?", (*_COMMON, *_PAIR, _BLOCK)),
+    "extract": ("extract an intertwined common block", (*_COMMON, *_PAIR)),
+    "split": ("star-split around an intertwined anchor", (
+        *_COMMON, *_PAIR,
+        ("--anchor", {"required": True, "help": "intertwined common block body"}),
+        ("--other", {"required": True, "help": "common block body to star against"}),
+    )),
+    "small": ("smallness probe at a horizon", (
+        *_COMMON,
+        ("--P", {"required": True, "help": "stream: builtin name, spec, or file"}),
+        ("--Q", {"required": True}),
+        ("--n", {"type": _number(int, 0), "required": True,
+                 "help": "tail index for the left stream"}),
+        _HORIZON,
+    )),
+    "diag": ("validate a family and diagonalize", (
+        *_COMMON,
+        ("--member", {"action": "append", "required": True,
+                      "help": "stream (repeatable): builtin name, spec, or file"}),
+        ("--n", {"type": _number(int, 0), "default": 1,
+                 "help": "tail index for pairwise validation"}),
+        _HORIZON,
+        ("--cycles", {"type": _number(int, 1), "default": 1}),
+    )),
+}
 
 
-def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--k", type=_number(int), default=None,
-                        help="level; checked against inputs")
-    capped = argparse.ArgumentParser(add_help=False, parents=[common])
-    capped.add_argument("--cap", type=_number(float), default=DEFAULT_CAP_BITS,
-                        help="listing cap in bits: at most 2^BITS listed combinations")
-    pair = argparse.ArgumentParser(add_help=False)
-    pair.add_argument("--P", required=True)
-    pair.add_argument("--Q", required=True)
-    with_pair = [common, pair]
-
+def _build_parser(names=_COMMANDS):
+    """The parser of the subcommands ``names``, each built from its row in
+    ``_COMMANDS``.  A parser of only some of them still names every
+    subcommand in its usage line, so their usage errors read as with all
+    of them; only a parser of all of them meets an unknown name, whose
+    error names the argument ``command``."""
     parser = _Parser(prog="fink", description="FIN_k block algebra and span computations")
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    p = sub.add_parser("eval", parents=[common], help="evaluate a combination over a sequence")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--comb", required=True, help='witness text, e.g. "0^0 + 1^1"')
-    p.add_argument("--starred", action="store_true")
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser("member", parents=[common], help="decide span membership")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--block", required=True, help='block body, e.g. "0:2,1:1"')
-    p.add_argument("--starred", action="store_true")
-    p.set_defaults(handler=_cmd_member)
-
-    p = sub.add_parser("span", parents=[capped], help="enumerate a span with witnesses")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--starred", action="store_true")
-    p.set_defaults(handler=_cmd_span)
-
-    p = sub.add_parser("intersect", parents=[capped, pair], help="intersect two spans")
-    p.set_defaults(handler=_cmd_intersect)
-
-    p = sub.add_parser("valuation", parents=[common], help="valuation F of a block set")
-    p.add_argument("--blocks", required=True)
-    p.add_argument("--horizon", type=_number(int, 0), default=None)
-    p.set_defaults(handler=_cmd_valuation)
-
-    p = sub.add_parser("graph", parents=with_pair, help="decomposition graph of a common block")
-    p.add_argument("--block", required=True)
-    p.set_defaults(handler=_cmd_graph)
-
-    p = sub.add_parser("intertwined", parents=with_pair, help="is the common block intertwined?")
-    p.add_argument("--block", required=True)
-    p.set_defaults(handler=_cmd_intertwined)
-
-    p = sub.add_parser("extract", parents=with_pair, help="extract an intertwined common block")
-    p.set_defaults(handler=_cmd_extract)
-
-    p = sub.add_parser("split", parents=with_pair, help="star-split around an intertwined anchor")
-    p.add_argument("--anchor", required=True, help="intertwined common block body")
-    p.add_argument("--other", required=True, help="common block body to star against")
-    p.set_defaults(handler=_cmd_split)
-
-    p = sub.add_parser("small", parents=[common], help="smallness probe at a horizon")
-    p.add_argument("--P", required=True, help="stream: builtin name, spec, or file")
-    p.add_argument("--Q", required=True)
-    p.add_argument("--n", type=_number(int, 0), required=True,
-                   help="tail index for the left stream")
-    p.add_argument("--horizon", type=_number(int, 0), required=True)
-    p.set_defaults(handler=_cmd_small)
-
-    p = sub.add_parser("diag", parents=[common], help="validate a family and diagonalize")
-    p.add_argument("--member", action="append", required=True,
-                   help="stream (repeatable): builtin name, spec, or file")
-    p.add_argument("--n", type=_number(int, 0), default=1,
-                   help="tail index for pairwise validation")
-    p.add_argument("--horizon", type=_number(int, 0), required=True)
-    p.add_argument("--cycles", type=_number(int, 1), default=1)
-    p.set_defaults(handler=_cmd_diag)
-
+    every = None if len(names) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", parser_class=_Parser, metavar=every)
+    for name in names:
+        help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=globals()[f"_cmd_{name}"])
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a run that names its subcommand first builds only that one's parser
+    parser = _build_parser(argv[:1] if argv[:1] and argv[0] in _COMMANDS else _COMMANDS)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -7,8 +7,9 @@ non-source member.  Each step verifies that stability claim exactly (the
 valuation before and after adding the block must agree, and any new common
 element must use the fresh block with a positive tetris exponent); a
 failure aborts the run with ClaimViolation rather than being skipped.
-Every two-span question here is one position sweep (``span._Sweep``), so
-none of them enumerates a span.  Validation sweeps each unordered pair of
+Every two-span question here is one position sweep (``sweep._Sweep``), so
+none of them enumerates a span, and this module loads the sweep module on
+import.  Validation sweeps each unordered pair of
 truncations once: marks on the sweep's states give both members' tail
 verdicts, and its accepting states give the pair's bound.  Each member
 keeps one sweep over the blocks chosen so far, and each stability check is
@@ -28,8 +29,9 @@ from .errors import (
     MismatchedLevel,
     NotAlmostDisjoint,
 )
-from .span import _BY_MIN_SUPPORT, BlockSequence, _Sweep, membership_witness
+from .span import BlockSequence, membership_witness
 from .structure import _nonempty_certificate
+from .sweep import _BY_MIN_SUPPORT, _Sweep
 
 __all__ = [
     "AlmostDisjointFamily",

@@ -13,6 +13,11 @@ into parts strictly below and strictly above p, after checking that the
 pointwise maximum agrees with p on p's whole support window.  Failures of
 that window check (ClaimViolation) would falsify the construction and
 abort loudly rather than being papered over.
+
+Extraction and the smallness probe ask about two spans at once, each in a
+position sweep or two (``sweep._Sweep``), and load the sweep module when
+called (``span._sweeping``), so ``graph``, ``intertwined`` and ``split``,
+which only build and split decomposition graphs, never compile it.
 """
 
 from .blocks import Record, _setattr, add, star, tetris
@@ -23,10 +28,9 @@ from .errors import (
     NotIntertwined,
 )
 from .span import (
-    _UNUSED,
     Combination,
     CommonElement,
-    _Sweep,
+    _sweeping,
     check_witness,
     evaluate,
     membership_witness,
@@ -195,11 +199,12 @@ def extract_intertwined(left, right):
     NoIntersection when the full spans are disjoint; MinimalityViolation
     from the split would contradict the minimality of the prefix.
     """
-    length = _Sweep(left, right).prefix_length
+    sweep = _sweeping()
+    length = sweep._Sweep(left, right).prefix_length
     if length is None:
         raise NoIntersection(f"no common block among {len(left)} generators")
     prefix = left.prefix(length)
-    element = _Sweep(prefix, right, order="value").least
+    element = sweep._Sweep(prefix, right, order="value").least
     return ExtractionResult(length, settle_intertwined(element, prefix, right))
 
 
@@ -281,7 +286,7 @@ def _tail_certificate(left, right, tail_index, horizon):
     """
     if tail_index < 0:
         raise ValueError(f"tail index must be nonnegative, got {tail_index}")
-    if not _Sweep(left, right, _head_unused(left, tail_index)).count:
+    if not _sweeping()._Sweep(left, right, _head_unused(left, tail_index)).count:
         return SmallnessCertificate(tail_index, horizon, "empty_at_horizon")
     return _nonempty_certificate(left, right, tail_index, horizon)
 
@@ -293,13 +298,13 @@ def _nonempty_certificate(left, right, tail_index, horizon):
     over the whole of ``left``, from one sweep ordered by left witness,
     whose forward pass keeps the least witness reaching each state.
     """
-    witness = _Sweep(left, right, _head_unused(left, tail_index), order="witness").least
+    witness = _sweeping()._Sweep(left, right, _head_unused(left, tail_index), order="witness").least
     return SmallnessCertificate(tail_index, horizon, "nonempty", witness=witness)
 
 
 def _head_unused(left, tail_index):
     """The sweep's ``force`` for the left generators below the tail index."""
-    return dict.fromkeys(range(min(tail_index, len(left))), _UNUSED)
+    return dict.fromkeys(range(min(tail_index, len(left))), _sweeping()._UNUSED)
 
 
 def smallness_check(left_stream, right_stream, tail_index, horizon):

@@ -11,6 +11,7 @@ import tracemalloc
 import pytest
 
 import fink
+from fink import cli
 from fink.cli import main
 
 P_SEQ = "k=2\n0:2\n1:2\n3:2\n5:2\n7:2\n9:2\n"
@@ -949,6 +950,7 @@ def test_optimized_interpreter_keeps_the_witness_rechecks():
     # a lying evaluate must still be caught when asserts are compiled away
     script = (
         "import fink.span as span\n"
+        "import fink.sweep as sweep\n"
         "from fink import BlockSequence, Subblock, WitnessMismatch, make_builtin\n"
         "from fink.diagonal import run_diagonalization, validate_family\n"
         "from fink.structure import extract_intertwined, smallness_check\n"
@@ -956,10 +958,10 @@ def test_optimized_interpreter_keeps_the_witness_rechecks():
         "stream = make_builtin('example13_P', 2)\n"
         "members = [make_builtin(name, 2) for name in ('example13_P', 'example13_Q', 'evens')]\n"
         "family = validate_family(members, tail_index=1, horizon=21)\n"
-        "resumed = lambda a, b: span._Sweep(a, b, resume=span._Sweep(a.prefix(1), b))\n"
+        "resumed = lambda a, b: sweep._Sweep(a, b, resume=sweep._Sweep(a.prefix(1), b))\n"
         "span.evaluate = lambda s, c: Subblock.parse_body(2, '99:2')\n"
         "for ask in (span.intersect_spans, span.first_common_element,\n"
-        "            lambda a, b: span._Sweep(a, b).valuation(9), extract_intertwined,\n"
+        "            lambda a, b: sweep._Sweep(a, b).valuation(9), extract_intertwined,\n"
         "            lambda a, b: smallness_check(stream, stream, 0, 9),\n"
         "            lambda a, b: resumed(a, b).valuation(9),\n"
         "            lambda a, b: run_diagonalization(family, cycles=2)):\n"
@@ -974,3 +976,110 @@ def test_optimized_interpreter_keeps_the_witness_rechecks():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "caught\n" * 7
+
+
+# --- what one run loads and builds -------------------------------------------
+
+README_FILES = {
+    "P.seq": "k=2\n0:2\n1:2\n3:2\n",
+    "Q.seq": "k=2\n0:2\n1:2,2:1\n3:2,4:1\n",
+    "P2.seq": "k=2\n0:2\n1:2\n",
+    "S.blocks": "k=2\n0:2,1:1\n3:2\n",
+}
+# the first README example of each subcommand, all of which exit 0
+README_COMMANDS = {
+    "eval": ["eval", "--seq", "P.seq", "--comb", "0^0 + 1^1 + 2^1"],
+    "member": ["member", "--seq", "P.seq", "--block", "0:2,1:1,3:1"],
+    "span": ["span", "--seq", "P2.seq"],
+    "intersect": ["intersect", "--P", "P.seq", "--Q", "Q.seq"],
+    "valuation": ["valuation", "--blocks", "S.blocks"],
+    "graph": ["graph", "--P", "P.seq", "--Q", "Q.seq", "--block", "0:2,1:1,3:1"],
+    "intertwined": ["intertwined", "--P", "P.seq", "--Q", "Q.seq", "--block", "0:2"],
+    "extract": ["extract", "--P", "P.seq", "--Q", "Q.seq"],
+    "split": ["split", "--P", "P.seq", "--Q", "Q.seq", "--anchor", "0:2",
+              "--other", "0:2,1:1,3:1"],
+    "small": ["small", "--P", "example13_P", "--Q", "example13_Q", "--k", "2", "--n", "1",
+              "--horizon", "21"],
+    "diag": ["diag", "--member", "example13_P", "--member", "example13_Q", "--member", "evens",
+             "--k", "2", "--n", "1", "--horizon", "15"],
+}
+# the subcommands that ask about two spans at once
+SWEEPING = ("intersect", "extract", "small", "diag")
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    for name, text in README_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    commands = {
+        name: [str(tmp_path / arg) if arg in README_FILES else arg for arg in argv]
+        for name, argv in README_COMMANDS.items()
+    }
+    # per command: drop every fink module, run it, list the fink modules loaded
+    script = (
+        "import contextlib, io, json, sys\n"
+        "loaded = {}\n"
+        "for name, argv in json.loads(sys.argv[1]).items():\n"
+        "    for module in [m for m in sys.modules if m.partition('.')[0] == 'fink']:\n"
+        "        del sys.modules[module]\n"
+        "    from fink.cli import main\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    loaded[name] = code, sorted(m for m in sys.modules if m.startswith('fink.'))\n"
+        "print(json.dumps(loaded))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fink.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert list(loaded) == list(README_COMMANDS)
+    for name, (code, modules) in loaded.items():
+        assert code == 0, name
+        if name in SWEEPING:
+            assert "fink.sweep" in modules, name
+        else:
+            assert not {"fink.sweep", "fink.streams", "fink.diagonal"} & set(modules), name
+
+
+def outcome(capsys, argv):
+    """``main``'s exit code, or the code argparse exits with, and its output."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = f"exit {exc.code}"
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+PARSER_CASES = [
+    *([name, "--help"] for name in README_COMMANDS),
+    *([name] for name in README_COMMANDS),
+    *([name, "--k", "x"] for name in README_COMMANDS),
+    ["span", "--seq", "P.seq", "--cap", "nan"],
+    ["intersect", "--P", "P.seq", "--Q", "Q.seq", "--cap", "1e3"],
+    ["member", "--seq", "P.seq", "--block", "0:2", "--cap", "3"],
+    [],
+    ["-h"],
+    ["bogus"],
+    ["--format", "json", "eval"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "none")
+def test_one_subcommand_parser_answers_as_the_full_one(capsys, monkeypatch, argv):
+    build = cli._build_parser
+    built = []
+
+    def recording(names):
+        built.append(list(names))
+        return build(names)
+
+    monkeypatch.setattr(cli, "_build_parser", recording)
+    alone = outcome(capsys, argv)
+    # a run that names a subcommand first builds that subcommand alone
+    named = argv[:1] if argv[:1] and argv[0] in README_COMMANDS else list(README_COMMANDS)
+    assert built == [named]
+    monkeypatch.setattr(cli, "_build_parser", lambda names: build())
+    assert outcome(capsys, argv) == alone

@@ -32,9 +32,9 @@ from fink import (
     validate_family,
     valuation,
 )
-from fink import span
-from fink.span import _UNUSED, _Sweep
+from fink import sweep as sweep_module
 from fink.structure import _tail_certificate
+from fink.sweep import _UNUSED, _Sweep
 
 
 def blk(k, pairs):
@@ -301,13 +301,13 @@ class TestRun:
         kept = _Sweep(seq(2, "0:2"), right)
         rechecked = kept.peak_element()
         checked = []
-        check = span.check_witness
+        check = sweep_module.check_witness
 
         def checking(sequence, witness, block):
             checked.append((sequence, block.render_body()))
             check(sequence, witness, block)
 
-        monkeypatch.setattr(span, "check_witness", checking)
+        monkeypatch.setattr(sweep_module, "check_witness", checking)
         # position 1 is in no right generator: the peak element stays 0:2
         same = _Sweep(seq(2, "0:2", "1:2"), right, resume=kept)
         assert same.peak_element() is rechecked

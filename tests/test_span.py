@@ -46,8 +46,9 @@ from fink import (
     valuation,
 )
 from fink import span
+from fink import sweep as sweep_module
 from fink.cli import main
-from fink.span import _UNUSED, _Sweep
+from fink.sweep import _UNUSED, _Sweep
 
 
 def blk(k, pairs):
@@ -987,7 +988,7 @@ def test_joined_moves_match_the_move_product(k):
     inside = list(range(k + 1))
     left_steps = [None, *inside, *itertools.product(inside, [None, *range(_UNUSED, k)])]
     right_steps = [None, *inside, *((v, None) for v in inside)]
-    joins = span._Joins(k)
+    joins = sweep_module._Joins(k)
     for state, lstep, rstep in itertools.product(states, left_steps, right_steps):
         cl, _, cr, _ = state
         if cl is None and lstep.__class__ is int or cr is None and rstep.__class__ is int:
@@ -1003,7 +1004,7 @@ def test_joined_moves_match_the_move_product(k):
     for sid, (cl, zl, cr, zr) in enumerate(joins.states):
         assert joins.state_ids[cl, zl, cr, zr] == sid
         assert joins.accepts[sid] == (zl and zr) and joins.zeros[sid] == (cl == 0)
-    assert joins.states[0] == span._START
+    assert joins.states[0] == sweep_module._START
     assert [joins.pair_ids[steps] for steps in joins.pairs] == list(range(len(joins.pairs)))
     assert all(len(row) == len(joins.pairs) for row in joins.rows)
 
@@ -1022,7 +1023,7 @@ def test_the_move_table_lives_with_its_level():
     members = [make_builtin(name, 2) for name in ("example13_P", "example13_Q", "evens")]
     family = validate_family(members, tail_index=1, horizon=21)
     run_diagonalization(family, cycles=2)
-    joins = span._JOINS[2]
+    joins = sweep_module._JOINS[2]
     met = met_moves(joins)
     states, pairs = list(joins.states), list(joins.pairs)
     assert met
@@ -1030,20 +1031,20 @@ def test_the_move_table_lives_with_its_level():
     # interns no new state and no new pair of steps
     family = validate_family(members, tail_index=1, horizon=21)
     run_diagonalization(family, cycles=2)
-    assert span._JOINS[2] is joins
+    assert sweep_module._JOINS[2] is joins
     assert met_moves(joins) == met
     assert (joins.states, joins.pairs) == (states, pairs)
     # a refused level makes no table
     edge = seq(2048, "0:2048")
     with pytest.raises(EnumerationCapExceeded):
         _Sweep(edge, edge)
-    assert 2048 not in span._JOINS
+    assert 2048 not in sweep_module._JOINS
 
 
 def walked_positions(left, right, force=None):
     """The positions a fresh sweep of ``left`` against ``right`` walks."""
-    joins = span._joins(left.k)
-    return [step[0] for step in span._sweep_steps(left, right, force or {}, None, joins)]
+    joins = sweep_module._joins(left.k)
+    return [step[0] for step in sweep_module._sweep_steps(left, right, force or {}, None, joins)]
 
 
 def test_sweep_walks_only_the_usable_left_hull():
@@ -1328,7 +1329,7 @@ def test_no_walked_position_lies_in_a_skipped_window(k, data):
         for side, h in skipped_windows(left, right, force)
     ]
     walked = []
-    sweep_steps = span._sweep_steps
+    sweep_steps = sweep_module._sweep_steps
 
     def recording(*args):
         for step in sweep_steps(*args):
@@ -1336,7 +1337,7 @@ def test_no_walked_position_lies_in_a_skipped_window(k, data):
             yield step
 
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(span, "_sweep_steps", recording)
+        patched.setattr(sweep_module, "_sweep_steps", recording)
         # a fresh sweep, then one resumed past each prefix
         _Sweep(left, right, force)
         for m in range(len(left)):
@@ -1348,14 +1349,14 @@ def test_no_walked_position_lies_in_a_skipped_window(k, data):
 
 def test_resumed_sweep_skips_windows_around_its_kept_layer(monkeypatch):
     walked = []
-    sweep_steps = span._sweep_steps
+    sweep_steps = sweep_module._sweep_steps
 
     def recording(*args):
         steps = list(sweep_steps(*args))
         walked.append([step[0] for step in steps])
         return iter(steps)
 
-    monkeypatch.setattr(span, "_sweep_steps", recording)
+    monkeypatch.setattr(sweep_module, "_sweep_steps", recording)
     # the left windows [2, 2] and [9, 9] and the right windows [4, 4] and
     # [8, 8] hold no position of the other side
     left = seq(2, "0:2", "2:2", "6:2,7:1", "9:2", "11:2")
@@ -1391,14 +1392,14 @@ def test_fresh_mark_survives_the_tail_marks():
 
 def test_resumed_sweep_walks_only_past_its_kept_layer(monkeypatch):
     walked = []
-    sweep_steps = span._sweep_steps
+    sweep_steps = sweep_module._sweep_steps
 
     def recording(*args):
         steps = list(sweep_steps(*args))
         walked.append([step[0] for step in steps])
         return iter(steps)
 
-    monkeypatch.setattr(span, "_sweep_steps", recording)
+    monkeypatch.setattr(sweep_module, "_sweep_steps", recording)
     evens = make_builtin("evens", 2).truncate(20001)
     left = seq(2, "0:2", "4:2", "8:2")
     kept = _Sweep(left.prefix(2), evens)
@@ -1424,7 +1425,7 @@ def test_sweep_elements_build_only_the_images_they_use(monkeypatch):
     left = make_builtin("evens", 2).truncate(20001)
     right = make_builtin("example13_P", 2).truncate(20001)
     built = []
-    monkeypatch.setattr(span, "tetris", lambda b, e: built.append(e) or tetris(b, e))
+    monkeypatch.setattr(sweep_module, "tetris", lambda b, e: built.append(e) or tetris(b, e))
     sweep = _Sweep(left, right)
     assert sweep.valuation(20001).element_count == 1
     # one image per left term of the one element, which is rechecked once

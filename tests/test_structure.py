@@ -29,7 +29,7 @@ from fink import (
     star,
     star_split,
 )
-from fink.span import _Sweep
+from fink.sweep import _Sweep
 
 
 def blk(k, pairs):

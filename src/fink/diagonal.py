@@ -19,7 +19,7 @@ exponent 0, so only a failing check sweeps again to name that element.
 """
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left
 
 from .blocks import Record, _setattr, peak
 from .errors import (
@@ -29,9 +29,9 @@ from .errors import (
     MismatchedLevel,
     NotAlmostDisjoint,
 )
-from .span import BlockSequence, membership_witness
+from .span import _PAIRS, BlockSequence, membership_witness
 from .structure import _nonempty_certificate
-from .sweep import _BY_MIN_SUPPORT, _Sweep
+from .sweep import _Sweep
 
 __all__ = [
     "AlmostDisjointFamily",
@@ -206,8 +206,9 @@ def choose_next(family, chosen, step_index):
     ]
     floors = [b.value for b in bounds if b is not None and b.value is not None]
     # candidates are ordered: the first one after ``previous`` lies between
-    # it and every later candidate
-    between = bisect_right(candidates, previous.max_support, key=_BY_MIN_SUPPORT)
+    # it and every later candidate; a pairs tuple orders as its first
+    # position does
+    between = bisect_left(candidates, ((previous.max_support + 1,),), key=_PAIRS)
     for candidate in itertools.islice(candidates, between + 1, None):
         if all(peak(candidate) > floor for floor in floors):
             return candidate, between
@@ -241,13 +242,15 @@ def run_diagonalization(family, cycles=1):
     count = len(family)
     horizon = family.horizon
     picked = BlockSequence._trusted(family.k, ())
-    # per member: a sweep over the first blocks of ``picked``, and its valuation
-    kept = [(_Sweep(picked, truncation), None) for truncation in family.truncations]
+    # per member: a sweep over the first blocks of ``picked``, and its
+    # valuation, or None before its first check: a sweep over no block
+    # keeps no position, so resuming it would sweep afresh
+    kept = [(None, None)] * count
     references = {}
 
     def caught_up(i, seq):
         sweep, value = kept[i]
-        if len(sweep.left) < len(seq):
+        if sweep is None or len(sweep.left) < len(seq):
             sweep = _Sweep(seq, family.truncations[i], resume=sweep)
             value = sweep.valuation(horizon)
             kept[i] = sweep, value

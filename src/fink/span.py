@@ -390,12 +390,17 @@ def _mismatch(witness, block):
 
 def _check_listing(count, noun, cap_bits):
     """Refuse to list more than 2^cap_bits items, judged on their exact
-    count; a cap that is not a number refuses every nonempty listing."""
-    if count and not math.log2(count) <= cap_bits:
+    count; a cap that is not a number refuses every nonempty listing.  A
+    count below 2^cap_bits by its bit length needs no logarithm."""
+    if count and not (count.bit_length() <= cap_bits or math.log2(count) <= cap_bits):
         shown = count if count < 2**64 else "over 2^64"
         raise EnumerationCapExceeded(
             f"{shown} {noun} need {math.log2(count):.1f} bits, cap is {cap_bits}"
         )
+
+
+# the one exponent vector, terms and pairs of an empty head
+_EMPTY_HEAD = (((), (), ()),)
 
 
 def _span_walk(seq, starred):
@@ -405,13 +410,15 @@ def _span_walk(seq, starred):
     Index subsets come in lexicographic order from a depth-first walk that
     keeps only the current subset.  Its head (all but the last generator)
     takes its exponent vectors in lexicographic order from one
-    ``itertools.product`` per column kind (exponents, terms, images); the
-    last generator takes every exponent when starred or when the head holds
-    a 0, else 0 alone.  That is the order of ``Combination.sort_key``, and
-    every vector stepped through is listed.  Supports are ordered, so the
-    used generators' images concatenate to the element's pairs.  Each
-    record is built where its element is found, its slots filled through
-    their setters, so no (pairs, terms) row is kept beside it.
+    ``itertools.product`` per column kind (exponents, terms, images), the
+    images joined into the head's pairs, and an empty head takes its one
+    empty vector directly; the last generator takes every exponent when
+    starred or when the head holds a 0, else 0 alone.  That is the order
+    of ``Combination.sort_key``, and every vector stepped through is
+    listed.  Supports are ordered, so the used generators' images
+    concatenate to the element's pairs.  Each record is built where its
+    element is found, its slots filled through their setters, so no
+    (pairs, terms) row is kept beside it.
     """
     n, k = len(seq), seq.k
     blocks, rows = seq.blocks, [None] * len(seq)
@@ -434,12 +441,14 @@ def _span_walk(seq, starred):
             # (whose first vector is all 0) or as a head
             rows[i] = tuple(zip(*((((i, e),), tetris(blocks[i], e).pairs) for e in exponents)))
         only_zero = (((i, 0),),), (blocks[i].pairs,)
-        for exps, terms, parts in zip(
-            product(exponents, repeat=len(head_terms)),
-            product(*head_terms),
-            product(*head_images),
-        ):
-            head = tuple(chain(parts))
+        heads = _EMPTY_HEAD
+        if head_terms:
+            heads = zip(
+                product(exponents, repeat=len(head_terms)),
+                product(*head_terms),
+                map(tuple, map(chain, product(*head_images))),
+            )
+        for exps, terms, head in heads:
             for term, image in zip(*(rows[i] if starred or 0 in exps else only_zero)):
                 block = _new(Subblock)
                 _set_k(block, k)
@@ -461,12 +470,14 @@ def _checked_span(seq, starred, cap_bits):
     refusal comes before any element."""
     k, n = seq.k, len(seq)
     # both counts are at least (k+1)^(N-1); past 2^64 that bound refuses
-    # before the exact count, an integer of N*log2(k+1) bits, is built
-    bound = (n - 1) * math.log2(k + 1)
-    if bound > 64 and bound > cap_bits:
-        raise EnumerationCapExceeded(
-            f"over 2^64 combinations need at least {bound:.1f} bits, cap is {cap_bits}"
-        )
+    # before the exact count, an integer of N*log2(k+1) bits, is built; it
+    # is at most N-1 times the bit length of k+1, so it is taken only then
+    if (n - 1) * (k + 1).bit_length() > 64:
+        bound = (n - 1) * math.log2(k + 1)
+        if bound > 64 and bound > cap_bits:
+            raise EnumerationCapExceeded(
+                f"over 2^64 combinations need at least {bound:.1f} bits, cap is {cap_bits}"
+            )
     # each generator unused or at one of k exponents, less the k^N choices
     # with no exponent 0, or less the empty one when starred
     _check_listing((k + 1) ** n - (1 if starred else k**n), "combinations", cap_bits)

@@ -13,10 +13,13 @@ since a pass writes only the layer it builds.  The pass skips whole every
 generator window ``[min_support, max_support]`` that holds no support
 position of the other side: used at exponent e < k, the generator keeps
 the value k - e >= 1 at its peak, where the other side's value is 0, so it
-can only be unused.  Its cost is polynomial in the positions where both
-sides' windows meet, plus one step per window skipped.  An element it
-hands out builds its block from its left terms' tetris images and
-re-evaluates its right witness against it (``span.check_witness``).
+can only be unused.  Its steps come from one index walk over both sides'
+blocks, started by bisecting them on their pairs, so its cost is
+polynomial in the positions where both sides' windows meet, plus one step
+per window skipped, plus a set-up that follows the windows around its
+start.  An element it hands out builds its block from its left terms'
+tetris images and re-evaluates its right witness against it
+(``span.check_witness``).
 
 The sweep is loaded on the first two-span question, so a command that asks
 only about one span never compiles it: ``span.intersect_spans``,
@@ -26,19 +29,14 @@ step of which sweeps, imports it at its top.
 """
 
 import math
-from bisect import bisect_left, bisect_right
-from operator import attrgetter
+from bisect import bisect_left
 
 from .blocks import Subblock, peak, tetris
 from .errors import EnumerationCapExceeded, MismatchedLevel, WitnessMismatch
-from .span import Combination, CommonElement, HorizonValuation, check_witness
+from .span import _PAIRS, Combination, CommonElement, HorizonValuation, check_witness
 
 # a position sweep's choice for a generator it does not use
 _UNUSED = -1
-
-# bisection keys over a sequence's blocks
-_BY_MAX_SUPPORT = attrgetter("max_support")
-_BY_MIN_SUPPORT = attrgetter("min_support")
 
 # before the first position: no window open, no exponent 0 seen on either side
 _START = (None, False, None, False)
@@ -76,16 +74,6 @@ def _walked_terms(chains):
     walk grew."""
     left, right = chains
     return tuple(reversed(_chain_terms(left))), tuple(reversed(_chain_terms(right)))
-
-
-def _reaching(blocks, stop, lo):
-    """The least index from which every window of ``blocks[:stop]`` reaches
-    ``lo``: windows end in order, so the walk back from ``stop`` ends at the
-    first window that ends before ``lo``."""
-    first = stop
-    while first and blocks[first - 1].pairs[-1][0] >= lo:
-        first -= 1
-    return first
 
 
 def _side_moves(step, choice, k):
@@ -181,27 +169,11 @@ def _joins(k):
     return _JOINS[k] if k in _JOINS else _JOINS.setdefault(k, _Joins(k))
 
 
-_NO_PAIR = (math.inf, None, None)  # a used-up support walk
-
-
-def _support(blocks, first, stop):
-    """Per support position of ``blocks[first:stop]``, ascending, ``(pos,
-    generator, value)``, then ``_NO_PAIR`` for ever.  Sending a true value
-    skips the rest of the current generator's window and returns the next
-    generator's first position."""
-    for g in range(first, stop):
-        for pos, v in blocks[g].pairs:
-            if (yield pos, g, v):
-                break
-    while True:
-        yield _NO_PAIR
-
-
 def _sweep_steps(left, right, force, walked, joins):
     """Per position a sweep walks, ascending, ``(pos, left generator
-    opened, steps id, right generator opened)``, from one merged walk of
-    both sides' supports, the steps id being the id in ``joins`` of
-    ``(left step, right step)``.  A side's step is plain data, which
+    opened, steps id, right generator opened)``, from one index walk over
+    both sides' ``blocks[g].pairs``, the steps id being the id in ``joins``
+    of ``(left step, right step)``.  A side's step is plain data, which
     ``_Joins`` turns into moves: None outside every window, the value
     v inside an open window (0 off its support), and ``(v, forced)`` where
     a generator's support starts, ``forced`` being the one choice ``force``
@@ -212,11 +184,20 @@ def _sweep_steps(left, right, force, walked, joins):
     unused, widened to every right window it cuts: outside it every left
     value is 0, so every right generator whose window misses it is unused.
     A resumed sweep starts past its kept layer's position ``walked``, with
-    each side's window that straddles it already open, and walks to its
-    bounds over blocks it walks or generators forced unused, bisecting only
-    for the right side's upper end.  A fresh sweep opens no window before
-    its first position (its hull may start inside the window of a left
-    generator forced unused) and bisects for both ends of the right side.
+    each side's window that straddles it already open; a fresh sweep opens
+    no window before its first position (its hull may start inside the
+    window of a left generator forced unused).
+
+    Each side's walk holds a generator and an index into its pairs, and
+    moves to the next generator past its window's last pair.  A pairs
+    tuple orders as its window's start does, so the right blocks are
+    bisected on their pairs (C-level key, no frame per probe) for the
+    windows that start by the hull's end and, in a fresh sweep, for those
+    that start before its first position.  From there each side walks
+    back over the windows that reach the start, and a bisection of the
+    first one's pairs finds the first position at or past it.  So a
+    resumed sweep's set-up follows the windows around its start, not the
+    lengths of the sequences.
 
     Inside the hull, a window ``[min_support, max_support]`` that holds no
     support position of the other side is skipped whole, unless ``force``
@@ -226,8 +207,8 @@ def _sweep_steps(left, right, force, walked, joins):
     other side is off its support, so its step (0 or None) gives the value
     0 and no answer moves; the skipped side keeps a stale choice, which the
     next opening overwrites or the next step outside every window maps to
-    None.
-    The hull is the outer case of the same rule.
+    None.  The walk skips it by stepping past its last pair.  The hull is
+    the outer case of the same rule.
     """
     blocks, others = left.blocks, right.blocks
     pair = joins.pair
@@ -237,41 +218,71 @@ def _sweep_steps(left, right, force, walked, joins):
     if last < 0:
         return
     hi = blocks[last].pairs[-1][0]
-    rstop = bisect_right(others, hi, key=_BY_MIN_SUPPORT)
+    # the right windows that start at or before ``hi``
+    rstop = bisect_left(others, ((hi + 1,),), key=_PAIRS)
     if walked is None:
         first = 0
         while force.get(first) == _UNUSED:
             first += 1
         lo = blocks[first].pairs[0][0]
-        rfirst = bisect_left(others, lo, 0, rstop, key=_BY_MAX_SUPPORT)
+        # the right windows that start before ``lo``
+        rg = bisect_left(others, ((lo,),), 0, rstop, key=_PAIRS)
     else:
         lo = walked + 1
-        rfirst = _reaching(others, rstop, lo)
-    if rfirst < rstop:
+        rg = rstop
+    # each side walks from its first window that reaches ``lo``: windows
+    # end in order, so the walk back from a bound ends before the first
+    # window that ends before ``lo``
+    while rg and others[rg - 1].pairs[-1][0] >= lo:
+        rg -= 1
+    if rg < rstop:
         hi = max(hi, others[rstop - 1].pairs[-1][0])
         if walked is None:
-            lo = min(lo, others[rfirst].pairs[0][0])
+            lo = min(lo, others[rg].pairs[0][0])
     lstop = last + 1
     while lstop < len(blocks) and blocks[lstop].pairs[0][0] <= hi:
         lstop += 1
-    lfirst = _reaching(blocks, lstop if walked is not None else first, lo)
-    # per side: the open generator, the one opened at the current position
-    # and the open window's last position
+    lg = first if walked is None else lstop
+    while lg and blocks[lg - 1].pairs[-1][0] >= lo:
+        lg -= 1
+    # per side: the generator walked, its pairs, the index of the current
+    # pair and that pair (position inf past the last window), each side
+    # starting one pair before its first position at or past ``lo``; the
+    # open generator, the one opened at the current position and the open
+    # window's last position
+    lpairs = blocks[lg].pairs if lg < lstop else ()
+    rpairs = others[rg].pairs if rg < rstop else ()
+    li, ri = bisect_left(lpairs, (lo,)) - 1, bisect_left(rpairs, (lo,)) - 1
+    la = ra = pos = -1
     lopen = ropen = lopened = ropened = None
     lend = rend = -1
-    if walked is not None and lfirst < lstop and blocks[lfirst].min_support < lo:
-        lopen, lend = lfirst, blocks[lfirst].pairs[-1][0]
-    if rfirst < rstop and others[rfirst].min_support < lo:
-        ropen, rend = rfirst, others[rfirst].pairs[-1][0]
-    lsupport = _support(blocks, lfirst, lstop)
-    rsupport = _support(others, rfirst, rstop)
-    la, lg, lv = next(lsupport)
-    while la < lo:
-        la, lg, lv = next(lsupport)
-    ra, rg, rv = next(rsupport)
-    while ra < lo:
-        ra, rg, rv = next(rsupport)
+    if li >= 0 and walked is not None:
+        lopen, lend = lg, lpairs[-1][0]
+    if ri >= 0:
+        ropen, rend = rg, rpairs[-1][0]
     while True:
+        # a side at the position last stepped past moves to its next pair,
+        # and past its window's last pair to the next generator
+        if la == pos:
+            li += 1
+            if li < len(lpairs):
+                la, lv = lpairs[li]
+            elif lg + 1 < lstop:
+                lg += 1
+                lpairs, li = blocks[lg].pairs, 0
+                la, lv = lpairs[0]
+            else:
+                la = math.inf
+        if ra == pos:
+            ri += 1
+            if ri < len(rpairs):
+                ra, rv = rpairs[ri]
+            elif rg + 1 < rstop:
+                rg += 1
+                rpairs, ri = others[rg].pairs, 0
+                ra, rv = rpairs[0]
+            else:
+                ra = math.inf
         pos = la if la < ra else ra
         if pos > hi:
             return
@@ -281,11 +292,11 @@ def _sweep_steps(left, right, force, walked, joins):
             lstep = lv
         else:
             # the next right position lies past the window: skip it unless
-            # ``force`` fixes an exponent
-            end = blocks[lg].pairs[-1][0]
+            # ``force`` fixes an exponent, stepping past its last pair
+            end = lpairs[-1][0]
             forced = force.get(lg)
             if ra > end and forced in (None, _UNUSED):
-                la, lg, lv = lsupport.send(True)
+                li = len(lpairs) - 1
                 continue
             lopen, lend, lopened = lg, end, lg
             lstep = lv, forced
@@ -296,16 +307,12 @@ def _sweep_steps(left, right, force, walked, joins):
         else:
             # a window skipped here holds no left position, so the left
             # side is not at ``pos`` and its branch above changed nothing
-            end = others[rg].pairs[-1][0]
+            end = rpairs[-1][0]
             if la > end:
-                ra, rg, rv = rsupport.send(True)
+                ri = len(rpairs) - 1
                 continue
             ropen, rend, ropened = rg, end, rg
             rstep = rv, None
-        if la == pos:
-            la, lg, lv = next(lsupport)
-        if ra == pos:
-            ra, rg, rv = next(rsupport)
         yield pos, lopened, pair((lstep, rstep)), ropened
         lopened = ropened = None
 
@@ -488,7 +495,7 @@ class _Sweep:
             symbols[_UNUSED] = 1 + k if by_witness else 1
             least, ended = {0: (0, (None, None))}, {}
         record = walk or ordered
-        boundary = left.blocks[-1].max_support if left.blocks else -1
+        boundary = left.blocks[-1].pairs[-1][0] if left.blocks else -1
         for pos, lg, pid, rg in _sweep_steps(left, right, force, walked, joins):
             nxt = {}
             seen = []

@@ -2,10 +2,16 @@
 
 Everything here works on plain ``{position: value}`` dicts and exhaustive
 iteration over exponent codes, deliberately sharing no representation or
-shortcuts with the package under test.
+shortcuts with the package under test.  The one exception is the
+position sweep's step producer at the end, kept as the reference its
+faster replacement is checked against: it reads the package's blocks and
+interns its steps in the package's move table.
 """
 
 import itertools
+import math
+from bisect import bisect_left, bisect_right
+from operator import attrgetter
 
 
 def to_dict(block):
@@ -122,3 +128,118 @@ def value_vector(d):
     for pos, val in d.items():
         values[pos] = val
     return tuple(values)
+
+
+# The position sweep's step producer as it was before its index walk:
+# two support generators, windows skipped by ``send(True)`` and bisections
+# keyed by block properties.  It is the reference for ``fink.sweep``'s
+# ``_sweep_steps``, which must yield the same steps in the same order.
+
+_UNUSED = -1  # a sweep's choice for a generator it does not use
+_BY_MAX_SUPPORT = attrgetter("max_support")
+_BY_MIN_SUPPORT = attrgetter("min_support")
+_NO_PAIR = (math.inf, None, None)  # a used-up support walk
+
+
+def _reaching(blocks, stop, lo):
+    """The least index from which every window of ``blocks[:stop]`` reaches
+    ``lo``."""
+    first = stop
+    while first and blocks[first - 1].pairs[-1][0] >= lo:
+        first -= 1
+    return first
+
+
+def _support(blocks, first, stop):
+    """Per support position of ``blocks[first:stop]``, ascending, ``(pos,
+    generator, value)``, then ``_NO_PAIR`` for ever.  Sending a true value
+    skips the rest of the current generator's window and returns the next
+    generator's first position."""
+    for g in range(first, stop):
+        for pos, v in blocks[g].pairs:
+            if (yield pos, g, v):
+                break
+    while True:
+        yield _NO_PAIR
+
+
+def sweep_steps(left, right, force, walked, joins):
+    """Per position a sweep walks, ``(pos, left generator opened, steps id
+    in ``joins``, right generator opened)``: the positions inside the hull
+    of the left generators not forced unused, widened to every right window
+    it cuts, past ``walked`` when resumed, less every window that holds no
+    support position of the other side (a left one only when ``force``
+    does not fix its generator to an exponent)."""
+    blocks, others = left.blocks, right.blocks
+    pair = joins.pair
+    last = len(blocks) - 1
+    while last >= 0 and force.get(last) == _UNUSED:
+        last -= 1
+    if last < 0:
+        return
+    hi = blocks[last].pairs[-1][0]
+    rstop = bisect_right(others, hi, key=_BY_MIN_SUPPORT)
+    if walked is None:
+        first = 0
+        while force.get(first) == _UNUSED:
+            first += 1
+        lo = blocks[first].pairs[0][0]
+        rfirst = bisect_left(others, lo, 0, rstop, key=_BY_MAX_SUPPORT)
+    else:
+        lo = walked + 1
+        rfirst = _reaching(others, rstop, lo)
+    if rfirst < rstop:
+        hi = max(hi, others[rstop - 1].pairs[-1][0])
+        if walked is None:
+            lo = min(lo, others[rfirst].pairs[0][0])
+    lstop = last + 1
+    while lstop < len(blocks) and blocks[lstop].pairs[0][0] <= hi:
+        lstop += 1
+    lfirst = _reaching(blocks, lstop if walked is not None else first, lo)
+    lopen = ropen = lopened = ropened = None
+    lend = rend = -1
+    if walked is not None and lfirst < lstop and blocks[lfirst].min_support < lo:
+        lopen, lend = lfirst, blocks[lfirst].pairs[-1][0]
+    if rfirst < rstop and others[rfirst].min_support < lo:
+        ropen, rend = rfirst, others[rfirst].pairs[-1][0]
+    lsupport = _support(blocks, lfirst, lstop)
+    rsupport = _support(others, rfirst, rstop)
+    la, lg, lv = next(lsupport)
+    while la < lo:
+        la, lg, lv = next(lsupport)
+    ra, rg, rv = next(rsupport)
+    while ra < lo:
+        ra, rg, rv = next(rsupport)
+    while True:
+        pos = la if la < ra else ra
+        if pos > hi:
+            return
+        if la != pos:
+            lstep = 0 if pos < lend else None
+        elif lg == lopen:
+            lstep = lv
+        else:
+            end = blocks[lg].pairs[-1][0]
+            forced = force.get(lg)
+            if ra > end and forced in (None, _UNUSED):
+                la, lg, lv = lsupport.send(True)
+                continue
+            lopen, lend, lopened = lg, end, lg
+            lstep = lv, forced
+        if ra != pos:
+            rstep = 0 if pos < rend else None
+        elif rg == ropen:
+            rstep = rv
+        else:
+            end = others[rg].pairs[-1][0]
+            if la > end:
+                ra, rg, rv = rsupport.send(True)
+                continue
+            ropen, rend, ropened = rg, end, rg
+            rstep = rv, None
+        if la == pos:
+            la, lg, lv = next(lsupport)
+        if ra == pos:
+            ra, rg, rv = next(rsupport)
+        yield pos, lopened, pair((lstep, rstep)), ropened
+        lopened = ropened = None

@@ -302,6 +302,9 @@ class TestEnumerate:
         s = seq(2, "0:2", "1:2")
         with pytest.raises(EnumerationCapExceeded, match="^5 combinations need 2.3 bits"):
             enumerate_span(s, cap_bits=math.nan)
+        # a one-element listing too, its walk taking the empty head directly
+        with pytest.raises(EnumerationCapExceeded, match="^1 combinations need 0.0 bits"):
+            enumerate_span(seq(2, "0:2"), cap_bits=math.nan)
         with pytest.raises(EnumerationCapExceeded, match="^5 common elements need 2.3 bits"):
             intersect_spans(s, s, cap_bits=math.nan)
         # nothing to list is never refused
@@ -1419,6 +1422,60 @@ def test_resumed_sweep_walks_only_past_its_kept_layer(monkeypatch):
     assert walked[0] == [6]
     assert sweep_answers(resumed) == sweep_answers(_Sweep(left, right))
     assert (kept.count, resumed.count) == (2, 5)
+
+
+def named_steps(producer, left, right, force, walked):
+    """A step producer's steps, each steps id replaced by the steps it names."""
+    joins = sweep_module._joins(left.k)
+    return [
+        (pos, lg, joins.pairs[pid], rg)
+        for pos, lg, pid, rg in producer(left, right, force, walked, joins)
+    ]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@given(data=st.data())
+def test_sweep_steps_match_the_reference_producer(k, data):
+    if data.draw(st.booleans()):
+        left, right = data.draw(interleaved_pairs(k))
+    else:
+        left = data.draw(generator_lists(k))
+        right = data.draw(st.one_of(generator_lists(k), partners(left)))
+    if data.draw(st.booleans()):
+        left, right = right, left
+    g = data.draw(st.integers(0, len(left) - 1))
+    force = data.draw(st.sampled_from([{}, {g: _UNUSED}, {g: 0}]))
+    # fresh, then resumed past each prefix's kept position, then past every
+    # position either side holds, where most resumes walk nothing
+    starts = [None]
+    for m in range(len(left) + 1):
+        within = {h: c for h, c in force.items() if h < m}
+        starts.append(_Sweep(left.prefix(m), right, within)._kept[0])
+    starts += [pos for b in (*left, *right) for pos, _ in b.pairs]
+    for walked in starts:
+        assert named_steps(sweep_module._sweep_steps, left, right, force, walked) == (
+            named_steps(oracle.sweep_steps, left, right, force, walked)
+        )
+
+
+def test_diagonal_sweeps_step_as_the_reference_producer(monkeypatch):
+    sweep_steps, walks = sweep_module._sweep_steps, []
+
+    def compared(left, right, force, walked, joins):
+        steps = list(sweep_steps(left, right, force, walked, joins))
+        named = [(pos, lg, joins.pairs[pid], rg) for pos, lg, pid, rg in steps]
+        assert named == named_steps(oracle.sweep_steps, left, right, force, walked)
+        walks.append((walked, len(steps)))
+        return iter(steps)
+
+    monkeypatch.setattr(sweep_module, "_sweep_steps", compared)
+    names = ("example13_P", "example13_Q", "evens")
+    for k in (2, 3):
+        for order in itertools.permutations(names):
+            members = [make_builtin(name, k) for name in order]
+            run_diagonalization(validate_family(members, tail_index=1, horizon=21), cycles=2)
+    # resumed sweeps that walk no position are among them
+    assert any(walked is not None and not length for walked, length in walks)
 
 
 def test_sweep_elements_build_only_the_images_they_use(monkeypatch):

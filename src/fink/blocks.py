@@ -96,6 +96,10 @@ class Subblock:
     def __setattr__(self, name, value):
         raise AttributeError("Subblock is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through ``from_pairs``, which rechecks
+        return type(self).from_pairs, (self.k, self.pairs)
+
     @classmethod
     def from_pairs(cls, k, pairs):
         """Build from (position, value) pairs; positions may come in any order."""
@@ -237,16 +241,19 @@ class Record:
     A subclass names its fields in ``__slots__``, in the order of its
     ``__init__`` parameters.  Its ``__init__`` stores each one with
     ``_setattr`` (``object.__setattr__``, past the raising ``__setattr__``)
-    and then runs its own checks.  Equality and hashing read the fields
-    through one ``attrgetter`` per class, so two records are equal exactly
-    when they have the same class and equal fields; ``repr`` lists the
-    fields as ``Name(field=value, ...)``.
+    and then runs its own checks.  A builder that makes many records fills
+    a bare instance (``object.__new__``) through the class's ``_setters``,
+    one slot setter per field in order, and runs no frame for it.  Equality
+    and hashing read the fields through one ``attrgetter`` per class, so
+    two records are equal exactly when they have the same class and equal
+    fields; ``repr`` lists the fields as ``Name(field=value, ...)``.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._fields = attrgetter(*cls.__slots__)
+        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

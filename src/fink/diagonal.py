@@ -29,7 +29,7 @@ from .errors import (
     MismatchedLevel,
     NotAlmostDisjoint,
 )
-from .span import _PAIRS, BlockSequence, membership_witness
+from .span import _PAIRS, BlockSequence, _new, check_witness, membership_witness
 from .structure import _nonempty_certificate
 from .sweep import _Sweep
 
@@ -90,6 +90,8 @@ def validate_family(members, tail_index, horizon):
         raise InvalidSequence("a family needs at least one member")
     if tail_index < 0:
         raise ValueError(f"tail index must be nonnegative, got {tail_index}")
+    if horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     k = members[0].k
     for member in members[1:]:
         if member.k != k:
@@ -162,6 +164,11 @@ class DiagonalStep(Record):
         return f"step={self.index} q={self.block.render()} J={j} checks=[{body}]"
 
 
+# a run fills its records through the slot setters, with no frame each
+_set_check_member, _set_before, _set_after = StabilityCheck._setters
+_set_index, _set_step_member, _set_block, _set_between_index, _set_checks = DiagonalStep._setters
+
+
 class DiagonalTrace(Record):
     """A whole run of the diagonal.
 
@@ -179,38 +186,34 @@ class DiagonalTrace(Record):
         return tuple(step.block for step in self.steps)
 
 
-def _engaged(family, step_index):
-    member = step_index % len(family)
-    limit = min(step_index, len(family))
-    return [i for i in range(limit) if i != member]
-
-
 def choose_next(family, chosen, step_index):
     """First-fit choice of the next block from the step's source member.
 
     The candidate must lie strictly after the previous choice with some
     same-stream block strictly between the two, and its peak must exceed
-    every engaged pairwise bound.  Returns (block, between_index); the
-    between index is None on the opening step.
+    the ceiling, the largest engaged pairwise bound (bottom sets none).
+    Returns (block, between_index); the between index is None on the
+    opening step.
     """
-    member = step_index % len(family)
+    member = step_index % len(family.members)
     candidates = family.truncations[member].blocks
     previous = chosen[-1] if chosen else None
     if previous is None:
         if not candidates:
             raise HorizonExhausted(f"member {member} has no block inside the horizon")
         return candidates[0], None
-    bounds = [
-        family.bounds[member][i]
-        for i in _engaged(family, step_index)
-    ]
-    floors = [b.value for b in bounds if b is not None and b.value is not None]
+    # engaged: the members before the step's, less its own
+    row, ceiling = family.bounds[member], None
+    for i in range(min(step_index, len(row))):
+        floor = None if i == member or row[i] is None else row[i].value
+        if floor is not None and (ceiling is None or floor > ceiling):
+            ceiling = floor
     # candidates are ordered: the first one after ``previous`` lies between
     # it and every later candidate; a pairs tuple orders as its first
     # position does
-    between = bisect_left(candidates, ((previous.max_support + 1,),), key=_PAIRS)
+    between = bisect_left(candidates, ((previous.pairs[-1][0] + 1,),), key=_PAIRS)
     for candidate in itertools.islice(candidates, between + 1, None):
-        if all(peak(candidate) > floor for floor in floors):
+        if ceiling is None or peak(candidate) > ceiling:
             return candidate, between
     raise HorizonExhausted(
         f"no admissible block for member {member} at step {step_index}"
@@ -231,7 +234,8 @@ def run_diagonalization(family, cycles=1):
     the chosen prefix again.  At each step the kept valuation is "before",
     and one sweep resumed from the kept one gives "after", which is kept,
     and marks whether a common element uses the fresh block at exponent 0;
-    only then is the sweep forcing that exponent built, to name it.
+    only then does a fresh sweep that forces it, ordered by left witness,
+    name the least such element, both witnesses re-evaluated.
     Witnesses are unique, so "before" is the intersection with the fresh
     block unused.  The finals are the kept sweeps after the last step, and
     each member's ceiling reference is its "before" just after its last
@@ -264,15 +268,18 @@ def run_diagonalization(family, cycles=1):
             raise ClaimViolation("chosen block missing from its source span", step=n)
         trial = picked.appended(block)
         checks = []
-        for i in _engaged(family, n):
+        for i in range(min(n, count)):
+            if i == member:
+                continue
             truncation = family.truncations[i]
             sweep, before = caught_up(i, picked)
             if n == (cycles - 1) * count + i + 1:
                 references[i] = before
             resumed = _Sweep(trial, truncation, resume=sweep, fresh=n)
             if resumed.fresh_used:
-                # only a failure sweeps again, to name the offending element
-                ce = _Sweep(trial, truncation, {n: 0}, resume=sweep).peak_element()
+                # only a failure sweeps again, to name the least offending element
+                ce = _Sweep(trial, truncation, {n: 0}, order="witness").least
+                check_witness(trial, ce.left_witness, ce.block)
                 raise ClaimViolation(
                     f"common element {ce.block.render()} uses the fresh block with exponent 0",
                     step=n,
@@ -286,9 +293,19 @@ def run_diagonalization(family, cycles=1):
                     member=i,
                 )
             kept[i] = resumed, after
-            checks.append(StabilityCheck(i, before, after))
+            check = _new(StabilityCheck)
+            _set_check_member(check, i)
+            _set_before(check, before)
+            _set_after(check, after)
+            checks.append(check)
         picked = trial
-        steps.append(DiagonalStep(n, member, block, between, tuple(checks)))
+        step = _new(DiagonalStep)
+        _set_index(step, n)
+        _set_step_member(step, member)
+        _set_block(step, block)
+        _set_between_index(step, between)
+        _set_checks(step, tuple(checks))
+        steps.append(step)
 
     finals = []
     for i in range(count):

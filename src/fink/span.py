@@ -132,11 +132,25 @@ class BlockSequence:
         return BlockSequence._trusted(self.k, self.blocks[:n])
 
     def appended(self, block):
-        """This sequence with ``block`` appended, checking only the join:
-        the block's level, that it is a block, and that it lies after the
-        last one."""
-        BlockSequence(self.k, self.blocks[-1:] + (block,))
-        return BlockSequence._trusted(self.k, self.blocks + (block,))
+        """This sequence with ``block`` appended, checking only the join as
+        the constructor would, from the pairs: the last block's and then
+        ``block``'s level and block-ness, then that ``block`` lies after."""
+        k, blocks = self.k, self.blocks
+        for b in blocks[-1:] + (block,):
+            if b.k != k:
+                raise MismatchedLevel(f"sequence level {k}, block {b.render()}")
+            for _, v in b.pairs:
+                if v == k:
+                    break
+            else:
+                raise InvalidSequence(f"not a block: {b.render()}")
+        if blocks and blocks[-1].pairs[-1][0] >= block.pairs[0][0]:
+            raise InvalidSequence(
+                f"supports out of order: {blocks[-1].render_body()} !< {block.render_body()}"
+            )
+        seq = _new(BlockSequence)
+        seq.k, seq.blocks = k, blocks + (block,)
+        return seq
 
     @classmethod
     def parse_file(cls, text):
@@ -176,25 +190,6 @@ class Combination(Record):
             if least != 0:
                 raise InvalidCombination("an unstarred combination needs minimal exponent 0")
 
-    @classmethod
-    def _trusted(cls, terms, starred=False):
-        """A combination built without checks, through the slot descriptors.
-
-        ``terms`` must be a tuple of (index, exponent) pairs with strictly
-        increasing indices and nonnegative exponents, nonempty with an
-        exponent 0 unless ``starred``.  Its caller, ``_Sweep._element``,
-        builds the terms from a sweep's accepting paths, which see exponent
-        0 on both sides.  The per-element builders fill the same slots
-        inline, with no call: ``_span_walk`` from its walk's subsets and
-        exponent vectors, and ``membership_witness`` from the runs it
-        decided (and then evaluates the witness again and compares the
-        pairs it gives).
-        """
-        self = object.__new__(cls)
-        _set_terms(self, terms)
-        _set_starred(self, starred)
-        return self
-
     @property
     def indices(self):
         return tuple(i for i, _ in self.terms)
@@ -232,8 +227,11 @@ class Combination(Record):
             raise ParseError(str(exc)) from None
 
 
-_set_terms = Combination.terms.__set__
-_set_starred = Combination.starred.__set__
+# unchecked, inline: ``_span_walk``, ``membership_witness`` (which then
+# evaluates the witness) and ``sweep._Sweep._element`` (both witnesses of
+# an accepting path, which sees exponent 0 on both sides) fill a bare
+# Combination's slots from terms they made themselves
+_set_terms, _set_starred = Combination._setters
 
 
 class HorizonValuation(Record):
@@ -250,19 +248,29 @@ class HorizonValuation(Record):
     __slots__ = ("value", "horizon", "element_count")
 
     def __init__(self, value, horizon, element_count):
-        _setattr(self, "value", value)
-        _setattr(self, "horizon", horizon)
-        _setattr(self, "element_count", element_count)
-        if (value is None) != (element_count == 0):
-            raise ValueError("value is bottom exactly for the empty set")
-        if value is not None and value > horizon:
-            raise ValueError(f"valuation {value} exceeds horizon {horizon}")
+        _filled_valuation(self, value, horizon, element_count)
 
     def render_value(self):
         return "bottom" if self.value is None else str(self.value)
 
     def render(self):
         return f"F={self.render_value()} count={self.element_count} horizon={self.horizon}"
+
+
+_set_value, _set_horizon, _set_element_count = HorizonValuation._setters
+
+
+def _filled_valuation(record, value, horizon, element_count):
+    """``record``, a bare HorizonValuation, filled and checked: the one home
+    of the checks, for ``__init__`` and for ``_Sweep.valuation``."""
+    _set_value(record, value)
+    _set_horizon(record, horizon)
+    _set_element_count(record, element_count)
+    if (value is None) != (element_count == 0):
+        raise ValueError("value is bottom exactly for the empty set")
+    if value is not None and value > horizon:
+        raise ValueError(f"valuation {value} exceeds horizon {horizon}")
+    return record
 
 
 class SpanEnumeration(Record):

@@ -284,8 +284,6 @@ def _tail_certificate(left, right, tail_index, horizon):
     nonempty one adds a second (``_nonempty_certificate``).  Neither
     records its moves, so memory does not grow with the horizon.
     """
-    if tail_index < 0:
-        raise ValueError(f"tail index must be nonnegative, got {tail_index}")
     if not _sweeping()._Sweep(left, right, _head_unused(left, tail_index)).count:
         return SmallnessCertificate(tail_index, horizon, "empty_at_horizon")
     return _nonempty_certificate(left, right, tail_index, horizon)
@@ -308,7 +306,13 @@ def _head_unused(left, tail_index):
 
 
 def smallness_check(left_stream, right_stream, tail_index, horizon):
-    """Probe whether the left tail's span misses the right span at the horizon."""
+    """Probe whether the left tail's span misses the right span at the horizon.
+
+    A negative horizon, whose truncations are empty, is refused first."""
+    if tail_index < 0:
+        raise ValueError(f"tail index must be nonnegative, got {tail_index}")
+    if horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     return _tail_certificate(
         left_stream.truncate(horizon), right_stream.truncate(horizon), tail_index, horizon
     )

@@ -17,9 +17,10 @@ can only be unused.  Its steps come from one index walk over both sides'
 blocks, started by bisecting them on their pairs, so its cost is
 polynomial in the positions where both sides' windows meet, plus one step
 per window skipped, plus a set-up that follows the windows around its
-start.  An element it hands out builds its block from its left terms'
-tetris images and re-evaluates its right witness against it
-(``span.check_witness``).
+start.  An element it hands out is built in one frame: its block joins
+its left terms' tetris images in one loop, its records are filled through
+their slot setters, and its right witness is re-evaluated against the
+block (``span.check_witness``).
 
 The sweep is loaded on the first two-span question, so a command that asks
 only about one span never compiles it: ``span.intersect_spans``,
@@ -31,9 +32,10 @@ step of which sweeps, imports it at its top.
 import math
 from bisect import bisect_left
 
-from .blocks import Subblock, peak, tetris
+from .blocks import Subblock, _set_k, _set_pairs, peak, tetris
 from .errors import EnumerationCapExceeded, MismatchedLevel, WitnessMismatch
-from .span import _PAIRS, Combination, CommonElement, HorizonValuation, check_witness
+from .span import _PAIRS, Combination, CommonElement, HorizonValuation, _filled_valuation, _new
+from .span import _set_starred, _set_terms, check_witness
 
 # a position sweep's choice for a generator it does not use
 _UNUSED = -1
@@ -46,6 +48,8 @@ _START = (None, False, None, False)
 _LEFT_MARK, _RIGHT_MARK, _FRESH_MARK = 1, 2, 4
 # below every layer entry's peak position, which is -1 at the least
 _NO_PEAK = (None, -2)
+
+_set_block, _set_left_witness, _set_right_witness = CommonElement._setters
 
 
 def _grow(lg, rg, state, chains):
@@ -579,14 +583,21 @@ class _Sweep:
                 self.least = self._element(*_walked_terms(min(map(held.get, accepting))[1]))
 
     def _element(self, left_terms, right_terms):
-        blocks = self.left.blocks
-        block = Subblock._raw(
-            self.k, tuple(p for g, e in left_terms for p in tetris(blocks[g], e).pairs)
-        )
-        element = CommonElement(
-            block, Combination._trusted(left_terms), Combination._trusted(right_terms)
-        )
-        check_witness(self.right, element.right_witness, block)
+        blocks, pairs = self.left.blocks, []
+        for g, e in left_terms:
+            pairs += tetris(blocks[g], e).pairs
+        block, left, right = _new(Subblock), _new(Combination), _new(Combination)
+        _set_k(block, self.k)
+        _set_pairs(block, tuple(pairs))
+        _set_terms(left, left_terms)
+        _set_starred(left, False)
+        _set_terms(right, right_terms)
+        _set_starred(right, False)
+        element = _new(CommonElement)
+        _set_block(element, block)
+        _set_left_witness(element, left)
+        _set_right_witness(element, right)
+        check_witness(self.right, right, block)
         return element
 
     def elements(self):
@@ -640,4 +651,4 @@ class _Sweep:
         """F over the common elements, backed by its rechecked element."""
         if self.count:
             self.peak_element()
-        return HorizonValuation(self.peak, horizon, self.count)
+        return _filled_valuation(_new(HorizonValuation), self.peak, horizon, self.count)

@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import oracle
 from fink import (
@@ -24,14 +26,17 @@ from fink import (
     SmallnessCertificate,
     StabilityCheck,
     Subblock,
+    WitnessMismatch,
     choose_next,
     first_common_element,
     intersect_spans,
     make_builtin,
+    peak,
     run_diagonalization,
     validate_family,
     valuation,
 )
+from fink import diagonal as diagonal_module
 from fink import sweep as sweep_module
 from fink.structure import _tail_certificate
 from fink.sweep import _UNUSED, _Sweep
@@ -121,6 +126,17 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate_family([make_builtin("example13_P", 2)], -1, 9)
 
+    def test_negative_horizon_rejected_before_truncating(self, monkeypatch):
+        # every truncation below 0 is empty, so a stream with itself would
+        # pass as almost disjoint, with bottom bounds
+        p = make_builtin("example13_P", 2)
+        with pytest.raises(NotAlmostDisjoint):
+            validate_family([p, p], 0, 0)
+        monkeypatch.setattr(type(p), "truncate", lambda *args: pytest.fail("truncated"))
+        with pytest.raises(ValueError) as info:
+            validate_family([p, p], 0, -3)
+        assert str(info.value) == "horizon must be nonnegative, got -3"
+
     def test_overlapping_tails_fail(self):
         p = make_builtin("example13_P", 2)
         q = make_builtin("example13_Q", 2)
@@ -168,6 +184,91 @@ class TestChooseNext:
         family = three_family(horizon=5)
         with pytest.raises(HorizonExhausted):
             choose_next(family, [blk(2, [(3, 2), (4, 1)])], 2)
+
+
+def laid_out(k, parts):
+    """A level-k sequence of one block per ``(gap, values, top)``, each
+    block's values starting ``gap`` positions past the previous one's, its
+    value at index ``top`` raised to k."""
+    blocks, pos = [], 0
+    for gap, values, top in parts:
+        values = [*values[:top % len(values)], k, *values[top % len(values) + 1 :]]
+        pos += gap
+        blocks.append(blk(k, [(pos + i, v) for i, v in enumerate(values) if v]))
+        pos += len(values)
+    return BlockSequence(k, blocks)
+
+
+@st.composite
+def choice_problems(draw):
+    """A family with bottom, low and high bounds, a previous choice and a
+    step: ``(family, chosen, step_index)``."""
+    k = draw(st.integers(1, 3))
+    count = draw(st.integers(2, 4))
+    part = st.tuples(
+        st.integers(0, 2), st.lists(st.integers(0, k), min_size=1, max_size=3), st.integers(0, 2)
+    )
+    truncations = tuple(
+        laid_out(k, draw(st.lists(part, min_size=3, max_size=12))) for _ in range(count)
+    )
+    grid = [[None] * count for _ in range(count)]
+    for i, j in itertools.combinations(range(count), 2):
+        value = draw(st.none() | st.integers(0, 24))
+        grid[i][j] = grid[j][i] = HorizonValuation(value, 40, 0 if value is None else 1)
+    family = AlmostDisjointFamily(
+        (None,) * count, k, 0, 40, tuple(map(tuple, grid)), truncations
+    )
+    # -1 stands for the opening step, with nothing chosen
+    previous = draw(st.integers(-1, 8))
+    chosen = [] if previous < 0 else [blk(k, [(previous, k)])]
+    return family, chosen, draw(st.integers(0, 3 * count))
+
+
+def first_fit(family, chosen, step_index):
+    """``choose_next`` by definition: the first candidate past the one
+    after the previous choice whose peak exceeds every engaged floor."""
+    count = len(family.members)
+    member = step_index % count
+    candidates = family.truncations[member].blocks
+    if not chosen:
+        return (candidates[0], None) if candidates else "exhausted"
+    floors = [
+        bound.value
+        for i, bound in enumerate(family.bounds[member])
+        if i < step_index and i != member and bound.value is not None
+    ]
+    after = [i for i, c in enumerate(candidates) if c.min_support > chosen[-1].max_support]
+    for candidate in candidates[after[0] + 1 :] if after else ():
+        if all(peak(candidate) > floor for floor in floors):
+            return candidate, after[0]
+    return "exhausted"
+
+
+def several_bounds(values):
+    """The three-member family with its bounds set to ``values`` (i < j order)."""
+    base = three_family()
+    grid = [[None] * 3 for _ in range(3)]
+    for (i, j), value in zip(itertools.combinations(range(3), 2), values):
+        grid[i][j] = grid[j][i] = HorizonValuation(value, 21, 0 if value is None else 1)
+    return AlmostDisjointFamily(
+        base.members, 2, 1, 21, tuple(map(tuple, grid)), base.truncations
+    )
+
+
+@given(choice_problems())
+# at step 5 member 2 meets the bounds (0, 2) and (1, 2): the larger of two
+# floors decides, a bottom bound sets none, and with no floor the first
+# candidate is taken
+@example((several_bounds((None, 2, 9)), [blk(2, [(0, 2)])], 5))
+@example((several_bounds((9, None, 4)), [blk(2, [(0, 2)])], 5))
+@example((several_bounds((5, None, None)), [blk(2, [(0, 2)])], 5))
+def test_choose_next_is_first_fit_over_every_floor(problem):
+    family, chosen, step_index = problem
+    try:
+        got = choose_next(family, chosen, step_index)
+    except HorizonExhausted:
+        got = "exhausted"
+    assert got == first_fit(family, chosen, step_index)
 
 
 def doctored_family(t0, t1):
@@ -237,15 +338,41 @@ class TestRun:
 
     def test_doctored_family_trips_the_stability_net(self):
         # hand-built truncations that share {3:2}: adding it as the second
-        # chosen block would raise member 0's valuation from 0 to 3
+        # chosen block would raise member 0's valuation from 0 to 3; of the
+        # two elements using it at exponent 0, 3:2 (left witness 1^0) and
+        # 0:2,3:2 (0^0 + 1^0), the message names the least by left witness
         family = doctored_family(seq(2, "0:2", "3:2"), seq(2, "0:2", "1:2", "3:2"))
         with pytest.raises(ClaimViolation) as info:
             run_diagonalization(family, cycles=1)
         assert info.value.step == 1
         assert info.value.member == 0
         assert str(info.value) == (
-            "step=1 member=0: common element k=2|3:2 uses the fresh block with exponent 0"
+            "step=1 member=0: common element k=2|0:2,3:2 uses the fresh block with exponent 0"
         )
+
+    def test_the_named_element_is_rechecked_on_both_sides(self, monkeypatch):
+        t0 = seq(2, "0:2", "3:2")
+        family = doctored_family(t0, seq(2, "0:2", "1:2", "3:2"))
+        checked = []
+        check = sweep_module.check_witness
+
+        def checking(sequence, witness, block):
+            checked.append((sequence, witness.render(), block.render_body()))
+            check(sequence, witness, block)
+
+        monkeypatch.setattr(sweep_module, "check_witness", checking)
+        monkeypatch.setattr(diagonal_module, "check_witness", checking)
+        with pytest.raises(ClaimViolation):
+            run_diagonalization(family, cycles=1)
+        trial = seq(2, "0:2", "3:2")
+        assert checked[-2:] == [(t0, "0^0 + 1^0", "0:2,3:2"), (trial, "0^0 + 1^0", "0:2,3:2")]
+
+    def test_a_chosen_block_outside_its_source_span_is_refused(self, monkeypatch):
+        # a choice past the source member's truncation trips the net
+        monkeypatch.setattr(diagonal_module, "choose_next", lambda *args: (blk(2, [(40, 2)]), None))
+        with pytest.raises(ClaimViolation) as info:
+            run_diagonalization(three_family(), cycles=1)
+        assert str(info.value) == "step=0: chosen block missing from its source span"
 
     def test_fresh_block_met_only_at_a_positive_exponent(self):
         # the fresh block {3:2,4:1} meets member 0's span only through
@@ -295,6 +422,15 @@ class TestRun:
         trace = run_diagonalization(family, cycles=2)
         assert ([s.render() for s in trace.steps], trace.finals) == expected
         assert 0 < len(built) < len(asked)
+
+    def test_a_peak_element_not_attaining_f_is_refused(self):
+        sweep = _Sweep(seq(2, "0:2", "3:2"), seq(2, "0:2", "3:2", "5:2"))
+        assert sweep.peak == 3
+        # chains naming the common element 0:2, whose F is 0
+        sweep._peak_chains = ((0, 0), None), ((0, 0), None)
+        with pytest.raises(WitnessMismatch) as info:
+            sweep.peak_element()
+        assert str(info.value) == "element k=2|0:2 does not attain F=3"
 
     def test_a_changed_peak_element_is_rechecked(self, monkeypatch):
         right = seq(2, "0:2", "3:2", "5:2")

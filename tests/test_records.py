@@ -3,6 +3,7 @@
 import copy
 import importlib
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +25,11 @@ from fink import (
     SpanEnumeration,
     StabilityCheck,
     Subblock,
+    make_builtin,
+    run_diagonalization,
+    validate_family,
 )
+from fink.sweep import _Sweep
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -141,6 +146,46 @@ def test_fields_cannot_be_set_or_deleted(cls, names, values, change):
         with pytest.raises(AttributeError):
             delattr(record, name)
     assert record == cls(*values)
+
+
+def filled_records():
+    """Records the library fills through their slot setters: a run's steps
+    and checks with their valuations, and sweep elements with their
+    witnesses and blocks, bottom valuations among them."""
+    members = [make_builtin(name, 2) for name in ("example13_P", "example13_Q", "evens")]
+    family = validate_family(members, tail_index=1, horizon=21)
+    trace = run_diagonalization(family, cycles=2)
+    records = [*family.bounds[0][1:], *trace.finals]
+    for step in trace.steps:
+        records += [step, *step.checks]
+        records += [v for check in step.checks for v in (check.before, check.after)]
+    left, right = family.truncations[:2]
+    sweeps = [_Sweep(left, right), _Sweep(left, right, walk=True), _Sweep(left, right, order="value")]
+    elements = [sweeps[0].peak_element(), *sweeps[1].elements(), sweeps[2].least]
+    records += [sweeps[0].valuation(21), _Sweep(left.prefix(0), right).valuation(21)]
+    for element in elements:
+        records += [element, element.left_witness, element.right_witness]
+    return records, [element.block for element in elements]
+
+
+def test_records_filled_through_setters_match_their_init_twins():
+    records, blocks = filled_records()
+    assert {type(record) for record in records} == {
+        DiagonalStep, StabilityCheck, HorizonValuation, CommonElement, Combination
+    }
+    assert any(r.value is None for r in records if type(r) is HorizonValuation)
+    for record in (*records, *blocks):
+        if isinstance(record, Subblock):
+            twin = Subblock.from_pairs(record.k, record.pairs)
+        else:
+            twin = type(record)(*record._fields(record))
+        assert record == twin and twin == record
+        assert hash(record) == hash(twin) and repr(record) == repr(twin)
+        # copy and pickle rebuild through the checking constructors
+        for rebuilt in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+            assert type(rebuilt) is type(record)
+            assert rebuilt == record and hash(rebuilt) == hash(record)
+            assert repr(rebuilt) == repr(record)
 
 
 @pytest.mark.parametrize(

@@ -91,12 +91,29 @@ class TestBlockSequence:
         s = seq(2, "0:2", "1:2")
         assert s.appended(blk(2, [(3, 2)])) == seq(2, "0:2", "1:2", "3:2")
         assert BlockSequence(2, []).appended(blk(2, [(0, 2)])) == seq(2, "0:2")
-        with pytest.raises(MismatchedLevel):
-            s.appended(blk(3, [(3, 3)]))
-        with pytest.raises(InvalidSequence):
-            s.appended(blk(2, [(3, 1)]))
-        with pytest.raises(InvalidSequence):
-            s.appended(blk(2, [(1, 2)]))
+        # unchecked sequences whose last block is at another level or is
+        # not a block; the last block is checked before the new one
+        other_level = BlockSequence._trusted(2, (blk(2, [(0, 2)]), blk(3, [(1, 3)])))
+        not_a_block = BlockSequence._trusted(2, (R, blk(2, [(1, 1)]), blk(2, [(3, 2)])))
+        cases = [
+            (s, blk(3, [(3, 3)]), MismatchedLevel, "sequence level 2, block k=3|3:3"),
+            (s, blk(2, [(3, 1)]), InvalidSequence, "not a block: k=2|3:1"),
+            (s, Subblock._raw(2, ()), InvalidSequence, "not a block: k=2|-"),
+            (s, blk(2, [(1, 2)]), InvalidSequence, "supports out of order: 1:2 !< 1:2"),
+            (s, blk(2, [(0, 2), (4, 2)]), InvalidSequence, "supports out of order: 1:2 !< 0:2,4:2"),
+            # level before block-ness, both before order
+            (s, blk(3, [(0, 1)]), MismatchedLevel, "sequence level 2, block k=3|0:1"),
+            (s, blk(2, [(0, 1)]), InvalidSequence, "not a block: k=2|0:1"),
+            (other_level, blk(2, [(3, 1)]), MismatchedLevel, "sequence level 2, block k=3|1:3"),
+            (not_a_block.prefix(2), blk(3, [(3, 3)]), InvalidSequence, "not a block: k=2|1:1"),
+        ]
+        for base, block, error, message in cases:
+            with pytest.raises(error) as appended:
+                base.appended(block)
+            # the constructor, checking the last block and the new one, agrees
+            with pytest.raises(error) as built:
+                BlockSequence(base.k, base.blocks[-1:] + (block,))
+            assert str(appended.value) == str(built.value) == message
 
     def test_parse_file_round_trip(self):
         text = "# generators\nk=2\n0:2\n\n1:2,2:1\n"

@@ -269,6 +269,17 @@ class TestSmallness:
         with pytest.raises(ValueError):
             smallness_check(p, p, tail_index=-1, horizon=9)
 
+    def test_negative_horizon_rejected_before_truncating(self, monkeypatch):
+        # every truncation below 0 is empty, so the search would read
+        # empty_at_horizon for a stream against itself
+        p = make_builtin("example13_P", 2)
+        assert smallness_check(p, p, tail_index=0, horizon=0).verdict == "nonempty"
+        monkeypatch.setattr(type(p), "truncate", lambda *args: pytest.fail("truncated"))
+        for horizon in (-1, -2**70):
+            with pytest.raises(ValueError) as info:
+                smallness_check(p, p, tail_index=0, horizon=horizon)
+            assert str(info.value) == f"horizon must be nonnegative, got {horizon}"
+
 
 def test_graph_observations_on_random_pairs():
     rng = random.Random(2024)

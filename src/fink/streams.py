@@ -26,6 +26,7 @@ Periodic bases with several templates separate the bodies with ``;``.
 """
 
 from itertools import chain, islice, repeat
+from operator import attrgetter
 
 from .blocks import Subblock, parse_int
 from .errors import EnumerationCapExceeded, InvalidSequence, ParseError, PastEnd
@@ -49,6 +50,9 @@ __all__ = [
 # a horizon past it is refused rather than walked.
 _MAX_TRUNCATION = 2**16
 
+# the fields that stream equality and hashing read
+_value = attrgetter("k", "head", "base", "shift")
+
 
 class Stream:
     """An immutable eventually periodic block sequence: ``head``, then
@@ -67,6 +71,14 @@ class Stream:
         self.head = head
         self.base = base
         self.shift = shift
+
+    def __eq__(self, other):
+        """Equal when their ``(k, head, base, shift)`` are, however written:
+        builtin ``evens`` at k=2 equals ``kind=periodic shift=2 k=2 base=0:2``."""
+        return _value(self) == _value(other) if isinstance(other, Stream) else NotImplemented
+
+    def __hash__(self):
+        return hash(_value(self))
 
     def block(self, n):
         """The n-th block of this stream (0-based)."""

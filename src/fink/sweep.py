@@ -17,10 +17,11 @@ can only be unused.  Its steps come from one index walk over both sides'
 blocks, started by bisecting them on their pairs, so its cost is
 polynomial in the positions where both sides' windows meet, plus one step
 per window skipped, plus a set-up that follows the windows around its
-start.  An element it hands out is built in one frame: its block joins
-its left terms' tetris images in one loop, its records are filled through
-their slot setters, and its right witness is re-evaluated against the
-block (``span.check_witness``).
+start.  A path's witness terms are one immutable cell per move that uses
+a generator, read off only for an element it hands out.  That element is
+built in one frame: its block joins its left terms' tetris images in one
+loop, its records are filled through their slot setters, and its right
+witness is re-evaluated against the block (``span.check_witness``).
 
 The sweep is loaded on the first two-span question, so a command that asks
 only about one span never compiles it: ``span.intersect_spans``,
@@ -50,34 +51,6 @@ _LEFT_MARK, _RIGHT_MARK, _FRESH_MARK = 1, 2, 4
 _NO_PEAK = (None, -2)
 
 _set_block, _set_left_witness, _set_right_witness = CommonElement._setters
-
-
-def _grow(lg, rg, state, chains):
-    """Both witnesses' term chains after entering ``state`` at a position
-    where left generator ``lg`` and right generator ``rg`` open (None for
-    no generator)."""
-    left, right = chains
-    if lg is not None and state[0] >= 0:
-        left = ((lg, state[0]), left)
-    if rg is not None and state[2] >= 0:
-        right = ((rg, state[2]), right)
-    return left, right
-
-
-def _chain_terms(chain):
-    """The items of a cons chain ``(item, rest)``, head first."""
-    terms = []
-    while chain is not None:
-        term, chain = chain
-        terms.append(term)
-    return terms
-
-
-def _walked_terms(chains):
-    """Both witnesses' terms, in index order, from the chains a forward
-    walk grew."""
-    left, right = chains
-    return tuple(reversed(_chain_terms(left))), tuple(reversed(_chain_terms(right)))
 
 
 def _side_moves(step, choice, k):
@@ -323,7 +296,7 @@ def _sweep_steps(left, right, force, walked, joins):
 
 def _fold_least(seen, least, ended, lg, rg, states, symbols, base, by_witness):
     """The least prefix reaching each state after one position, and by
-    witness the least ended prefix, as maps state id -> (key, chains).
+    witness the least ended prefix, as maps state id -> (key, chain).
 
     ``seen`` holds the position's (state id, moves) for every state before
     it, ``states`` the level's states by id, and ``least`` and ``ended``
@@ -331,12 +304,12 @@ def _fold_least(seen, least, ended, lg, rg, states, symbols, base, by_witness):
     Where left generator ``lg`` opens, a key gains the symbol of the move's
     left choice (``symbols``), and an ended key the symbol -1 + 1 = 0.  By
     witness, a move that uses ``lg`` may end the witness at that term, so
-    its prefix is an ended one too, sharing the grown chains; every other
+    its prefix is an ended one too, sharing the grown chain; every other
     move carries the ended prefix on.
     """
     nleast, nended = {}, {}
     for state, moves in seen:
-        key, chains = least[state]
+        key, chain = least[state]
         prior = ended.get(state)
         if lg is not None:
             key *= base
@@ -344,20 +317,19 @@ def _fold_least(seen, least, ended, lg, rg, states, symbols, base, by_witness):
                 prior = prior[0] * base, prior[1]
         for new, _, lused, rused in moves:
             grows = lused or rused
-            state = states[new]
-            new_key = key + symbols[state[0]] if lg is not None else key
+            new_key = key + symbols[states[new][0]] if lg is not None else key
             entry = None
             found = nleast.get(new)
             if found is None or new_key < found[0]:
-                entry = nleast[new] = new_key, _grow(lg, rg, state, chains) if grows else chains
+                entry = nleast[new] = new_key, (chain, lg, rg, new) if grows else chain
             if lused and by_witness:
                 found = nended.get(new)
                 if found is None or new_key < found[0]:
-                    nended[new] = entry or (new_key, _grow(lg, rg, state, chains))
+                    nended[new] = entry or (new_key, (chain, lg, rg, new))
             elif prior is not None:
                 found = nended.get(new)
                 if found is None or prior[0] < found[0]:
-                    nended[new] = prior[0], _grow(lg, rg, state, prior[1]) if grows else prior[1]
+                    nended[new] = prior[0], (prior[1], lg, rg, new) if grows else prior[1]
     return nleast, nended
 
 
@@ -368,8 +340,8 @@ def _ranked(*prefixes):
     keys = sorted({key for held in prefixes for key, _ in held.values()})
     ranks = dict(zip(keys, range(len(keys))))
     for held in prefixes:
-        for state, (key, chains) in held.items():
-            held[state] = ranks[key], chains
+        for state, (key, chain) in held.items():
+            held[state] = ranks[key], chain
     return len(keys)
 
 
@@ -429,11 +401,11 @@ class _Sweep:
     that goes on holds a larger symbol.
 
     Only ``walk``, for listing (``elements``), keeps every step's moves, so
-    otherwise memory does not grow with the positions.  Witness terms grow
-    as cons chains, only on a move that uses a generator opened there and
-    once per move for the least and least ended prefix when they coincide;
-    an element handed out builds its block from its left terms' tetris
-    images and re-evaluates the right witness.
+    otherwise memory does not grow with the positions.  A path's witness
+    terms grow as a chain of cells (``_element`` reads them), one per move
+    that uses a generator opened there, shared by the least and least ended
+    prefix when they coincide; an element handed out builds its block from
+    its left terms' tetris images and re-evaluates the right witness.
 
     A sweep without ``walk`` keeps one layer, the states after its last
     walked position at or below ``left``'s last ``max_support``, which a
@@ -453,7 +425,7 @@ class _Sweep:
     names the kept sweep's generator, is copied with the mark cleared.  So
     its set-up grows with the positions it walks, and it takes its kept
     sweep's last rechecked peak element, which ``peak_element`` hands out
-    again while the peak path holds the same chains at the same F.  A kept
+    again while the peak path holds the same chain at the same F.  A kept
     layer holds no least prefixes, so ``order`` is not asked of a resumed
     sweep.
     """
@@ -473,12 +445,12 @@ class _Sweep:
         self.opened = [] if walk else None
         self.moves = [] if walk else None
         # per state id of the current layer: [paths, last position of value k,
-        # both witnesses' term chains on a path attaining it, largest left
-        # index used, its marks], -1 standing for "none yet"; earlier
-        # layers are not kept, so the path counts, which grow to big
-        # integers, are not stored
-        walked, layer = None, {0: [1, -1, (None, None), -1, _LEFT_MARK | _RIGHT_MARK]}
-        # the last rechecked peak element's chains, its F and itself
+        # the cell chain of a path attaining it (None before its first
+        # cell), largest left index used, its marks], -1 standing for "none
+        # yet"; earlier layers are not kept, so the path counts, which grow
+        # to big integers, are not stored
+        walked, layer = None, {0: [1, -1, None, -1, _LEFT_MARK | _RIGHT_MARK]}
+        # the last rechecked peak element's chain, its F and itself
         self._rechecked = None if resume is None else resume._rechecked
         if resume is not None:
             # the fold writes only to the layer it builds, so the kept layer
@@ -497,7 +469,7 @@ class _Sweep:
             # per left choice where a left generator opens: its symbol + 1
             symbols = {e: 1 + (e if by_witness else k - e) for e in range(k)}
             symbols[_UNUSED] = 1 + k if by_witness else 1
-            least, ended = {0: (0, (None, None))}, {}
+            least, ended = {0: (0, None)}, {}
         record = walk or ordered
         boundary = left.blocks[-1].pairs[-1][0] if left.blocks else -1
         for pos, lg, pid, rg in _sweep_steps(left, right, force, walked, joins):
@@ -508,7 +480,7 @@ class _Sweep:
             lkeep = ~_LEFT_MARK if lg is not None and lg < tail else -1
             rkeep = ~_RIGHT_MARK if rg is not None and rg < tail else -1
             lfresh = _FRESH_MARK if lg is not None and lg == fresh else 0
-            for sid, (paths, top, chains, last, marks) in layer.items():
+            for sid, (paths, top, chain, last, marks) in layer.items():
                 moves = rows[sid][pid]
                 if moves is None:
                     moves = joins.join(sid, pid)
@@ -524,15 +496,14 @@ class _Sweep:
                     new_last = lg if lused else last
                     held = nxt.get(new)
                     if held is None:
-                        # chains grow only when a witness gains a term
-                        grown = _grow(lg, rg, states[new], chains) if lused or rused else chains
+                        # a chain grows only when a witness gains a term
+                        grown = (chain, lg, rg, new) if lused or rused else chain
                         nxt[new] = [paths, new_top, grown, new_last, m]
                     else:
                         held[0] += paths
                         if new_top > held[1]:
                             held[1] = new_top
-                            grown = _grow(lg, rg, states[new], chains) if lused or rused else chains
-                            held[2] = grown
+                            held[2] = (chain, lg, rg, new) if lused or rused else chain
                         if new_last < held[3]:
                             held[3] = new_last
                         held[4] |= m
@@ -575,14 +546,30 @@ class _Sweep:
         self.fresh_used = bool(marks & _FRESH_MARK)
         self.peak = self.prefix_length = self.least = None
         if accepting:
-            self.peak, self._peak_chains = best[1], best[2]
+            self.peak, self._peak_chain = best[1], best[2]
             self.prefix_length = least_last + 1
             if ordered:
                 # keys differ among accepting states: each is one element
                 held = ended if by_witness else least
-                self.least = self._element(*_walked_terms(min(map(held.get, accepting))[1]))
+                self.least = self._element(min(map(held.get, accepting))[1])
 
-    def _element(self, left_terms, right_terms):
+    def _element(self, chain):
+        """The common element of a path's chain of cells ``(rest, left
+        generator opened, right generator opened, state id entered)``,
+        walked either way, its right witness re-evaluated.  Per side, a
+        term is the generator where it opened, with the state's choice on
+        that side if that is an exponent."""
+        states, left_terms, right_terms = self._joins.states, [], []
+        while chain is not None:
+            chain, lg, rg, sid = chain
+            cl, _, cr, _ = states[sid]
+            if lg is not None and cl >= 0:
+                left_terms.append((lg, cl))
+            if rg is not None and cr >= 0:
+                right_terms.append((rg, cr))
+        # generators differ, and a forward walk's chain holds them
+        # descending, which sorting reverses in one pass
+        left_terms, right_terms = tuple(sorted(left_terms)), tuple(sorted(right_terms))
         blocks, pairs = self.left.blocks, []
         for g, e in left_terms:
             pairs += tetris(blocks[g], e).pairs
@@ -606,8 +593,7 @@ class _Sweep:
         Walks the moves backward from the accepting states: every recorded
         state is reachable from the start, so no partial path dies.
         """
-        states = self._joins.states
-        suffixes = {sid: [(None, None)] for sid in self.accepting}
+        suffixes = {sid: [None] for sid in self.accepting}
         for i in range(len(self.moves) - 1, -1, -1):
             lg, rg = self.opened[i]
             before = {}
@@ -617,34 +603,31 @@ class _Sweep:
                     if found is None:
                         continue
                     if lused or rused:
-                        found = [_grow(lg, rg, states[new], chains) for chains in found]
+                        found = [(chain, lg, rg, new) for chain in found]
                     before.setdefault(sid, []).extend(found)
             suffixes = before
-        return [
-            self._element(tuple(_chain_terms(left)), tuple(_chain_terms(right)))
-            for left, right in suffixes.get(0, ())
-        ]
+        return [self._element(chain) for chain in suffixes.get(0, ())]
 
     def peak_element(self):
         """The recorded element attaining F, both witnesses re-evaluated.
 
-        A resumed sweep whose peak path holds the very chains of the
-        element its kept sweep rechecked last, at the same F, hands that
-        element out again without walking them: chains are never changed,
-        so they hold the same terms, which name the same blocks in both
-        sweeps.
+        A resumed sweep whose peak path holds the very chain of the element
+        its kept sweep rechecked last, at the same F, hands that element out
+        again without decoding it: cells are never changed, and a state id
+        names the same state at the level forever, so the chain holds the
+        same terms, which name the same blocks in both sweeps.
         """
-        chains = self._peak_chains
+        chain = self._peak_chain
         held = self._rechecked
-        if held is not None and held[0] is chains and held[1] == self.peak:
+        if held is not None and held[0] is chain and held[1] == self.peak:
             return held[2]
-        element = self._element(*_walked_terms(chains))
+        element = self._element(chain)
         check_witness(self.left, element.left_witness, element.block)
         if peak(element.block) != self.peak:
             raise WitnessMismatch(
                 f"element {element.block.render()} does not attain F={self.peak}"
             )
-        self._rechecked = chains, self.peak, element
+        self._rechecked = chain, self.peak, element
         return element
 
     def valuation(self, horizon):

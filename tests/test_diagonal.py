@@ -426,8 +426,8 @@ class TestRun:
     def test_a_peak_element_not_attaining_f_is_refused(self):
         sweep = _Sweep(seq(2, "0:2", "3:2"), seq(2, "0:2", "3:2", "5:2"))
         assert sweep.peak == 3
-        # chains naming the common element 0:2, whose F is 0
-        sweep._peak_chains = ((0, 0), None), ((0, 0), None)
+        # one cell naming the common element 0:2 (both witnesses 0^0), whose F is 0
+        sweep._peak_chain = (None, 0, 0, sweep._joins.intern((0, True, 0, True)))
         with pytest.raises(WitnessMismatch) as info:
             sweep.peak_element()
         assert str(info.value) == "element k=2|0:2 does not attain F=3"

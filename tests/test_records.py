@@ -26,6 +26,7 @@ from fink import (
     StabilityCheck,
     Subblock,
     make_builtin,
+    parse_stream_spec,
     run_diagonalization,
     validate_family,
 )
@@ -186,6 +187,30 @@ def test_records_filled_through_setters_match_their_init_twins():
             assert type(rebuilt) is type(record)
             assert rebuilt == record and hash(rebuilt) == hash(record)
             assert repr(rebuilt) == repr(record)
+
+
+def test_a_family_and_its_streams_survive_copy_and_pickle():
+    members = [make_builtin(name, 2) for name in ("example13_P", "example13_Q", "evens")]
+    family = validate_family(members, tail_index=1, horizon=21)
+    for value in (family, *family.members):
+        for rebuilt in (
+            copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
+        ):
+            assert rebuilt == value and value == rebuilt
+            assert hash(rebuilt) == hash(value)
+
+
+def test_streams_compare_by_their_blocks():
+    evens = make_builtin("evens", 2)
+    periodic = parse_stream_spec("kind=periodic shift=2 k=2 base=0:2")
+    assert evens == periodic and hash(evens) == hash(periodic)
+    assert evens.describe() == "kind=builtin name=evens k=2"
+    assert periodic.describe() == "kind=periodic shift=2 k=2 base=0:2"
+    assert evens != make_builtin("evens", 3)
+    assert evens != parse_stream_spec("kind=periodic shift=3 k=2 base=0:2")
+    assert make_builtin("example13_P", 2) != make_builtin("example13_Q", 2)
+    assert evens.__eq__(evens.truncate(9)) is NotImplemented
+    assert evens != (evens.k, evens.head, evens.base, evens.shift)
 
 
 @pytest.mark.parametrize(

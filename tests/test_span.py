@@ -952,6 +952,23 @@ def test_least_elements_after_many_positions(k):
             )
 
 
+def test_a_witness_ordered_sweep_grows_one_cell_per_move():
+    # example13_P and example13_Q over about 2^12 blocks each: with one
+    # cell per move that uses a generator the sweep peaks near 0.65 MiB on
+    # CPython 3.10-3.13, and near 1.9 MiB if each such move rebuilds both
+    # witnesses' term lists
+    P, Q = (make_builtin(name, 2).truncate(8190) for name in ("example13_P", "example13_Q"))
+    _Sweep(P, Q, order="witness")  # builds the level's moves this sweep meets
+    tracemalloc.start()
+    try:
+        least = _Sweep(P, Q, order="witness").least
+        _, peak_bytes = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert least.block.render() == "k=2|0:2"
+    assert peak_bytes <= 1.2 * 2**20
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @given(data=st.data())
 def test_tail_marks_match_head_forced_sweeps(k, data):

@@ -9,13 +9,15 @@ element must use the fresh block with a positive tetris exponent); a
 failure aborts the run with ClaimViolation rather than being skipped.
 Every two-span question here is one position sweep (``sweep._Sweep``), so
 none of them enumerates a span, and this module loads the sweep module on
-import.  Validation sweeps each unordered pair of
-truncations once: marks on the sweep's states give both members' tail
-verdicts, and its accepting states give the pair's bound.  Each member
-keeps one sweep over the blocks chosen so far, and each stability check is
-one sweep resumed from it past the blocks it has already walked: a mark on
-its states tells whether some common element uses the fresh block at
-exponent 0, so only a failing check sweeps again to name that element.
+import.  Validation sweeps each unordered pair of truncations once: the
+sweep's tail reach, the last tail of each side that meets the other span,
+gives both members' tail verdicts, and its accepting states give the
+pair's bound.  Each member keeps one sweep over the blocks chosen so far,
+and each stability check is one sweep resumed from it past the blocks it
+has already walked: the last left generator that some common element
+uses at exponent 0 is the fresh block, the last one, exactly when some
+common element uses the fresh block there, so only a failing check sweeps
+again to name that element.
 """
 
 import itertools
@@ -72,15 +74,15 @@ class AlmostDisjointFamily(Record):
 def validate_family(members, tail_index, horizon):
     """Check pairwise smallness at the horizon and record pairwise bounds.
 
-    Each unordered pair i < j gets one sweep of the two truncations that
-    marks, per state, whether some path to it has a left witness using no
-    generator below the tail index, and the same for the right witness.
-    Witnesses are unique, so the accepting marks say whether member i's
-    tail meets member j's span and whether member j's tail meets member
-    i's.  These verdicts are read for every ordered pair, i-major, before
+    Each unordered pair i < j gets one sweep of the two truncations, whose
+    ``tail_reach`` is, per side, the largest least generator index over
+    the common elements' witnesses: member i's tail from the tail index on
+    meets member j's span exactly when the left reach is at least the tail
+    index, and member j's tail meets member i's span when the right reach
+    is.  These verdicts are read for every ordered pair, i-major, before
     any bound: the first tail that meets raises NotAlmostDisjoint(i, j)
     with the smallness certificate of that ordered pair, the same one that
-    ``small`` gives; the marks already gave its verdict, so only the sweep
+    ``small`` gives; the reach already gave its verdict, so only the sweep
     ordered by left witness, for its least witness, is added.  No sweep
     here records its moves.  The bounds matrix holds the valuation of each
     pairwise intersection, from the same sweeps.
@@ -99,11 +101,11 @@ def validate_family(members, tail_index, horizon):
     count = len(members)
     truncations = tuple(member.truncate(horizon) for member in members)
     sweeps = {
-        (i, j): _Sweep(truncations[i], truncations[j], tail=tail_index)
+        (i, j): _Sweep(truncations[i], truncations[j])
         for i, j in itertools.combinations(range(count), 2)
     }
     for i, j in itertools.permutations(range(count), 2):
-        if sweeps[i, j].tails[0] if i < j else sweeps[j, i].tails[1]:
+        if (sweeps[i, j].tail_reach[0] if i < j else sweeps[j, i].tail_reach[1]) >= tail_index:
             certificate = _nonempty_certificate(
                 truncations[i], truncations[j], tail_index, horizon
             )
@@ -233,9 +235,10 @@ def run_diagonalization(family, cycles=1):
     blocks chosen since (``_Sweep(..., resume=...)``), so no step walks
     the chosen prefix again.  At each step the kept valuation is "before",
     and one sweep resumed from the kept one gives "after", which is kept,
-    and marks whether a common element uses the fresh block at exponent 0;
-    only then does a fresh sweep that forces it, ordered by left witness,
-    name the least such element, both witnesses re-evaluated.
+    and the last left generator some common element uses at exponent 0:
+    when that is the fresh block, the trial's last, a fresh sweep that
+    forces it, ordered by left witness, names the least such element, both
+    witnesses re-evaluated.
     Witnesses are unique, so "before" is the intersection with the fresh
     block unused.  The finals are the kept sweeps after the last step, and
     each member's ceiling reference is its "before" just after its last
@@ -275,8 +278,9 @@ def run_diagonalization(family, cycles=1):
             sweep, before = caught_up(i, picked)
             if n == (cycles - 1) * count + i + 1:
                 references[i] = before
-            resumed = _Sweep(trial, truncation, resume=sweep, fresh=n)
-            if resumed.fresh_used:
+            resumed = _Sweep(trial, truncation, resume=sweep)
+            # the fresh block is the last generator of ``trial``
+            if resumed.last_zero == n:
                 # only a failure sweeps again, to name the least offending element
                 ce = _Sweep(trial, truncation, {n: 0}, order="witness").least
                 check_witness(trial, ce.left_witness, ce.block)

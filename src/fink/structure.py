@@ -28,6 +28,7 @@ from .errors import (
     NotIntertwined,
 )
 from .span import (
+    BlockSequence,
     Combination,
     CommonElement,
     _sweeping,
@@ -277,14 +278,15 @@ class SmallnessCertificate(Record):
 def _tail_certificate(left, right, tail_index, horizon):
     """The smallness certificate of two truncations at the horizon.
 
-    Supports strictly increase, so the left tail from block n on is
-    ``left.blocks[n:]``, and witnesses are unique: the tail meets ``right``
-    exactly when the sweep with left generators below n forced unused finds
-    a common element.  An empty verdict takes that one plain sweep; only a
-    nonempty one adds a second (``_nonempty_certificate``).  Neither
-    records its moves, so memory does not grow with the horizon.
+    Supports strictly increase, so the left tail from block n on is the
+    sequence ``left.blocks[n:]``, whose span meets ``right``'s exactly when
+    one plain sweep of the two finds a common element.  An empty verdict
+    takes that one sweep; only a nonempty one adds a second
+    (``_nonempty_certificate``).  Neither records its moves, so memory
+    does not grow with the horizon.
     """
-    if not _sweeping()._Sweep(left, right, _head_unused(left, tail_index)).count:
+    tail = BlockSequence._trusted(left.k, left.blocks[tail_index:])
+    if not _sweeping()._Sweep(tail, right).count:
         return SmallnessCertificate(tail_index, horizon, "empty_at_horizon")
     return _nonempty_certificate(left, right, tail_index, horizon)
 
@@ -292,17 +294,18 @@ def _tail_certificate(left, right, tail_index, horizon):
 def _nonempty_certificate(left, right, tail_index, horizon):
     """The certificate of a left tail known to meet ``right``.
 
-    Its witness is the common element with the least left witness, indexed
-    over the whole of ``left``, from one sweep ordered by left witness,
-    whose forward pass keeps the least witness reaching each state.
+    Its witness is the common element with the least left witness over the
+    tail, from one sweep ordered by left witness, whose forward pass keeps
+    the least witness reaching each state.  Shifting every index of that
+    witness by the tail index keeps its order and indexes it over the
+    whole of ``left``, where it is re-evaluated.
     """
-    witness = _sweeping()._Sweep(left, right, _head_unused(left, tail_index), order="witness").least
+    tail = BlockSequence._trusted(left.k, left.blocks[tail_index:])
+    least = _sweeping()._Sweep(tail, right, order="witness").least
+    shifted = Combination(tuple((g + tail_index, e) for g, e in least.left_witness.terms))
+    check_witness(left, shifted, least.block)
+    witness = CommonElement(least.block, shifted, least.right_witness)
     return SmallnessCertificate(tail_index, horizon, "nonempty", witness=witness)
-
-
-def _head_unused(left, tail_index):
-    """The sweep's ``force`` for the left generators below the tail index."""
-    return dict.fromkeys(range(min(tail_index, len(left))), _sweeping()._UNUSED)
 
 
 def smallness_check(left_stream, right_stream, tail_index, horizon):

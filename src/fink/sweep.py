@@ -1,15 +1,17 @@
 """The position sweep: every question about two spans at once, in one pass.
 
 A question about the common elements of two spans (their count, listing,
-valuation F, least element, minimal meeting prefix, tail verdicts) is one
+valuation F, least element, minimal meeting prefix, the last tail that
+meets the other span, the last generator used at exponent 0) is one
 forward pass over both sequences' support positions that folds every
 answer, least elements keyed by one symbol per left generator opened.  Its
 moves come from one table per level, which joins both sides' choices on
 value and holds only the entries sweeps have met; it interns states and
-each position's pair of steps as small ints, so a state's moves are two
-list indexings away.  A pass resumed from an earlier one over a prefix of
-the left sequence shares that pass's kept layer instead of copying it,
-since a pass writes only the layer it builds.  The pass skips whole every
+each position's pair of steps as small ints, so a state's moves are one
+list indexing and one dict lookup away.  A pass resumed from an earlier
+one over a prefix of the left sequence shares that pass's kept layer
+instead of copying it, since a pass writes only the layer it builds and
+its folds hold generator indices.  The pass skips whole every
 generator window ``[min_support, max_support]`` that holds no support
 position of the other side: used at exponent e < k, the generator keeps
 the value k - e >= 1 at its peak, where the other side's value is 0, so it
@@ -31,6 +33,7 @@ step of which sweeps, imports it at its top.
 """
 
 import math
+import sys
 from bisect import bisect_left
 
 from .blocks import Subblock, _set_k, _set_pairs, peak, tetris
@@ -43,10 +46,9 @@ _UNUSED = -1
 
 # before the first position: no window open, no exponent 0 seen on either side
 _START = (None, False, None, False)
-# a layer entry's marks: bit 1 (2) is set when some path reaching the state
-# has a left (right) witness that uses no generator below the tail index,
-# and bit 4 when some path uses left generator ``fresh`` at exponent 0
-_LEFT_MARK, _RIGHT_MARK, _FRESH_MARK = 1, 2, 4
+# above every generator index: a layer entry's least index on a side that
+# no path reaching the state has used yet (no sequence is longer)
+_NO_INDEX = sys.maxsize
 # below every layer entry's peak position, which is -1 at the least
 _NO_PEAK = (None, -2)
 
@@ -77,19 +79,20 @@ class _Joins:
     start state has id 0; per id, ``states`` holds the state, ``accepts``
     whether both sides saw exponent 0 (the state accepts) and ``zeros``
     whether its left choice is 0.  A position's ``(left step, right
-    step)`` gets its id from ``pair``.  ``rows[state id][pair id]`` holds
-    the legal moves ``(new state id, value, left generator used, right
-    generator used)``, or None until ``join`` builds them: the left
-    side's choices in order and, for each, the right side's choices of
-    the same value in order (``_side_moves`` gives the steps' shapes).
-    The two sides are joined on value, so an entry costs its own moves
-    plus one pass over each side's choices.
+    step)`` gets its id from ``pair``.  ``rows[pair id]`` maps a state id
+    to the legal moves ``(new state id, value, left generator used, right
+    generator used)`` once ``join`` has built them: the left side's
+    choices in order and, for each, the right side's choices of the same
+    value in order (``_side_moves`` gives the steps' shapes).  The two
+    sides are joined on value, so an entry costs its own moves plus one
+    pass over each side's choices.
 
     An entry is built the first time a sweep meets it and kept for every
     later sweep at the level, so the table holds one entry per state and
-    pair of steps that a sweep met: at most the level's 4(k+2)^2 states
-    times its pairs of steps.  Ids are never given again, so a layer keyed
-    by them holds for every later sweep at the level.
+    pair of steps that a sweep met, and a state that only ends sweeps
+    holds none: at most the level's 4(k+2)^2 states times its pairs of
+    steps.  Ids are never given again, so a layer keyed by them holds for
+    every later sweep at the level.
     """
 
     def __init__(self, k):
@@ -110,7 +113,6 @@ class _Joins:
             self.states.append(state)
             self.accepts.append(state[1] and state[3])
             self.zeros.append(state[0] == 0)
-            self.rows.append([None] * len(self.pairs))
         return sid
 
     def pair(self, steps):
@@ -120,8 +122,7 @@ class _Joins:
         if pid is None:
             pid = self.pair_ids[steps] = len(self.pairs)
             self.pairs.append(steps)
-            for row in self.rows:
-                row.append(None)
+            self.rows.append({})
         return pid
 
     def join(self, sid, pid):
@@ -130,7 +131,7 @@ class _Joins:
         right = {}
         for c2, v, rused in _side_moves(rstep, cr, self.k):
             right.setdefault(v, []).append((c2, rused))
-        moves = self.rows[sid][pid] = tuple(
+        moves = self.rows[pid][sid] = tuple(
             (self.intern((c1, zl or c1 == 0, c2, zr or c2 == 0)), v, lused, rused)
             for c1, v, lused in _side_moves(lstep, cl, self.k)
             for c2, rused in right.get(v, ())
@@ -157,13 +158,11 @@ def _sweep_steps(left, right, force, walked, joins):
     allows or None.  A side opens its generator only at such a start; the
     generator opened is None elsewhere.
 
-    The positions lie inside the hull of the left generators not forced
-    unused, widened to every right window it cuts: outside it every left
-    value is 0, so every right generator whose window misses it is unused.
-    A resumed sweep starts past its kept layer's position ``walked``, with
-    each side's window that straddles it already open; a fresh sweep opens
-    no window before its first position (its hull may start inside the
-    window of a left generator forced unused).
+    The positions lie inside the hull of the left windows, widened to
+    every right window it cuts: outside it every left value is 0, so every
+    right generator whose window misses it is unused.  A resumed sweep
+    starts past its kept layer's position ``walked``, with each side's
+    window that straddles it already open.
 
     Each side's walk holds a generator and an index into its pairs, and
     moves to the next generator past its window's last pair.  A pairs
@@ -178,34 +177,29 @@ def _sweep_steps(left, right, force, walked, joins):
 
     Inside the hull, a window ``[min_support, max_support]`` that holds no
     support position of the other side is skipped whole, unless ``force``
-    fixes its left generator to an exponent: used at exponent e < k, the
-    generator keeps the value k - e >= 1 at its peak, where the other
-    side's value is 0, so only "unused" survives it.  At its positions the
-    other side is off its support, so its step (0 or None) gives the value
-    0 and no answer moves; the skipped side keeps a stale choice, which the
-    next opening overwrites or the next step outside every window maps to
-    None.  The walk skips it by stepping past its last pair.  The hull is
-    the outer case of the same rule.
+    fixes its left generator: used at exponent e < k, the generator keeps
+    the value k - e >= 1 at its peak, where the other side's value is 0,
+    so only "unused" survives it.  At its positions the other side is off
+    its support, so its step (0 or None) gives the value 0 and no answer
+    moves; the skipped side keeps a stale choice, which the next opening
+    overwrites or the next step outside every window maps to None.  The
+    walk skips it by stepping past its last pair.  The hull is the outer
+    case of the same rule.
     """
     blocks, others = left.blocks, right.blocks
-    pair = joins.pair
-    last = len(blocks) - 1
-    while last >= 0 and force.get(last) == _UNUSED:
-        last -= 1
-    if last < 0:
+    if not blocks:
         return
-    hi = blocks[last].pairs[-1][0]
+    pair = joins.pair
+    lstop = len(blocks)
+    hi = blocks[-1].pairs[-1][0]
     # the right windows that start at or before ``hi``
     rstop = bisect_left(others, ((hi + 1,),), key=_PAIRS)
     if walked is None:
-        first = 0
-        while force.get(first) == _UNUSED:
-            first += 1
-        lo = blocks[first].pairs[0][0]
+        lg, lo = 0, blocks[0].pairs[0][0]
         # the right windows that start before ``lo``
         rg = bisect_left(others, ((lo,),), 0, rstop, key=_PAIRS)
     else:
-        lo = walked + 1
+        lg, lo = lstop, walked + 1
         rg = rstop
     # each side walks from its first window that reaches ``lo``: windows
     # end in order, so the walk back from a bound ends before the first
@@ -216,10 +210,6 @@ def _sweep_steps(left, right, force, walked, joins):
         hi = max(hi, others[rstop - 1].pairs[-1][0])
         if walked is None:
             lo = min(lo, others[rg].pairs[0][0])
-    lstop = last + 1
-    while lstop < len(blocks) and blocks[lstop].pairs[0][0] <= hi:
-        lstop += 1
-    lg = first if walked is None else lstop
     while lg and blocks[lg - 1].pairs[-1][0] >= lo:
         lg -= 1
     # per side: the generator walked, its pairs, the index of the current
@@ -233,7 +223,7 @@ def _sweep_steps(left, right, force, walked, joins):
     la = ra = pos = -1
     lopen = ropen = lopened = ropened = None
     lend = rend = -1
-    if li >= 0 and walked is not None:
+    if li >= 0:
         lopen, lend = lg, lpairs[-1][0]
     if ri >= 0:
         ropen, rend = rg, rpairs[-1][0]
@@ -269,10 +259,10 @@ def _sweep_steps(left, right, force, walked, joins):
             lstep = lv
         else:
             # the next right position lies past the window: skip it unless
-            # ``force`` fixes an exponent, stepping past its last pair
+            # ``force`` fixes its choice, stepping past its last pair
             end = lpairs[-1][0]
             forced = force.get(lg)
-            if ra > end and forced in (None, _UNUSED):
+            if ra > end and forced is None:
                 li = len(lpairs) - 1
                 continue
             lopen, lend, lopened = lg, end, lg
@@ -349,38 +339,40 @@ class _Sweep:
     """Every question about the common elements of two spans, in one pass.
 
     The sweep walks both sequences' support positions inside the hull of
-    the left generators it may use (``_sweep_steps``), skipping every
-    window that holds no support position of the other side: its
-    generator keeps the value k - e >= 1 at its peak when used at exponent
-    e, where the other side's value is 0, so it can only be unused, and no
-    answer moves at its positions.  Supports are
-    ordered, so on each side at most one generator window ``[min_support,
-    max_support]`` holds a position, and that generator's choice (unused
-    or an exponent) is fixed where its support starts.  A state is ``(left
-    choice, left saw exponent 0, right choice, right saw exponent 0)``, the
-    choice being None outside every window, so there are at most
-    4(k+2)^2 states; a move is legal only where both sides give the same
-    value.  A state's moves at a position come from the level's table
-    (``_Joins``), keyed by the state and both sides' steps and joined on
-    value, so a sweep builds only the moves it meets and every sweep at
-    the level shares them.  The table interns states and pairs of steps as
-    small ints: a layer is keyed by state id, each position carries its
-    steps' id, and a state's moves are ``rows[state id][steps id]``.
-    Witnesses are unique, so the accepting paths match the common elements
-    one to one.  After the last position, one pass over the layer reads
-    every answer off its accepting states.
+    the left windows (``_sweep_steps``), skipping every window that holds
+    no support position of the other side: its generator keeps the value
+    k - e >= 1 at its peak when used at exponent e, where the other side's
+    value is 0, so it can only be unused, and no answer moves at its
+    positions.  Supports are ordered, so on each side at most one
+    generator window ``[min_support, max_support]`` holds a position, and
+    that generator's choice (unused or an exponent) is fixed where its
+    support starts.  A state is ``(left choice, left saw exponent 0, right
+    choice, right saw exponent 0)``, the choice being None outside every
+    window, so there are at most 4(k+2)^2 states; a move is legal only
+    where both sides give the same value.  A state's moves at a position
+    come from the level's table (``_Joins``), keyed by the state and both
+    sides' steps and joined on value, so a sweep builds only the moves it
+    meets and every sweep at the level shares them.  The table interns
+    states and pairs of steps as small ints: a layer is keyed by state id,
+    each position carries its steps' id, and a state's moves are
+    ``rows[steps id][state id]``.  Witnesses are unique, so the accepting
+    paths match the common elements one to one.  After the last position,
+    one pass over the layer reads every answer off its accepting states.
 
-    ``force`` maps left generator indices to a fixed choice: ``_UNUSED`` or
-    one exponent.  The forward pass folds, per state and move by move, the
-    number of paths, the largest last position of value k (with the terms
-    of a path attaining it: when several do, the fold order over the
-    positions walked picks one), the smallest largest left index used and
-    three
-    marks merged by "or": ``count``, ``peak`` (the valuation F) with
-    ``peak_element``, ``prefix_length``, and ``tails`` and ``fresh_used``,
-    which tell whether each side's tail from generator ``tail`` on meets
-    the other span and whether some common element uses left generator
-    ``fresh`` at exponent 0.
+    ``force`` maps left generator indices to a fixed choice, unused or one
+    exponent, and its windows are never skipped.  The forward pass folds,
+    per state and move by move, the number of paths, the largest last
+    position of value k (with the terms of a path attaining it: when
+    several do, the fold order over the positions walked picks one), the
+    smallest largest left index used, the largest least index used on each
+    side (above every index before a side's first use) and the largest
+    left index used at exponent 0: ``count``, ``peak`` (the valuation F)
+    with ``peak_element``, ``prefix_length``, ``tail_reach`` and
+    ``last_zero``.  ``tail_reach[0]`` is the largest n whose left tail
+    ``left.blocks[n:]`` still meets the right span, -1 when the spans are
+    disjoint, and ``tail_reach[1]`` the same for the right; ``last_zero``
+    is the largest left generator some common element uses at exponent 0,
+    or -1.
 
     With ``order``, each position's moves also fold, after that pass and
     in ``_fold_least``, into the least prefix reaching each state, so
@@ -414,25 +406,20 @@ class _Sweep:
     right window that reaches past it holds ``left``'s last position, so
     it is never skipped.  (The hull's last layer is not kept: a right
     window can widen the hull past it, into the next left block.)
-    ``resume`` takes such a
-    sweep over a prefix of ``left`` against the same ``right``, with
-    ``force`` and ``tail`` agreeing on the prefix and ``fresh`` past it,
-    and walks only the positions past its kept layer, with the windows
-    that straddle it already open (on the left, only a generator forced
-    unused can).  It starts from the kept layer itself, not a copy: the
-    fold writes only to the layer it builds, so no sweep writes to a layer
-    another one holds.  Only a kept layer that carries a fresh mark, which
-    names the kept sweep's generator, is copied with the mark cleared.  So
-    its set-up grows with the positions it walks, and it takes its kept
-    sweep's last rechecked peak element, which ``peak_element`` hands out
-    again while the peak path holds the same chain at the same F.  A kept
-    layer holds no least prefixes, so ``order`` is not asked of a resumed
-    sweep.
+    ``resume`` takes such a sweep over a prefix of ``left`` against the
+    same ``right``, with ``force`` agreeing on the prefix, and walks only
+    the positions past its kept layer, with the right windows that
+    straddle it already open.  It starts from the kept layer itself, not a
+    copy: the fold writes only to the layer it builds, and every fold holds
+    generator indices, which mean the same in the longer sequence, so no
+    sweep writes to or clears a layer another one holds.  So its set-up
+    grows with the positions it walks, and it takes its kept sweep's last
+    rechecked peak element, which ``peak_element`` hands out again while
+    the peak path holds the same chain at the same F.  A kept layer holds
+    no least prefixes, so ``order`` is not asked of a resumed sweep.
     """
 
-    def __init__(
-        self, left, right, force=None, walk=False, resume=None, tail=0, fresh=None, order=None
-    ):
+    def __init__(self, left, right, force=None, walk=False, resume=None, order=None):
         if left.k != right.k:
             raise MismatchedLevel(f"levels {left.k} and {right.k}")
         self.left, self.right, self.k = left, right, left.k
@@ -446,23 +433,16 @@ class _Sweep:
         self.moves = [] if walk else None
         # per state id of the current layer: [paths, last position of value k,
         # the cell chain of a path attaining it (None before its first
-        # cell), largest left index used, its marks], -1 standing for "none
-        # yet"; earlier layers are not kept, so the path counts, which grow
+        # cell), largest left index used, least left index used, least
+        # right index used, largest left index used at exponent 0], -1
+        # standing for "none yet" and ``_NO_INDEX`` for a side not used
+        # yet; earlier layers are not kept, so the path counts, which grow
         # to big integers, are not stored
-        walked, layer = None, {0: [1, -1, None, -1, _LEFT_MARK | _RIGHT_MARK]}
+        walked, layer = None, {0: [1, -1, None, -1, _NO_INDEX, _NO_INDEX, -1]}
         # the last rechecked peak element's chain, its F and itself
         self._rechecked = None if resume is None else resume._rechecked
         if resume is not None:
-            # the fold writes only to the layer it builds, so the kept layer
-            # is shared, and copied only to clear a fresh mark, which names
-            # the kept sweep's generator
             walked, layer = resume._kept
-            for held in layer.values():
-                if held[4] & _FRESH_MARK:
-                    layer = {
-                        sid: [*entry[:4], entry[4] & ~_FRESH_MARK] for sid, entry in layer.items()
-                    }
-                    break
         kept_pos, kept_layer = walked, layer
         ordered, by_witness, base, bound = order is not None, order == "witness", k + 2, 1
         if ordered:
@@ -475,30 +455,30 @@ class _Sweep:
         for pos, lg, pid, rg in _sweep_steps(left, right, force, walked, joins):
             nxt = {}
             seen = []
-            # a used generator below the tail index clears its side's mark,
-            # and left generator ``fresh`` used at exponent 0 sets its own
-            lkeep = ~_LEFT_MARK if lg is not None and lg < tail else -1
-            rkeep = ~_RIGHT_MARK if rg is not None and rg < tail else -1
-            lfresh = _FRESH_MARK if lg is not None and lg == fresh else 0
-            for sid, (paths, top, chain, last, marks) in layer.items():
-                moves = rows[sid][pid]
+            row = rows[pid]
+            for sid, (paths, top, chain, last, lleast, rleast, zero) in layer.items():
+                moves = row.get(sid)
                 if moves is None:
                     moves = joins.join(sid, pid)
                 if record:
                     seen.append((sid, moves))
                 for new, v, lused, rused in moves:
-                    m = marks
-                    if lused:
-                        m = m & lkeep | (lfresh if zeros[new] else 0)
-                    if rused:
-                        m &= rkeep
                     new_top = pos if v == k else top
-                    new_last = lg if lused else last
+                    if lused:
+                        # generators are used in increasing order, so a
+                        # side's least index is the one it used first
+                        new_last, new_zero = lg, lg if zeros[new] else zero
+                        new_lleast = lg if lleast > lg else lleast
+                    else:
+                        new_last, new_zero, new_lleast = last, zero, lleast
+                    new_rleast = rg if rused and rleast > rg else rleast
                     held = nxt.get(new)
                     if held is None:
                         # a chain grows only when a witness gains a term
                         grown = (chain, lg, rg, new) if lused or rused else chain
-                        nxt[new] = [paths, new_top, grown, new_last, m]
+                        nxt[new] = [
+                            paths, new_top, grown, new_last, new_lleast, new_rleast, new_zero
+                        ]
                     else:
                         held[0] += paths
                         if new_top > held[1]:
@@ -506,7 +486,12 @@ class _Sweep:
                             held[2] = (chain, lg, rg, new) if lused or rused else chain
                         if new_last < held[3]:
                             held[3] = new_last
-                        held[4] |= m
+                        if new_lleast > held[4]:
+                            held[4] = new_lleast
+                        if new_rleast > held[5]:
+                            held[5] = new_rleast
+                        if new_zero > held[6]:
+                            held[6] = new_zero
             layer = nxt
             if pos <= boundary:
                 kept_pos, kept_layer = pos, layer
@@ -523,27 +508,31 @@ class _Sweep:
                 self.moves.append(seen)
         self._kept = kept_pos, kept_layer
         # one pass over the accepting states, in layer order: the first
-        # one with the largest peak position is the peak entry
+        # one with the largest peak position is the peak entry; every
+        # accepting path has used both sides, so no least index read here
+        # is ``_NO_INDEX``
         self.accepting = accepting = []
-        count = marks = 0
+        count = 0
         best, least_last = _NO_PEAK, math.inf
+        lreach = rreach = last_zero = -1
         accepts = joins.accepts
         for sid, held in layer.items():
             if accepts[sid]:
                 accepting.append(sid)
                 count += held[0]
-                marks |= held[4]
                 if held[1] > best[1]:
                     best = held
                 if held[3] < least_last:
                     least_last = held[3]
+                if held[4] > lreach:
+                    lreach = held[4]
+                if held[5] > rreach:
+                    rreach = held[5]
+                if held[6] > last_zero:
+                    last_zero = held[6]
         self.count = count
-        # whether the left (right) tail from generator ``tail`` on meets the
-        # other span: some common element's left (right) witness uses no
-        # generator below ``tail``
-        self.tails = bool(marks & _LEFT_MARK), bool(marks & _RIGHT_MARK)
-        # whether some common element uses generator ``fresh`` at exponent 0
-        self.fresh_used = bool(marks & _FRESH_MARK)
+        self.tail_reach = lreach, rreach
+        self.last_zero = last_zero
         self.peak = self.prefix_length = self.least = None
         if accepting:
             self.peak, self._peak_chain = best[1], best[2]

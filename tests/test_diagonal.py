@@ -39,7 +39,7 @@ from fink import (
 from fink import diagonal as diagonal_module
 from fink import sweep as sweep_module
 from fink.structure import _tail_certificate
-from fink.sweep import _UNUSED, _Sweep
+from fink.sweep import _Sweep
 
 
 def blk(k, pairs):
@@ -388,20 +388,34 @@ class TestRun:
         assert [ce.left_witness.terms for ce in common] == [((0, 0),), ((0, 0), (1, 1))]
 
     def test_one_resumed_sweep_per_check(self, monkeypatch):
-        built = []
-        init = _Sweep.__init__
+        built, read = [], []
 
-        def counting(self, left, right, force=None, **kwargs):
-            built.append((bool(force), kwargs.get("fresh")))
-            init(self, left, right, force, **kwargs)
+        class Reading(_Sweep):
+            """A sweep that records whether it was forced, and the last
+            generator of each sweep whose ``last_zero`` is read, with
+            whether it was resumed."""
+
+            def __init__(self, left, right, force=None, **kwargs):
+                built.append(bool(force))
+                self.resumed = kwargs.get("resume") is not None
+                super().__init__(left, right, force, **kwargs)
+
+            @property
+            def last_zero(self):
+                read.append((len(self.left) - 1, self.resumed))
+                return self._last_zero
+
+            @last_zero.setter
+            def last_zero(self, value):
+                self._last_zero = value
 
         family = three_family()
-        monkeypatch.setattr(_Sweep, "__init__", counting)
+        monkeypatch.setattr(diagonal_module, "_Sweep", Reading)
         trace = run_diagonalization(family, cycles=2)
-        # no forced sweep, and each check's one sweep marks its fresh block
-        assert not any(forced for forced, _ in built)
-        marked = [fresh for _, fresh in built if fresh is not None]
-        assert marked == [step.index for step in trace.steps for _ in step.checks]
+        # no forced sweep, and each check reads the fresh block's exponent
+        # off one resumed sweep, whose last generator it is
+        assert built and not any(built)
+        assert read == [(step.index, True) for step in trace.steps for _ in step.checks]
 
     def test_a_rechecked_peak_element_is_handed_out_again(self, monkeypatch):
         family = three_family()
@@ -556,16 +570,16 @@ def test_derived_before_and_reference_match_direct_intersections():
         chosen = trace.chosen()
         picked = BlockSequence(family.k, chosen)
         # every step's "before" and "after" and every member's final
-        # reference is a prefix of the chosen list: check all prefixes, and
-        # the sweep that forces the later choices unused, against the oracle
+        # reference is a prefix of the chosen list: check all prefixes
+        # against the oracle
         for member, truncation in enumerate(family.truncations):
             direct = [
                 oracle_valuation(family.k, chosen[:length], truncation, family.horizon)
                 for length in range(len(chosen) + 1)
             ]
             for length, expected in enumerate(direct):
-                later = dict.fromkeys(range(length, len(chosen)), _UNUSED)
-                assert _Sweep(picked, truncation, later).valuation(family.horizon) == expected
+                prefix = picked.prefix(length)
+                assert _Sweep(prefix, truncation).valuation(family.horizon) == expected
             assert trace.finals[member] == direct[-1]
             for step in trace.steps:
                 for check in step.checks:
@@ -577,8 +591,8 @@ def test_derived_before_and_reference_match_direct_intersections():
 
 def diagonalized_by_fresh_sweeps(family, cycles):
     """The step renders and finals of ``run_diagonalization``, with every
-    check a fresh sweep over the whole trial sequence, the fresh block
-    forced unused for "before"."""
+    check a fresh sweep over the whole trial sequence for "after", and
+    over the blocks before the fresh one for "before"."""
     count, horizon = len(family), family.horizon
     chosen, lines = [], []
     for n in range(cycles * count):
@@ -590,7 +604,7 @@ def diagonalized_by_fresh_sweeps(family, cycles):
                 continue
             truncation = family.truncations[i]
             assert not _Sweep(trial, truncation, {n: 0}).count
-            before = _Sweep(trial, truncation, {n: _UNUSED}).valuation(horizon)
+            before = _Sweep(trial.prefix(n), truncation).valuation(horizon)
             after = _Sweep(trial, truncation).valuation(horizon)
             checks.append(StabilityCheck(i, before, after))
         chosen.append(block)

@@ -856,10 +856,21 @@ def test_sweep_matches_oracle(k, data):
     )
     if table:
         assert walking.peak_element() == sweep.peak_element()
-    # the tail verdict for every n, and every forced choice of one generator
+    # the last tail of each side that meets the other span, and the last
+    # left generator used at exponent 0
+    assert sweep.tail_reach == (
+        max((a[0][0] for a, _ in table.values()), default=-1),
+        max((b[0][0] for _, b in table.values()), default=-1),
+    )
+    assert sweep.last_zero == max(
+        (g for a, _ in table.values() for g, e in a if e == 0), default=-1
+    )
+    # the tail verdict for every n, from a sweep of the tail as its own
+    # sequence, and every forced choice of one generator
     for n in range(len(left) + 1):
-        tail = _Sweep(left, right, dict.fromkeys(range(n), _UNUSED))
+        tail = _Sweep(BlockSequence(k, left.blocks[n:]), right)
         assert bool(tail.count) == bool(oracle.intersection_elements(gens_l[n:], gens_r, k))
+        assert bool(tail.count) == (sweep.tail_reach[0] >= n)
     for g in range(len(left)):
         for choice in range(_UNUSED, k):
             expected = sum(dict(a).get(g, _UNUSED) == choice for a, _ in table.values())
@@ -892,28 +903,33 @@ def test_sweep_matches_oracle(k, data):
             ce.left_witness.terms, ce.right_witness.terms
         )
     # the least elements over every prefix of left, and over every tail of
-    # it: the head forced unused, as the smallness certificate's sweep does
+    # it as its own sequence, as the smallness certificate's sweep takes it,
+    # its left witness indices shifted back by the tail index
     for n in range(1, len(left) + 1):
-        for within_left, force, within in (
-            (left.prefix(n), None, [key for key, (a, _) in table.items() if a[-1][0] < n]),
+        for within_left, shift, within in (
+            (left.prefix(n), 0, [key for key, (a, _) in table.items() if a[-1][0] < n]),
             (
-                left,
-                dict.fromkeys(range(n), _UNUSED),
+                BlockSequence(k, left.blocks[n:]),
+                n,
                 [key for key, (a, _) in table.items() if a[0][0] >= n],
             ),
         ):
-            by_value = _Sweep(within_left, right, force, order="value").least
-            by_witness = _Sweep(within_left, right, force, order="witness").least
+            by_value = _Sweep(within_left, right, order="value").least
+            by_witness = _Sweep(within_left, right, order="witness").least
             if not within:
                 assert by_value is None and by_witness is None
                 continue
+
+            def shifted(ce):
+                return tuple((g + shift, e) for g, e in ce.left_witness.terms)
+
             assert oracle.as_key(oracle.to_dict(by_value.block)) == min(
                 within, key=lambda key: oracle.value_vector(dict(key))
             )
-            assert by_witness.left_witness.terms == min(table[key][0] for key in within)
+            assert shifted(by_witness) == min(table[key][0] for key in within)
             for ce in (by_value, by_witness):
                 assert table[oracle.as_key(oracle.to_dict(ce.block))] == (
-                    ce.left_witness.terms, ce.right_witness.terms
+                    shifted(ce), ce.right_witness.terms
                 )
 
 
@@ -976,16 +992,17 @@ def test_tail_marks_match_head_forced_sweeps(k, data):
     right = data.draw(st.one_of(generator_lists(k), partners(left)))
     if data.draw(st.booleans()):
         left, right = right, left
-    plain = _Sweep(left, right)
+    # each side's reach is the last n whose tail, swept as its own
+    # sequence, meets the other span; swapping the sides swaps the reach
+    sweep = _Sweep(left, right)
+    reach = sweep.tail_reach
     for n in range(len(left) + 2):
-        marked = _Sweep(left, right, tail=n)
-        left_head = dict.fromkeys(range(min(n, len(left))), _UNUSED)
-        right_head = dict.fromkeys(range(min(n, len(right))), _UNUSED)
-        assert marked.tails == (
-            bool(_Sweep(left, right, left_head).count),
-            bool(_Sweep(right, left, right_head).count),
+        assert (reach[0] >= n, reach[1] >= n) == (
+            bool(_Sweep(BlockSequence(k, left.blocks[n:]), right).count),
+            bool(_Sweep(BlockSequence(k, right.blocks[n:]), left).count),
         )
-        assert sweep_answers(marked) == sweep_answers(plain)
+    assert _Sweep(right, left).tail_reach == reach[::-1]
+    assert (reach == (-1, -1)) == (sweep.count == 0)
 
 
 def product_moves(k, state, lstep, rstep):
@@ -1026,14 +1043,16 @@ def test_joined_moves_match_the_move_product(k):
     left_steps = [None, *inside, *itertools.product(inside, [None, *range(_UNUSED, k)])]
     right_steps = [None, *inside, *((v, None) for v in inside)]
     joins = sweep_module._Joins(k)
+    joined = 0
     for state, lstep, rstep in itertools.product(states, left_steps, right_steps):
         cl, _, cr, _ = state
         if cl is None and lstep.__class__ is int or cr is None and rstep.__class__ is int:
             continue
         sid, pid = joins.intern(state), joins.pair((lstep, rstep))
-        assert joins.rows[sid][pid] is None
+        assert sid not in joins.rows[pid]
         moves = joins.join(sid, pid)
-        assert joins.rows[sid][pid] is moves
+        joined += 1
+        assert joins.rows[pid][sid] is moves
         # each id names its state, and the lists beside the ids agree with it
         assert tuple(
             (joins.states[new], v, lused, rused) for new, v, lused, rused in moves
@@ -1043,16 +1062,18 @@ def test_joined_moves_match_the_move_product(k):
         assert joins.accepts[sid] == (zl and zr) and joins.zeros[sid] == (cl == 0)
     assert joins.states[0] == sweep_module._START
     assert [joins.pair_ids[steps] for steps in joins.pairs] == list(range(len(joins.pairs)))
-    assert all(len(row) == len(joins.pairs) for row in joins.rows)
+    # one row per pair of steps, holding only the states joined there: a
+    # state a move reaches gets no row
+    assert len(joins.rows) == len(joins.pairs)
+    assert sum(map(len, joins.rows)) == joined
 
 
 def met_moves(joins):
     """Every built entry of a move table, by state and steps."""
     return {
         (joins.states[sid], joins.pairs[pid]): moves
-        for sid, row in enumerate(joins.rows)
-        for pid, moves in enumerate(row)
-        if moves is not None
+        for pid, row in enumerate(joins.rows)
+        for sid, moves in row.items()
     }
 
 
@@ -1088,9 +1109,9 @@ def test_sweep_walks_only_the_usable_left_hull():
     evens = make_builtin("evens", 2).truncate(20001)
     left = seq(2, "0:2", "2:2,3:1", "40000:2")
     # the hull of the first two generators is [0, 3]: positions 0, 2 and 3
-    sweep = _Sweep(left, evens, {2: _UNUSED}, walk=True)
+    sweep = _Sweep(left.prefix(2), evens, walk=True)
     assert len(sweep.moves) == 3
-    assert walked_positions(left, evens, {2: _UNUSED}) == [0, 2, 3]
+    assert walked_positions(left.prefix(2), evens) == [0, 2, 3]
     assert {ce.block for ce in sweep.elements()} == {blk(2, [(0, 2)]), blk(2, [(0, 2), (2, 1)])}
     # with the last generator usable the hull is [0, 40000], but the evens
     # window [4, 4] holds no left position and is skipped, as is every
@@ -1104,12 +1125,14 @@ def test_sweep_walks_only_the_usable_left_hull():
     # right position and is skipped
     assert walked_positions(seq(2, "1:2"), seq(2, "0:2,2:1", "5:2")) == [0, 2]
     assert _Sweep(seq(2, "1:2"), seq(2, "0:2,2:1", "5:2")).count == 0
-    assert walked_positions(seq(2, "1:2", "4:2"), evens, {0: _UNUSED}) == [4]
-    # a left generator forced unused inside the widened hull [0, 5] is
-    # skipped when its window holds no right position, else walked
-    assert walked_positions(seq(2, "0:2", "3:2"), seq(2, "0:2,5:1"), {1: _UNUSED}) == [0, 5]
-    assert walked_positions(seq(2, "0:2", "3:2"), seq(2, "0:2,3:1,5:1"), {1: _UNUSED}) == [0, 3, 5]
-    # one forced to an exponent is walked, and no path survives it
+    # a tail, swept as its own sequence, starts at its own first window
+    assert walked_positions(BlockSequence(2, seq(2, "1:2", "4:2").blocks[1:]), evens) == [4]
+    # a left window inside the widened hull [0, 5] is skipped when it
+    # holds no right position, else walked
+    assert walked_positions(seq(2, "0:2", "3:2"), seq(2, "0:2,5:1")) == [0, 5]
+    assert walked_positions(seq(2, "0:2", "3:2"), seq(2, "0:2,3:1,5:1")) == [0, 3, 5]
+    # one whose choice is forced is walked, and no path survives exponent 0
+    assert walked_positions(seq(2, "0:2", "3:2"), seq(2, "0:2,5:1"), {1: _UNUSED}) == [0, 3, 5]
     assert walked_positions(seq(2, "0:2", "3:2"), seq(2, "0:2,5:1"), {1: 0}) == [0, 3, 5]
     assert _Sweep(seq(2, "0:2", "3:2"), seq(2, "0:2,5:1"), {1: 0}).count == 0
 
@@ -1117,7 +1140,8 @@ def test_sweep_walks_only_the_usable_left_hull():
 def sweep_answers(sweep, horizon=99):
     element = sweep.peak_element() if sweep.count else None
     return (
-        sweep.count, sweep.peak, sweep.prefix_length, element, sweep.valuation(horizon)
+        sweep.count, sweep.peak, sweep.prefix_length, sweep.tail_reach, sweep.last_zero,
+        element, sweep.valuation(horizon),
     )
 
 
@@ -1131,44 +1155,36 @@ def test_resumed_sweep_matches_a_fresh_one(k, data):
     g = data.draw(st.integers(0, len(left) - 1))
     choice = data.draw(st.sampled_from([None, _UNUSED, 0]))
     force = {} if choice is None else {g: choice}
-    tail = data.draw(st.integers(0, len(left) + 1))
 
-    def uses_at_zero(m, within, h):
-        # the fresh mark's meaning: a forced sweep finds a common element
-        return h >= 0 and within.get(h, 0) == 0 and bool(
-            _Sweep(left.prefix(m), right, {**within, h: 0}).count
+    def last_zero(m, within):
+        # the fold's meaning: the last h that a sweep forcing it to
+        # exponent 0 finds a common element through
+        return next(
+            (
+                h for h in range(m - 1, -1, -1)
+                if within.get(h, 0) == 0 and _Sweep(left.prefix(m), right, {**within, h: 0}).count
+            ),
+            -1,
         )
 
-    plain = _Sweep(left, right, force, tail=tail)
-    answers = sweep_answers(plain)
-    for h in range(len(left)):
-        marked = _Sweep(left, right, force, tail=tail, fresh=h)
-        assert (sweep_answers(marked), marked.tails) == (answers, plain.tails)
-        assert marked.fresh_used == uses_at_zero(len(left), force, h)
-    fresh_used = uses_at_zero(len(left), force, len(left) - 1)
+    fresh = _Sweep(left, right, force)
+    answers = sweep_answers(fresh)
+    assert fresh.last_zero == last_zero(len(left), force)
     # every split point: one block, several blocks or none appended; the
-    # mark sees the last generator only when the resumed sweep walks it
+    # kept layer's folds name generators of ``left`` too, so they hold
+    # whether or not the resumed sweep walks the last generator
     for m in range(len(left) + 1):
         within = {h: c for h, c in force.items() if h < m}
-        kept = _Sweep(left.prefix(m), right, within, tail=tail)
-        resumed = _Sweep(left, right, force, resume=kept, tail=tail, fresh=len(left) - 1)
-        assert sweep_answers(resumed) == answers
-        assert resumed.fresh_used == (fresh_used and m < len(left))
-        assert resumed.tails == plain.tails
+        kept = _Sweep(left.prefix(m), right, within)
+        assert sweep_answers(_Sweep(left, right, force, resume=kept)) == answers
     # resuming one block at a time, as the diagonal engine does
     chained = None
     for m in range(len(left) + 1):
         within = {h: c for h, c in force.items() if h < m}
-        chained = _Sweep(left.prefix(m), right, within, resume=chained, tail=tail, fresh=m - 1)
-        direct = _Sweep(left.prefix(m), right, within, tail=tail)
+        chained = _Sweep(left.prefix(m), right, within, resume=chained)
+        direct = _Sweep(left.prefix(m), right, within)
         assert sweep_answers(chained) == sweep_answers(direct)
-        assert chained.fresh_used == uses_at_zero(m, within, m - 1)
-        assert chained.tails == direct.tails
-
-
-def resumed_answers(sweep):
-    element = sweep.peak_element() if sweep.count else None
-    return sweep.count, sweep.peak, sweep.tails, sweep.fresh_used, element, sweep.valuation(99)
+        assert chained.last_zero == last_zero(m, within)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -1176,38 +1192,17 @@ def resumed_answers(sweep):
 def test_resuming_never_writes_to_the_kept_sweep(k, data):
     left = data.draw(generator_lists(k))
     right = data.draw(st.one_of(generator_lists(k), partners(left)))
-    tail = data.draw(st.integers(0, len(left) + 1))
+    fresh = sweep_answers(_Sweep(left, right))
     for m in range(1, len(left) + 1):
-        # a kept sweep with and without a fresh mark, as the diagonal
-        # engine keeps one after each check
-        for fresh in (None, m - 1):
-            kept = _Sweep(left.prefix(m), right, tail=tail, fresh=fresh)
-            snapshot = copy.deepcopy(kept._kept)
-            first = _Sweep(left, right, resume=kept, tail=tail, fresh=len(left) - 1)
-            assert kept._kept == snapshot
-            second = _Sweep(left, right, resume=kept, tail=tail, fresh=len(left) - 1)
-            assert kept._kept == snapshot
-            assert resumed_answers(first) == resumed_answers(second)
-            assert kept._kept == snapshot
-
-
-def test_a_kept_layer_is_copied_only_to_clear_a_fresh_mark():
-    # the one common element 0:2 uses left generator 0 at exponent 0, and
-    # the left window [1, 1] holds no right position, so a resumed sweep
-    # walks nothing and ends on the kept layer
-    left, right = seq(2, "0:2", "1:2"), seq(2, "0:2")
-    plain = _Sweep(left.prefix(1), right)
-    shared = _Sweep(left, right, resume=plain, fresh=1)
-    assert shared._kept[1] is plain._kept[1]
-    marked = _Sweep(left.prefix(1), right, fresh=0)
-    assert marked.fresh_used
-    snapshot = copy.deepcopy(marked._kept)
-    cleared = _Sweep(left, right, resume=marked, fresh=1)
-    # the kept mark named generator 0, not the resumed sweep's fresh one
-    assert not cleared.fresh_used
-    assert cleared._kept[1] is not marked._kept[1]
-    assert marked._kept == snapshot
-    assert resumed_answers(cleared) == resumed_answers(shared)
+        # a kept sweep, as the diagonal engine keeps one after each check
+        kept = _Sweep(left.prefix(m), right)
+        snapshot = copy.deepcopy(kept._kept)
+        first = _Sweep(left, right, resume=kept)
+        assert kept._kept == snapshot
+        second = _Sweep(left, right, resume=kept)
+        assert kept._kept == snapshot
+        assert sweep_answers(first) == sweep_answers(second) == fresh
+        assert kept._kept == snapshot
 
 
 def _body(values, start, k):
@@ -1257,13 +1252,13 @@ def interleaved_pairs(k):
 
 def skipped_windows(left, right, force=None):
     """Every window that holds no support position of the other side, the
-    left ones among them not forced to an exponent, as (side, generator)."""
+    left ones among them not forced, as (side, generator)."""
     force = force or {}
     skipped = []
     for side, blocks, others in (("left", left, right), ("right", right, left)):
         positions = sorted(pos for b in others for pos, _ in b.pairs)
         for g, b in enumerate(blocks):
-            if side == "left" and force.get(g, _UNUSED) != _UNUSED:
+            if side == "left" and g in force:
                 continue
             i = bisect_left(positions, b.min_support)
             if i == len(positions) or positions[i] > b.max_support:
@@ -1296,15 +1291,13 @@ def test_skipping_sweep_matches_oracle(k, data):
     } == {(key, a, b) for key, (a, b) in table.items()}
     meets = [n for n in range(1, len(left) + 1) if any(a[-1][0] < n for a, _ in table.values())]
     assert walking.prefix_length == (meets[0] if meets else None)
-    for n in range(len(left) + 2):
-        assert _Sweep(left, right, tail=n).tails == (
-            any(a[0][0] >= n for a, _ in table.values()),
-            any(b[0][0] >= n for _, b in table.values()),
-        )
-    for h in range(len(left)):
-        assert _Sweep(left, right, fresh=h).fresh_used == any(
-            (h, 0) in a for a, _ in table.values()
-        )
+    assert walking.tail_reach == (
+        max((a[0][0] for a, _ in table.values()), default=-1),
+        max((b[0][0] for _, b in table.values()), default=-1),
+    )
+    assert walking.last_zero == max(
+        (g for a, _ in table.values() for g, e in a if e == 0), default=-1
+    )
     by_value = _Sweep(left, right, order="value").least
     by_witness = _Sweep(left, right, order="witness").least
     if not table:
@@ -1336,19 +1329,13 @@ def test_resumed_skipping_sweep_matches_a_fresh_one(k, data):
     left, right = data.draw(interleaved_pairs(k))
     if data.draw(st.booleans()):
         left, right = right, left
-    tail = data.draw(st.integers(0, len(left) + 1))
-    fresh = _Sweep(left, right, tail=tail)
-    answers = sweep_answers(fresh)
+    answers = sweep_answers(_Sweep(left, right))
     chained = None
     for m in range(len(left) + 1):
-        kept = _Sweep(left.prefix(m), right, tail=tail)
-        resumed = _Sweep(left, right, resume=kept, tail=tail, fresh=len(left) - 1)
-        assert sweep_answers(resumed) == answers
-        assert resumed.tails == fresh.tails
-        chained = _Sweep(left.prefix(m), right, resume=chained, tail=tail, fresh=m - 1)
-        direct = _Sweep(left.prefix(m), right, tail=tail, fresh=m - 1)
-        assert sweep_answers(chained) == sweep_answers(direct)
-        assert (chained.tails, chained.fresh_used) == (direct.tails, direct.fresh_used)
+        kept = _Sweep(left.prefix(m), right)
+        assert sweep_answers(_Sweep(left, right, resume=kept)) == answers
+        chained = _Sweep(left.prefix(m), right, resume=chained)
+        assert sweep_answers(chained) == sweep_answers(_Sweep(left.prefix(m), right))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -1417,14 +1404,24 @@ def test_resumed_sweep_skips_windows_around_its_kept_layer(monkeypatch):
 
 
 def test_fresh_mark_survives_the_tail_marks():
-    # the one common element {0:2,1:2} uses generator 0 at exponent 0, and
-    # generator 1, below the tail index, clears the left tail mark after it
+    # the one common element {0:2,1:2} is 0^0 + 1^0 on the left and 0^0 on
+    # the right: one move folds the least left index 0 and the last left
+    # exponent 0 at generator 1, and neither fold disturbs the other
     left, right = seq(2, "0:2", "1:2"), seq(2, "0:2,1:2")
-    for tail in range(4):
-        marked = _Sweep(left, right, tail=tail, fresh=0)
-        assert marked.fresh_used
-        assert marked.tails == _Sweep(left, right, tail=tail).tails
-        assert _Sweep(right, left, tail=tail, fresh=0).fresh_used
+    assert (_Sweep(left, right).tail_reach, _Sweep(left, right).last_zero) == ((0, 0), 1)
+    assert (_Sweep(right, left).tail_reach, _Sweep(right, left).last_zero) == ((0, 0), 0)
+    # the one common element 0:2 uses left generator 0 at exponent 0, and
+    # the left window [1, 1] holds no right position, so a resumed sweep
+    # walks nothing and ends on the kept layer itself, not a copy, whose
+    # folds still name generator 0 and not the appended generator 1
+    left, right = seq(2, "0:2", "1:2"), seq(2, "0:2")
+    kept = _Sweep(left.prefix(1), right)
+    snapshot = copy.deepcopy(kept._kept)
+    shared = _Sweep(left, right, resume=kept)
+    assert shared._kept[1] is kept._kept[1]
+    assert (shared.tail_reach, shared.last_zero) == ((0, 0), 0)
+    assert kept._kept == snapshot
+    assert sweep_answers(shared) == sweep_answers(_Sweep(left, right))
 
 
 def test_resumed_sweep_walks_only_past_its_kept_layer(monkeypatch):
@@ -1478,7 +1475,7 @@ def test_sweep_steps_match_the_reference_producer(k, data):
     if data.draw(st.booleans()):
         left, right = right, left
     g = data.draw(st.integers(0, len(left) - 1))
-    force = data.draw(st.sampled_from([{}, {g: _UNUSED}, {g: 0}]))
+    force = data.draw(st.sampled_from([{}, {g: 0}]))
     # fresh, then resumed past each prefix's kept position, then past every
     # position either side holds, where most resumes walk nothing
     starts = [None]

@@ -1,5 +1,6 @@
 """Decomposition graphs, extraction, star splitting, smallness certificates."""
 
+import itertools
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from fink import (
     is_intertwined,
     make_builtin,
     membership_witness,
+    parse_stream_spec,
     settle_intertwined,
     smallness_check,
     star,
@@ -263,6 +265,51 @@ class TestSmallness:
             assert min(witness.left_witness.indices) >= n
             assert evaluate(left.truncate(15), witness.left_witness) == witness.block
             assert evaluate(right.truncate(15), witness.right_witness) == witness.block
+
+    def test_the_shifted_witness_is_rechecked_over_the_whole_left(self, monkeypatch):
+        import fink.structure
+
+        p = make_builtin("example13_P", 2)
+        checked = []
+        check = fink.structure.check_witness
+
+        def checking(sequence, witness, block):
+            checked.append((sequence, witness, block))
+            check(sequence, witness, block)
+
+        monkeypatch.setattr(fink.structure, "check_witness", checking)
+        cert = smallness_check(p, p, tail_index=3, horizon=15)
+        witness = cert.witness
+        assert checked == [(p.truncate(15), witness.left_witness, witness.block)]
+        assert witness.left_witness.indices[0] == 3
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_tail_reach_is_the_last_tail_that_meets(self, k):
+        # the left reach of one sweep, plus 1, is the least n whose tail
+        # misses the right span (0 when the spans are disjoint), against
+        # the smallness check of every n at the two smaller horizons, and
+        # of n = 0 and every n near the reach at the larger ones (a
+        # witness over a tail is one over every longer tail)
+        periodic = parse_stream_spec("kind=periodic shift=2 k=2 base=0:2")
+        names = ("evens", "example13_P", "example13_Q")
+        pairs = [
+            (make_builtin(a, k), make_builtin(b, k)) for a, b in itertools.product(names, repeat=2)
+        ]
+        if k == 2:
+            pairs.append((make_builtin("evens", 2), periodic))
+        for p, q in pairs:
+            for horizon in (15, 63, 255, 1023):
+                left = p.truncate(horizon)
+                least = _Sweep(left, q.truncate(horizon)).tail_reach[0] + 1
+                if horizon < 100:
+                    scanned = range(len(left) + 2)
+                else:
+                    scanned = {0, *range(max(least - 3, 0), least + 3)}
+                for n in scanned:
+                    verdict = smallness_check(p, q, n, horizon).verdict
+                    assert verdict == ("nonempty" if n < least else "empty_at_horizon")
+                if q is periodic:
+                    assert least == {15: 8, 63: 32, 255: 128, 1023: 512}[horizon]
 
     def test_negative_tail_index_rejected(self):
         p = make_builtin("example13_P", 2)

@@ -19,12 +19,14 @@ answer carries a witness combination that evaluates back to the queried
 subblock.  Evaluation appends each term's lowered pairs to one list.  A
 combination whose terms the library made itself is built unchecked, while
 one read from a caller or from text is checked; either way a positive
-answer's witness is evaluated again and compared with the answer (a
-membership answer compares the pairs alone, since its levels were checked
-on entry).  The records made once per element run no Python frame of
-their own: ``_span_walk`` builds each listed element and its witness,
-``membership_witness`` its witness and ``evaluate`` its subblock, each
-allocated with ``object.__new__`` and filled through the slot setters.
+answer's witness is evaluated again, by the pairs core ``evaluate_pairs``
+with no subblock built, and its pairs and level are compared with the
+answer's (a membership answer compares the pairs alone, since its levels
+were checked on entry).  ``evaluate`` wraps the same pairs in a subblock.
+The records made once per element run no Python frame of their own:
+``_span_walk`` builds each listed element and its witness and
+``membership_witness`` its witness, each allocated with ``object.__new__``
+and filled through the slot setters.
 """
 
 import functools
@@ -82,6 +84,8 @@ _PAIRS = attrgetter("pairs")
 
 class BlockSequence:
     """An ordered finite sequence of blocks with strictly increasing supports."""
+
+    __slots__ = ("k", "blocks")
 
     def __init__(self, k, blocks):
         blocks = tuple(blocks)
@@ -344,7 +348,13 @@ def parse_block_lines(text):
 
 
 def evaluate(seq, comb):
-    """Evaluate a combination over a sequence to the subblock it denotes.
+    """Evaluate a combination over a sequence to the subblock it denotes:
+    the pairs of ``evaluate_pairs`` at the sequence's level."""
+    return Subblock._raw(seq.k, evaluate_pairs(seq, comb))
+
+
+def evaluate_pairs(seq, comb):
+    """The pairs tuple of the subblock a combination denotes over a sequence.
 
     Terms are checked in order, index before exponent, so the first bad
     term is the one named.  A generator whose first position lies after
@@ -353,7 +363,9 @@ def evaluate(seq, comb):
     built; at exponent 0 its stored pairs are appended whole.  Any other
     generator's image is built and, unless it still starts after the
     gathered pairs, merged by ``add``, which reports an overlap.  No cache
-    of ``seq`` is read, so ``check_witness`` is an independent recheck.
+    of ``seq`` is read, so a recheck through it (``check_witness``, or
+    ``membership_witness``'s own) shares nothing with the decision it
+    checks.
     """
     k, blocks = seq.k, seq.blocks
     n = len(blocks)
@@ -380,15 +392,13 @@ def evaluate(seq, comb):
                     append((pos, v - exponent))
         else:
             pairs += stored
-    result = _new(Subblock)
-    _set_k(result, k)
-    _set_pairs(result, tuple(pairs))
-    return result
+    return tuple(pairs)
 
 
 def check_witness(seq, witness, block):
-    """Re-evaluate a witness; raise WitnessMismatch unless it produces ``block``."""
-    if evaluate(seq, witness) != block:
+    """Re-evaluate a witness's pairs; raise WitnessMismatch unless they are
+    ``block``'s pairs and the sequence's level is ``block``'s level."""
+    if evaluate_pairs(seq, witness) != block.pairs or seq.k != block.k:
         raise _mismatch(witness, block)
 
 
@@ -518,10 +528,10 @@ def membership_witness(t, seq, starred=False):
     lowered pair in place and builds no image.  Unstarred, exponent 0 must
     occur.
 
-    The witness is built here and re-evaluated before being returned, so a
-    positive answer is checked: the levels agree, so comparing the
-    evaluated pairs with ``t``'s is the test ``check_witness`` makes, and a
-    mismatch raises its error.
+    The witness is built here and its pairs re-evaluated by
+    ``evaluate_pairs`` before it is returned, so a positive answer is
+    checked: the levels agree, so comparing those pairs with ``t``'s is the
+    test ``check_witness`` makes, and a mismatch raises its error.
     """
     if t.k != seq.k:
         raise MismatchedLevel(f"levels {t.k} and {seq.k}")
@@ -573,7 +583,7 @@ def membership_witness(t, seq, starred=False):
     witness = _new(Combination)
     _set_terms(witness, tuple(terms))
     _set_starred(witness, starred)
-    if evaluate(seq, witness).pairs != pairs:
+    if evaluate_pairs(seq, witness) != pairs:
         raise _mismatch(witness, t)
     return witness
 

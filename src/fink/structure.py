@@ -2,7 +2,9 @@
 
 A block lying in two spans has one witness per side.  Its decomposition
 graph is bipartite: one vertex per generator used on each side, an edge
-whenever the two tetris images share support.  The block is intertwined
+whenever the two tetris images share support.  Supports are ordered, so
+each side's images are consecutive runs of the block's pairs, and one
+merge of the two sides' runs gives every edge.  The block is intertwined
 when that graph is connected.  Disconnected blocks split along the
 connected component of the rightmost left-side generator, and minimality
 of the producing prefix forces the discarded part to miss the level k;
@@ -20,7 +22,9 @@ called (``span._sweeping``), so ``graph``, ``intertwined`` and ``split``,
 which only build and split decomposition graphs, never compile it.
 """
 
-from .blocks import Record, _setattr, add, star, tetris
+from bisect import bisect_left
+
+from .blocks import Record, _setattr, add, star
 from .errors import (
     ClaimViolation,
     MinimalityViolation,
@@ -102,25 +106,32 @@ class DecompositionGraph(Record):
 
 
 def decomposition_graph(block, left_witness, right_witness, left, right):
-    """Build the bipartite support-overlap graph of one common block."""
+    """Build the bipartite support-overlap graph of one common block.
+
+    Both witnesses are rechecked first (``check_witness``).  Once they
+    pass, supports being ordered, each side's term images are consecutive
+    runs of the block's pairs, in term order, and every run is nonempty: a
+    block keeps its peak below exponent k.  A term's run ends where the
+    block's pairs pass its generator's window.  Two terms share support
+    exactly when their runs overlap, so one merge of the two lists of run
+    ends emits each edge once, already sorted: the pair of runs holding
+    the current pair is an edge, and the run that ends first (both, when
+    they end together) gives way to the next.
+    """
     check_witness(left, left_witness, block)
     check_witness(right, right_witness, block)
-    left_images = [
-        (i, set(tetris(left.blocks[i], e).support)) for i, e in left_witness.terms
-    ]
-    right_images = [
-        (j, set(tetris(right.blocks[j], e).support)) for j, e in right_witness.terms
-    ]
+    pairs = block.pairs
+    lterms, rterms = left_witness.terms, right_witness.terms
+    lends = [bisect_left(pairs, (left.blocks[i].pairs[-1][0] + 1,)) for i, _ in lterms]
+    rends = [bisect_left(pairs, (right.blocks[j].pairs[-1][0] + 1,)) for j, _ in rterms]
     edges = []
-    for i, a in left_images:
-        for j, b in right_images:
-            if a & b:
-                edges.append((i, j))
-    return DecompositionGraph(
-        left=tuple(i for i, _ in left_images),
-        right=tuple(j for j, _ in right_images),
-        edges=tuple(sorted(edges)),
-    )
+    a = b = 0
+    while a < len(lends) and b < len(rends):
+        edges.append((lterms[a][0], rterms[b][0]))
+        lend, rend = lends[a], rends[b]
+        a += lend <= rend
+        b += rend <= lend
+    return DecompositionGraph(left_witness.indices, right_witness.indices, tuple(edges))
 
 
 def is_intertwined(block, left_witness, right_witness, left, right):

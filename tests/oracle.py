@@ -122,6 +122,17 @@ def iter_common(gens_a, gens_b, k):
                 yield key, terms_a, terms_b
 
 
+def decomposition_graph(gens_a, gens_b, terms_a, terms_b):
+    """The decomposition graph of a block with witness terms over a and b,
+    as (a's indices, b's indices, sorted edges): every a image's support
+    is intersected with every b image's, and each pair that meets is an
+    edge."""
+    images_a = [(i, set(tetris_dict(gens_a[i], e))) for i, e in terms_a]
+    images_b = [(j, set(tetris_dict(gens_b[j], e))) for j, e in terms_b]
+    edges = sorted((i, j) for i, a in images_a for j, b in images_b if a & b)
+    return tuple(i for i, _ in images_a), tuple(j for j, _ in images_b), tuple(edges)
+
+
 def value_vector(d):
     """The dense value vector of a sparse dict, without trailing zeros."""
     values = [0] * (max(d) + 1 if d else 0)
@@ -135,7 +146,6 @@ def value_vector(d):
 # keyed by block properties.  It is the reference for ``fink.sweep``'s
 # ``_sweep_steps``, which must yield the same steps in the same order.
 
-_UNUSED = -1  # a sweep's choice for a generator it does not use
 _BY_MAX_SUPPORT = attrgetter("max_support")
 _BY_MIN_SUPPORT = attrgetter("min_support")
 _NO_PAIR = (math.inf, None, None)  # a used-up support walk
@@ -166,24 +176,19 @@ def _support(blocks, first, stop):
 def sweep_steps(left, right, force, walked, joins):
     """Per position a sweep walks, ``(pos, left generator opened, steps id
     in ``joins``, right generator opened)``: the positions inside the hull
-    of the left generators not forced unused, widened to every right window
-    it cuts, past ``walked`` when resumed, less every window that holds no
-    support position of the other side (a left one only when ``force``
-    does not fix its generator to an exponent)."""
+    of the left generators, widened to every right window it cuts, past
+    ``walked`` when resumed, less every window that holds no support
+    position of the other side (a left one only when ``force`` does not
+    fix its generator's choice)."""
     blocks, others = left.blocks, right.blocks
     pair = joins.pair
-    last = len(blocks) - 1
-    while last >= 0 and force.get(last) == _UNUSED:
-        last -= 1
-    if last < 0:
+    lstop = len(blocks)
+    if not lstop:
         return
-    hi = blocks[last].pairs[-1][0]
+    hi = blocks[-1].pairs[-1][0]
     rstop = bisect_right(others, hi, key=_BY_MIN_SUPPORT)
     if walked is None:
-        first = 0
-        while force.get(first) == _UNUSED:
-            first += 1
-        lo = blocks[first].pairs[0][0]
+        lo = blocks[0].pairs[0][0]
         rfirst = bisect_left(others, lo, 0, rstop, key=_BY_MAX_SUPPORT)
     else:
         lo = walked + 1
@@ -192,10 +197,7 @@ def sweep_steps(left, right, force, walked, joins):
         hi = max(hi, others[rstop - 1].pairs[-1][0])
         if walked is None:
             lo = min(lo, others[rfirst].pairs[0][0])
-    lstop = last + 1
-    while lstop < len(blocks) and blocks[lstop].pairs[0][0] <= hi:
-        lstop += 1
-    lfirst = _reaching(blocks, lstop if walked is not None else first, lo)
+    lfirst = _reaching(blocks, lstop if walked is not None else 0, lo)
     lopen = ropen = lopened = ropened = None
     lend = rend = -1
     if walked is not None and lfirst < lstop and blocks[lfirst].min_support < lo:
@@ -221,7 +223,7 @@ def sweep_steps(left, right, force, walked, joins):
         else:
             end = blocks[lg].pairs[-1][0]
             forced = force.get(lg)
-            if ra > end and forced in (None, _UNUSED):
+            if ra > end and forced is None:
                 la, lg, lv = lsupport.send(True)
                 continue
             lopen, lend, lopened = lg, end, lg

@@ -947,24 +947,29 @@ def test_optimized_interpreter_gives_the_same_answers(files, argv):
 
 
 def test_optimized_interpreter_keeps_the_witness_rechecks():
-    # a lying evaluate must still be caught when asserts are compiled away
+    # a lying pairs core must still be caught when asserts are compiled away
     script = (
         "import fink.span as span\n"
         "import fink.sweep as sweep\n"
         "from fink import BlockSequence, Subblock, WitnessMismatch, make_builtin\n"
         "from fink.diagonal import run_diagonalization, validate_family\n"
         "from fink.structure import extract_intertwined, smallness_check\n"
+        "from fink.structure import decomposition_graph, star_split\n"
         "seq = BlockSequence(2, [Subblock.parse_body(2, b) for b in ('0:2', '1:2')])\n"
+        "w = span.Combination(((0, 0),))\n"
+        "ce = span.CommonElement(seq[0], w, w)\n"
         "stream = make_builtin('example13_P', 2)\n"
         "members = [make_builtin(name, 2) for name in ('example13_P', 'example13_Q', 'evens')]\n"
         "family = validate_family(members, tail_index=1, horizon=21)\n"
         "resumed = lambda a, b: sweep._Sweep(a, b, resume=sweep._Sweep(a.prefix(1), b))\n"
-        "span.evaluate = lambda s, c: Subblock.parse_body(2, '99:2')\n"
+        "span.evaluate_pairs = lambda s, c: ((99, 2),)\n"
         "for ask in (span.intersect_spans, span.first_common_element,\n"
         "            lambda a, b: sweep._Sweep(a, b).valuation(9), extract_intertwined,\n"
         "            lambda a, b: smallness_check(stream, stream, 0, 9),\n"
         "            lambda a, b: resumed(a, b).valuation(9),\n"
-        "            lambda a, b: run_diagonalization(family, cycles=2)):\n"
+        "            lambda a, b: run_diagonalization(family, cycles=2),\n"
+        "            lambda a, b: decomposition_graph(seq[0], w, w, a, b),\n"
+        "            lambda a, b: star_split(ce, ce, a, b)):\n"
         "    try:\n"
         "        ask(seq, seq)\n"
         "    except WitnessMismatch:\n"
@@ -975,7 +980,7 @@ def test_optimized_interpreter_keeps_the_witness_rechecks():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "caught\n" * 7
+    assert proc.stdout == "caught\n" * 9
 
 
 # --- what one run loads and builds -------------------------------------------

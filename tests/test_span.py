@@ -20,6 +20,7 @@ from conftest import make_overlapping_pair, make_random_sequence
 from fink import (
     BlockSequence,
     Combination,
+    CommonElement,
     EnumerationCapExceeded,
     HorizonExhausted,
     HorizonValuation,
@@ -32,6 +33,7 @@ from fink import (
     ParseError,
     Subblock,
     WitnessMismatch,
+    decomposition_graph,
     enumerate_span,
     evaluate,
     first_common_element,
@@ -41,6 +43,7 @@ from fink import (
     peak,
     run_diagonalization,
     star,
+    star_split,
     tetris,
     validate_family,
     valuation,
@@ -474,13 +477,15 @@ class TestIntersect:
 
 
 class TestWitnessRecheck:
-    """Positive answers are rechecked by a raise, which ``python -O`` keeps."""
+    """Positive answers are rechecked by a raise, which ``python -O`` keeps.
+
+    The rechecks compare the pairs of the pairs core ``evaluate_pairs``, so
+    a core that lies, about every combination or about one side's, must
+    trip each of them."""
 
     @pytest.fixture
     def lying_evaluate(self, monkeypatch):
-        import fink.span
-
-        monkeypatch.setattr(fink.span, "evaluate", lambda seq, comb: blk(seq.k, [(99, seq.k)]))
+        monkeypatch.setattr(span, "evaluate_pairs", lambda seq, comb: ((99, seq.k),))
 
     def test_membership(self, lying_evaluate):
         s = seq(2, "0:2", "1:2", "3:2")
@@ -498,6 +503,35 @@ class TestWitnessRecheck:
         left = seq(2, "0:2", "1:2", "3:2")
         with pytest.raises(WitnessMismatch):
             intersect_spans(left, left)
+
+    def test_a_block_at_another_level_is_a_mismatch(self):
+        # the same pairs at another level: the recheck compares levels too
+        span.check_witness(seq(2, "0:2"), Combination(((0, 0),)), R)
+        with pytest.raises(WitnessMismatch):
+            span.check_witness(seq(2, "0:2"), Combination(((0, 0),)), blk(3, [(0, 2)]))
+
+    @pytest.mark.parametrize("lying", ["left", "right", "both"])
+    def test_graph_and_star_split(self, monkeypatch, lying):
+        left = seq(2, "0:2", "1:2", "3:2")
+        right = seq(2, "0:2", "1:2,2:1", "3:2,4:1")
+        # a core that lies about one side's combinations only, or both
+        liars = {"left": (left,), "right": (right,), "both": (left, right)}[lying]
+        honest = span.evaluate_pairs
+        monkeypatch.setattr(
+            span,
+            "evaluate_pairs",
+            lambda s, comb: ((99, s.k),) if any(s is liar for liar in liars) else honest(s, comb),
+        )
+        anchor = CommonElement(R, Combination(((0, 0),)), Combination(((0, 0),)))
+        other = CommonElement(
+            S2, Combination(((0, 0), (1, 1), (2, 1))), Combination(((0, 0), (1, 1), (2, 1)))
+        )
+        for ask in (
+            lambda: decomposition_graph(S2, other.left_witness, other.right_witness, left, right),
+            lambda: star_split(anchor, other, left, right),
+        ):
+            with pytest.raises(WitnessMismatch):
+                ask()
 
 
 class TestValuation:
@@ -1133,6 +1167,8 @@ def test_sweep_walks_only_the_usable_left_hull():
     assert walked_positions(seq(2, "0:2", "3:2"), seq(2, "0:2,3:1,5:1")) == [0, 3, 5]
     # one whose choice is forced is walked, and no path survives exponent 0
     assert walked_positions(seq(2, "0:2", "3:2"), seq(2, "0:2,5:1"), {1: _UNUSED}) == [0, 3, 5]
+    forced_unused = seq(2, "0:2", "3:2"), seq(2, "0:2,5:1"), {1: _UNUSED}, None
+    assert [step[0] for step in named_steps(oracle.sweep_steps, *forced_unused)] == [0, 3, 5]
     assert walked_positions(seq(2, "0:2", "3:2"), seq(2, "0:2,5:1"), {1: 0}) == [0, 3, 5]
     assert _Sweep(seq(2, "0:2", "3:2"), seq(2, "0:2,5:1"), {1: 0}).count == 0
 
@@ -1248,6 +1284,31 @@ def interleaved_pairs(k):
         return BlockSequence(k, sides["left"]), BlockSequence(k, sides["right"])
 
     return st.lists(segment, min_size=1, max_size=4).map(lay_out)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@given(data=st.data())
+def test_merged_graph_matches_the_set_intersection_reference(k, data):
+    if data.draw(st.booleans()):
+        left, right = data.draw(interleaved_pairs(k))
+    else:
+        left, right = make_overlapping_pair(random.Random(data.draw(st.integers(0, 2**32))), k)
+    if data.draw(st.booleans()):
+        left, right = right, left
+    gens_l = [oracle.to_dict(b) for b in left]
+    gens_r = [oracle.to_dict(b) for b in right]
+    # the common elements, then every element of both starred spans, whose
+    # witnesses use exponents above 0 and so drop pairs on both sides
+    found = [(ce.block, ce.left_witness, ce.right_witness) for ce in intersect_spans(left, right)]
+    for block, witness in enumerate_span(left, starred=True):
+        other = membership_witness(block, right, starred=True)
+        if other is not None:
+            found.append((block, witness, other))
+    for block, lw, rw in found:
+        graph = decomposition_graph(block, lw, rw, left, right)
+        assert (graph.left, graph.right, graph.edges) == oracle.decomposition_graph(
+            gens_l, gens_r, lw.terms, rw.terms
+        )
 
 
 def skipped_windows(left, right, force=None):
@@ -1475,7 +1536,7 @@ def test_sweep_steps_match_the_reference_producer(k, data):
     if data.draw(st.booleans()):
         left, right = right, left
     g = data.draw(st.integers(0, len(left) - 1))
-    force = data.draw(st.sampled_from([{}, {g: 0}]))
+    force = data.draw(st.sampled_from([{}, {g: _UNUSED}, {g: 0}]))
     # fresh, then resumed past each prefix's kept position, then past every
     # position either side holds, where most resumes walk nothing
     starts = [None]

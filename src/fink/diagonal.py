@@ -7,17 +7,20 @@ non-source member.  Each step verifies that stability claim exactly (the
 valuation before and after adding the block must agree, and any new common
 element must use the fresh block with a positive tetris exponent); a
 failure aborts the run with ClaimViolation rather than being skipped.
-Every two-span question here is one position sweep (``sweep._Sweep``), so
-none of them enumerates a span, and this module loads the sweep module on
-import.  Validation sweeps each unordered pair of truncations once: the
-sweep's tail reach, the last tail of each side that meets the other span,
-gives both members' tail verdicts, and its accepting states give the
-pair's bound.  Each member keeps one sweep over the blocks chosen so far,
-and each stability check is one sweep resumed from it past the blocks it
-has already walked: the last left generator that some common element
-uses at exponent 0 is the fresh block, the last one, exactly when some
-common element uses the fresh block there, so only a failing check sweeps
-again to name that element.
+Every two-span question here is one position sweep (``sweep._Sweep``),
+which folds the count, F and the generator indices the checks read, or,
+for an element named in an error, one pass of the states each position
+reaches (``sweep._Reach``), so none of them enumerates a span, and this
+module loads the sweep module on import.  Validation sweeps each
+unordered pair of truncations once: the sweep's tail reach, the last
+tail of each side that meets the other span, gives both members' tail
+verdicts, and its accepting states give the pair's bound.  Each member
+keeps one sweep over the blocks chosen so far, and each stability check
+is one sweep resumed from it past the blocks it has already walked: the
+last left generator that some common element uses at exponent 0 is the
+fresh block, the last one, exactly when some common element uses the
+fresh block there, so only a failing check makes one more pass, to name
+that element.
 """
 
 import itertools
@@ -32,8 +35,8 @@ from .errors import (
     NotAlmostDisjoint,
 )
 from .span import _PAIRS, BlockSequence, _new, check_witness, membership_witness
-from .structure import _nonempty_certificate
-from .sweep import _Sweep
+from .structure import _tail_certificate
+from .sweep import _Reach, _Sweep
 
 __all__ = [
     "AlmostDisjointFamily",
@@ -82,9 +85,8 @@ def validate_family(members, tail_index, horizon):
     is.  These verdicts are read for every ordered pair, i-major, before
     any bound: the first tail that meets raises NotAlmostDisjoint(i, j)
     with the smallness certificate of that ordered pair, the same one that
-    ``small`` gives; the reach already gave its verdict, so only the sweep
-    ordered by left witness, for its least witness, is added.  No sweep
-    here records its moves.  The bounds matrix holds the valuation of each
+    ``small`` gives, from one more pass (``sweep._Reach``) for its least
+    witness.  No sweep here records its moves.  The bounds matrix holds the valuation of each
     pairwise intersection, from the same sweeps.
     """
     members = tuple(members)
@@ -106,9 +108,7 @@ def validate_family(members, tail_index, horizon):
     }
     for i, j in itertools.permutations(range(count), 2):
         if (sweeps[i, j].tail_reach[0] if i < j else sweeps[j, i].tail_reach[1]) >= tail_index:
-            certificate = _nonempty_certificate(
-                truncations[i], truncations[j], tail_index, horizon
-            )
+            certificate = _tail_certificate(truncations[i], truncations[j], tail_index, horizon)
             raise NotAlmostDisjoint(i, j, certificate)
     grid = [[None] * count for _ in range(count)]
     for (i, j), sweep in sweeps.items():
@@ -236,9 +236,9 @@ def run_diagonalization(family, cycles=1):
     the chosen prefix again.  At each step the kept valuation is "before",
     and one sweep resumed from the kept one gives "after", which is kept,
     and the last left generator some common element uses at exponent 0:
-    when that is the fresh block, the trial's last, a fresh sweep that
-    forces it, ordered by left witness, names the least such element, both
-    witnesses re-evaluated.
+    when that is the fresh block, the trial's last, a fresh pass that
+    forces it (``sweep._Reach``) names the least such element by left
+    witness, both witnesses re-evaluated.
     Witnesses are unique, so "before" is the intersection with the fresh
     block unused.  The finals are the kept sweeps after the last step, and
     each member's ceiling reference is its "before" just after its last
@@ -282,7 +282,7 @@ def run_diagonalization(family, cycles=1):
             # the fresh block is the last generator of ``trial``
             if resumed.last_zero == n:
                 # only a failure sweeps again, to name the least offending element
-                ce = _Sweep(trial, truncation, {n: 0}, order="witness").least
+                ce = _Reach(trial, truncation, {n: 0}).least("witness")
                 check_witness(trial, ce.left_witness, ce.block)
                 raise ClaimViolation(
                     f"common element {ce.block.render()} uses the fresh block with exponent 0",

@@ -618,7 +618,7 @@ def first_common_element(left, right):
     Witnesses compare as tuples of (index, exponent) terms, so the answer
     does not depend on which side is larger.
     """
-    return _sweeping()._Sweep(left, right, order="witness").least
+    return _sweeping()._Reach(left, right).least("witness")
 
 
 def valuation(blocks, horizon=None):

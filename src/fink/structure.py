@@ -16,10 +16,14 @@ pointwise maximum agrees with p on p's whole support window.  Failures of
 that window check (ClaimViolation) would falsify the construction and
 abort loudly rather than being papered over.
 
-Extraction and the smallness probe ask about two spans at once, each in a
-position sweep or two (``sweep._Sweep``), and load the sweep module when
-called (``span._sweeping``), so ``graph``, ``intertwined`` and ``split``,
-which only build and split decomposition graphs, never compile it.
+Extraction and the smallness probe ask about two spans at once, and load
+the sweep module when called (``span._sweeping``), so ``graph``,
+``intertwined`` and ``split``, which only build and split decomposition
+graphs, never compile it.  Extraction takes the minimal prefix from a
+position sweep that folds indices (``sweep._Sweep``) and that prefix's
+least element from a pass that keeps only the states each position
+reaches (``sweep._Reach``); the smallness probe takes both its verdict
+and its witness from one such pass, so it never counts paths.
 """
 
 from bisect import bisect_left
@@ -204,10 +208,10 @@ def extract_intertwined(left, right):
     """Produce an intertwined block in the intersection of the two spans.
 
     One sweep gives the minimal prefix of ``left`` whose span meets
-    ``right``'s span, and one sweep over that prefix, ordered by value,
-    gives in its forward pass the least common block in canonical order
-    (lexicographic on the value vector), which is settled with the
-    component-split rule.  Neither sweep records its moves.  Raises
+    ``right``'s span, and one pass over that prefix of the states each
+    position reaches (``sweep._Reach``) gives the least common block in
+    canonical order (lexicographic on the value vector), which is settled
+    with the component-split rule.  Neither records its moves.  Raises
     NoIntersection when the full spans are disjoint; MinimalityViolation
     from the split would contradict the minimality of the prefix.
     """
@@ -216,7 +220,7 @@ def extract_intertwined(left, right):
     if length is None:
         raise NoIntersection(f"no common block among {len(left)} generators")
     prefix = left.prefix(length)
-    element = sweep._Sweep(prefix, right, order="value").least
+    element = sweep._Reach(prefix, right).least("value")
     return ExtractionResult(length, settle_intertwined(element, prefix, right))
 
 
@@ -291,28 +295,18 @@ def _tail_certificate(left, right, tail_index, horizon):
 
     Supports strictly increase, so the left tail from block n on is the
     sequence ``left.blocks[n:]``, whose span meets ``right``'s exactly when
-    one plain sweep of the two finds a common element.  An empty verdict
-    takes that one sweep; only a nonempty one adds a second
-    (``_nonempty_certificate``).  Neither records its moves, so memory
-    does not grow with the horizon.
+    one pass of the two (``sweep._Reach``) ends in an accepting state;
+    that pass counts no paths and keeps one id per position.  A nonempty
+    verdict asks the same pass for its witness, the common element with
+    the least left witness over the tail.  Shifting
+    every index of that witness by the tail index keeps its order and
+    indexes it over the whole of ``left``, where it is re-evaluated.
     """
     tail = BlockSequence._trusted(left.k, left.blocks[tail_index:])
-    if not _sweeping()._Sweep(tail, right).count:
+    reach = _sweeping()._Reach(tail, right)
+    if reach.empty:
         return SmallnessCertificate(tail_index, horizon, "empty_at_horizon")
-    return _nonempty_certificate(left, right, tail_index, horizon)
-
-
-def _nonempty_certificate(left, right, tail_index, horizon):
-    """The certificate of a left tail known to meet ``right``.
-
-    Its witness is the common element with the least left witness over the
-    tail, from one sweep ordered by left witness, whose forward pass keeps
-    the least witness reaching each state.  Shifting every index of that
-    witness by the tail index keeps its order and indexes it over the
-    whole of ``left``, where it is re-evaluated.
-    """
-    tail = BlockSequence._trusted(left.k, left.blocks[tail_index:])
-    least = _sweeping()._Sweep(tail, right, order="witness").least
+    least = reach.least("witness")
     shifted = Combination(tuple((g + tail_index, e) for g, e in least.left_witness.terms))
     check_witness(left, shifted, least.block)
     witness = CommonElement(least.block, shifted, least.right_witness)

@@ -1,29 +1,36 @@
-"""The position sweep: every question about two spans at once, in one pass.
+"""The position sweep: every question about two spans at once.
 
 A question about the common elements of two spans (their count, listing,
-valuation F, least element, minimal meeting prefix, the last tail that
-meets the other span, the last generator used at exponent 0) is one
-forward pass over both sequences' support positions that folds every
-answer, least elements keyed by one symbol per left generator opened.  Its
-moves come from one table per level, which joins both sides' choices on
-value and holds only the entries sweeps have met; it interns states and
-each position's pair of steps as small ints, so a state's moves are one
-list indexing and one dict lookup away.  A pass resumed from an earlier
-one over a prefix of the left sequence shares that pass's kept layer
-instead of copying it, since a pass writes only the layer it builds and
-its folds hold generator indices.  The pass skips whole every
-generator window ``[min_support, max_support]`` that holds no support
-position of the other side: used at exponent e < k, the generator keeps
-the value k - e >= 1 at its peak, where the other side's value is 0, so it
-can only be unused.  Its steps come from one index walk over both sides'
-blocks, started by bisecting them on their pairs, so its cost is
-polynomial in the positions where both sides' windows meet, plus one step
-per window skipped, plus a set-up that follows the windows around its
-start.  A path's witness terms are one immutable cell per move that uses
-a generator, read off only for an element it hands out.  That element is
-built in one frame: its block joins its left terms' tetris images in one
-loop, its records are filled through their slot setters, and its right
-witness is re-evaluated against the block (``span.check_witness``).
+valuation F, minimal meeting prefix, the last tail that meets the other
+span, the last generator used at exponent 0) is one forward pass over both
+sequences' support positions that folds every answer (``_Sweep``).
+Whether the spans meet, and their least element by value or by left
+witness, come from a lighter pass (``_Reach``) that keeps only which states
+each position reaches, so those questions never build the path count,
+which at long horizons has tens of thousands of bits.  Both take their
+moves from one table per level, which joins both sides' choices on value
+and holds only the entries sweeps have met; it interns states, each
+position's pair of steps and the sets of states the lighter pass reaches
+as small ints, so a state's moves are one list indexing and one dict
+lookup away, and where the sets recur a position of the lighter pass costs
+one lookup.  A fold resumed from an earlier one over a prefix of the left
+sequence shares that fold's kept layer instead of copying it, since a fold
+writes only the layer it builds and holds generator indices.  A pass skips
+whole every generator window ``[min_support, max_support]`` that holds no
+support position of the other side: used at exponent e < k, the generator
+keeps the value k - e >= 1 at its peak, where the other side's value is 0,
+so it can only be unused.  Its steps come from one index walk over both
+sides' blocks, which bisects them on their pairs to start and to skip a
+run of windows, so its cost is polynomial in the positions where both
+sides' windows meet, plus one step per run of windows skipped (a run
+ends where the other side's next position lies: windows that interleave
+with the other side's are skipped one at a time), plus a set-up that
+follows the windows around its start.  A path's witness terms are one
+immutable cell per move that uses a generator, read off only for an
+element it hands out.  That element is built in one frame: its block
+joins its left terms' tetris images in one loop, its records are filled
+through their slot setters, and its right witness is re-evaluated against
+the block (``span.check_witness``).
 
 The sweep is loaded on the first two-span question, so a command that asks
 only about one span never compiles it: ``span.intersect_spans``,
@@ -34,7 +41,9 @@ step of which sweeps, imports it at its top.
 
 import math
 import sys
+from array import array
 from bisect import bisect_left
+from operator import itemgetter
 
 from .blocks import Subblock, _set_k, _set_pairs, peak, tetris
 from .errors import EnumerationCapExceeded, MismatchedLevel, WitnessMismatch
@@ -72,8 +81,8 @@ def _side_moves(step, choice, k):
 
 
 class _Joins:
-    """A level's sweep moves, between states and pairs of steps interned
-    as small ints.
+    """A level's sweep moves and the lighter pass's sets, between states,
+    pairs of steps and sets interned as small ints.
 
     A state gets the next id the first time a move reaches it, and the
     start state has id 0; per id, ``states`` holds the state, ``accepts``
@@ -87,12 +96,18 @@ class _Joins:
     sides are joined on value, so an entry costs its own moves plus one
     pass over each side's choices.
 
-    An entry is built the first time a sweep meets it and kept for every
-    later sweep at the level, so the table holds one entry per state and
-    pair of steps that a sweep met, and a state that only ends sweeps
-    holds none: at most the level's 4(k+2)^2 states times its pairs of
-    steps.  Ids are never given again, so a layer keyed by them holds for
-    every later sweep at the level.
+    ``name`` gives ids to the sets of states a ``_Reach`` meets (layers,
+    pairs of them, and a walked position's stride ``(gap from the
+    position before, steps id, layer after)``); the start layer ``{0}``
+    has id 0.  ``nexts[pair id]`` maps a layer to the one after the steps
+    (``step``), and ``backs``, ``leasts`` and ``picks`` memoize the passes
+    of the same names.
+
+    An entry is built the first time a sweep needs it and kept for every
+    later sweep at the level, so the table grows with the states, steps
+    and sets sweeps meet, not with their positions; ``entries`` counts
+    them, and ``_joins`` bounds it.  Ids are never given again, so a layer
+    keyed by them holds for every later sweep at the level.
     """
 
     def __init__(self, k):
@@ -100,10 +115,12 @@ class _Joins:
         # of value 0, and the states they reach grow with k
         if (k + 1) ** 2 > 2**22:
             raise EnumerationCapExceeded(f"level {k} needs {(k + 1) ** 2} sweep moves, cap is 2^22")
-        self.k = k
+        self.k, self.entries = k, 0
         self.state_ids, self.states, self.accepts, self.zeros = {}, [], [], []
-        self.pair_ids, self.pairs, self.rows = {}, [], []
+        self.pair_ids, self.pairs, self.rows, self.nexts = {}, [], [], []
+        self.name_ids, self.names, self.backs, self.leasts, self.picks = {}, [], {}, {}, {}
         self.intern(_START)
+        self.name(frozenset((0,)))
 
     def intern(self, state):
         """The id of ``state``, given the first time it is met."""
@@ -123,7 +140,17 @@ class _Joins:
             pid = self.pair_ids[steps] = len(self.pairs)
             self.pairs.append(steps)
             self.rows.append({})
+            self.nexts.append({})
         return pid
+
+    def name(self, value):
+        """The id of ``value``, given the first time it is met."""
+        got = self.name_ids.get(value)
+        if got is None:
+            got = self.name_ids[value] = len(self.names)
+            self.names.append(value)
+            self.entries += 1
+        return got
 
     def join(self, sid, pid):
         """The moves from state ``sid`` at steps ``pid``, built and kept."""
@@ -136,15 +163,125 @@ class _Joins:
             for c1, v, lused in _side_moves(lstep, cl, self.k)
             for c2, rused in right.get(v, ())
         )
+        self.entries += 1
         return moves
 
+    def moves(self, sid, pid):
+        """The moves from state ``sid`` at steps ``pid``."""
+        moves = self.rows[pid].get(sid)
+        return self.join(sid, pid) if moves is None else moves
 
-_JOINS = {}  # per level, its ``_Joins``
+    def step(self, lid, pid):
+        """The id of the layer after layer ``lid`` at steps ``pid``, built
+        and kept (a pass reads ``nexts`` first)."""
+        reached = frozenset(new for sid in self.names[lid] for new, *_ in self.moves(sid, pid))
+        got = self.nexts[pid][lid] = self.name(reached)
+        self.entries += 1
+        return got
+
+    def back(self, lid, pid, cid):
+        """The id of the co-value before steps ``pid`` from layer ``lid``
+        there and co-value ``cid`` after.  A co-value is a pair of state
+        sets: the live states, from which some path accepts, and the quiet
+        ones, from which one accepts using no further left generator, so a
+        move from the layer into a live state lies on an accepting path.
+        Built and kept (a pass reads ``backs`` first)."""
+        (live, quiet), lives, quiets = self.names[cid], set(), set()
+        for sid in self.names[lid]:
+            for new, _, lused, _ in self.moves(sid, pid):
+                if new in live:
+                    lives.add(sid)
+                if new in quiet and not lused:
+                    quiets.add(sid)
+        got = self.backs[lid, pid, cid] = self.name((frozenset(lives), frozenset(quiets)))
+        self.entries += 1
+        return got
+
+    def least(self, mid, pid, cid, mode):
+        """From the states ``mid`` before steps ``pid``, with co-value
+        ``cid`` after: the id of the states that the least live moves by
+        ``mode`` reach, and the mode after.
+
+        Where a left generator opens, a move ranks by the choice it makes
+        there: by "value", unused first, then the exponents from k - 1 down
+        to 0; by "witness", unused into a quiet state first, which ends
+        the witness (the mode becomes "ended"), then the exponents up from
+        0, then unused.  Elsewhere every live move ranks alike.  Once the
+        witness has ended, only moves into quiet states that use no left
+        generator count.  Built and kept (a pass reads ``leasts`` first)."""
+        (live, quiet), k, ranked = self.names[cid], self.k, {}
+        opens = self.pairs[pid][0].__class__ is tuple
+        for sid in self.names[mid]:
+            for y, _, lused, _ in self.moves(sid, pid):
+                choice = self.states[y][0]
+                if mode == "ended" or opens and mode == "witness" and choice < 0 and y in quiet:
+                    rank = -1 if y in quiet and not lused else None
+                elif y not in live:
+                    rank = None
+                elif not opens:
+                    rank = 0
+                elif mode == "witness":
+                    rank = k if choice < 0 else choice
+                else:
+                    rank = 0 if choice < 0 else k - choice
+                if rank is not None:
+                    ranked.setdefault(rank, set()).add(y)
+        rank = min(ranked)
+        reached = self.name(frozenset(ranked[rank]))
+        got = self.leasts[mid, pid, cid, mode] = reached, "ended" if rank < 0 else mode
+        self.entries += 1
+        return got
+
+    def pick(self, lid, pid, y):
+        """The least state of layer ``lid`` with a move to state ``y`` at
+        steps ``pid``, and whether the move uses a generator.  Built and
+        kept (a pass reads ``picks`` first)."""
+        got = self.picks[lid, pid, y] = min(
+            (sid, lused or rused)
+            for sid in self.names[lid]
+            for new, _, lused, rused in self.moves(sid, pid)
+            if new == y
+        )
+        self.entries += 1
+        return got
+
+
+_JOINS = {}  # per level, its ``_Joins``, the least recently used first
+# a fresh sweep starts a new table for its level once the level's holds
+# more entries than this, and the process keeps this many levels' tables
+_MAX_ENTRIES = 1 << 16
+_MAX_LEVELS = 8
 
 
 def _joins(k):
-    """The level's move table, made by its first sweep."""
-    return _JOINS[k] if k in _JOINS else _JOINS.setdefault(k, _Joins(k))
+    """The level's table for a fresh sweep, made by its level's first.
+
+    The process keeps at most ``_MAX_LEVELS`` tables, dropping the least
+    recently used, and a fresh sweep that finds its level's table holding
+    more than ``_MAX_ENTRIES`` entries starts a new one, so between fresh
+    sweeps the tables hold at most ``_MAX_LEVELS`` times that many entries
+    plus what one sweep adds.  A resumed sweep keeps its kept sweep's
+    table, whose ids its kept layer holds, so a chain of resumed sweeps
+    may grow one table past the bound until the next fresh sweep replaces
+    it; a dropped table lives on only in the sweeps that hold it."""
+    joins = _JOINS.pop(k, None)
+    if joins is None or joins.entries > _MAX_ENTRIES:
+        joins = _Joins(k)
+    _JOINS[k] = joins
+    if len(_JOINS) > _MAX_LEVELS:
+        del _JOINS[next(iter(_JOINS))]
+    return joins
+
+
+def _reaching(blocks, lo, hi, pos, force):
+    """The first index in ``[lo, hi)`` whose window reaches ``pos`` or
+    whose generator ``force`` fixes, else ``hi``: windows are disjoint and
+    ordered, so the first one that starts past ``pos`` is found by
+    bisection on the pairs, and the one before it may reach ``pos``."""
+    g = bisect_left(blocks, ((pos + 1,),), lo, hi, key=_PAIRS)
+    if g > lo and blocks[g - 1].pairs[-1][0] >= pos:
+        g -= 1
+    return min((h for h in force if lo <= h < g), default=g)
 
 
 def _sweep_steps(left, right, force, walked, joins):
@@ -182,9 +319,11 @@ def _sweep_steps(left, right, force, walked, joins):
     so only "unused" survives it.  At its positions the other side is off
     its support, so its step (0 or None) gives the value 0 and no answer
     moves; the skipped side keeps a stale choice, which the next opening
-    overwrites or the next step outside every window maps to None.  The
-    walk skips it by stepping past its last pair.  The hull is the outer
-    case of the same rule.
+    overwrites or the next step outside every window maps to None.  Every
+    window up to the first that reaches the other side's next position, or
+    that ``force`` fixes, is skipped at once (``_reaching``): the walk
+    steps past the last pair of the window before it.  The hull is the
+    outer case of the same rule.
     """
     blocks, others = left.blocks, right.blocks
     if not blocks:
@@ -258,11 +397,15 @@ def _sweep_steps(left, right, force, walked, joins):
         elif lg == lopen:
             lstep = lv
         else:
-            # the next right position lies past the window: skip it unless
-            # ``force`` fixes its choice, stepping past its last pair
+            # the next right position lies past the window: skip it and the
+            # run after it unless ``force`` fixes its choice, stepping past
+            # the last pair before the first window not skipped
             end = lpairs[-1][0]
             forced = force.get(lg)
             if ra > end and forced is None:
+                if lg + 1 < lstop and blocks[lg + 1].pairs[-1][0] < ra:
+                    lg = _reaching(blocks, lg + 1, lstop, ra, force) - 1
+                    lpairs = blocks[lg].pairs
                 li = len(lpairs) - 1
                 continue
             lopen, lend, lopened = lg, end, lg
@@ -276,63 +419,15 @@ def _sweep_steps(left, right, force, walked, joins):
             # side is not at ``pos`` and its branch above changed nothing
             end = rpairs[-1][0]
             if la > end:
+                if rg + 1 < rstop and others[rg + 1].pairs[-1][0] < la:
+                    rg = _reaching(others, rg + 1, rstop, la, ()) - 1
+                    rpairs = others[rg].pairs
                 ri = len(rpairs) - 1
                 continue
             ropen, rend, ropened = rg, end, rg
             rstep = rv, None
         yield pos, lopened, pair((lstep, rstep)), ropened
         lopened = ropened = None
-
-
-def _fold_least(seen, least, ended, lg, rg, states, symbols, base, by_witness):
-    """The least prefix reaching each state after one position, and by
-    witness the least ended prefix, as maps state id -> (key, chain).
-
-    ``seen`` holds the position's (state id, moves) for every state before
-    it, ``states`` the level's states by id, and ``least`` and ``ended``
-    the prefixes that reach those states.
-    Where left generator ``lg`` opens, a key gains the symbol of the move's
-    left choice (``symbols``), and an ended key the symbol -1 + 1 = 0.  By
-    witness, a move that uses ``lg`` may end the witness at that term, so
-    its prefix is an ended one too, sharing the grown chain; every other
-    move carries the ended prefix on.
-    """
-    nleast, nended = {}, {}
-    for state, moves in seen:
-        key, chain = least[state]
-        prior = ended.get(state)
-        if lg is not None:
-            key *= base
-            if prior is not None:
-                prior = prior[0] * base, prior[1]
-        for new, _, lused, rused in moves:
-            grows = lused or rused
-            new_key = key + symbols[states[new][0]] if lg is not None else key
-            entry = None
-            found = nleast.get(new)
-            if found is None or new_key < found[0]:
-                entry = nleast[new] = new_key, (chain, lg, rg, new) if grows else chain
-            if lused and by_witness:
-                found = nended.get(new)
-                if found is None or new_key < found[0]:
-                    nended[new] = entry or (new_key, (chain, lg, rg, new))
-            elif prior is not None:
-                found = nended.get(new)
-                if found is None or prior[0] < found[0]:
-                    nended[new] = prior[0], (prior[1], lg, rg, new) if grows else prior[1]
-    return nleast, nended
-
-
-def _ranked(*prefixes):
-    """Replace every key in the maps ``prefixes`` by its rank and return
-    how many keys there are: keys held after one position are equally
-    long, so ranks keep their order."""
-    keys = sorted({key for held in prefixes for key, _ in held.values()})
-    ranks = dict(zip(keys, range(len(keys))))
-    for held in prefixes:
-        for state, (key, chain) in held.items():
-            held[state] = ranks[key], chain
-    return len(keys)
 
 
 class _Sweep:
@@ -374,30 +469,13 @@ class _Sweep:
     is the largest left generator some common element uses at exponent 0,
     or -1.
 
-    With ``order``, each position's moves also fold, after that pass and
-    in ``_fold_least``, into the least prefix reaching each state, so
-    ``least`` is the common element with the least value vector
-    ("value") or left witness ("witness"), or None.  A prefix's key has one
-    symbol per left generator opened, since every value follows from the
-    choice made where its window starts (0 outside every window).  By value
-    the symbol is 0 for unused and k - e for exponent e: T^e(p) decreases
-    lexicographically in e and stays above the zero vector.  By witness it
-    is e when used; when unused, k while a later left term follows and -1
-    once the witness has ended, so that order also folds the least *ended*
-    prefix, entered at its last left term.  A key is its predecessor's
-    times k + 2 plus the symbol + 1; keys that may pass 2^64 are ranked.
-    A skipped left generator adds no symbol, and the order stays: every
-    path leaves it unused, so by value its symbol is 0 on every key, and
-    by witness it is k on every key that goes on and -1 on every ended
-    one, which holds -1 again at the next generator opened, where a key
-    that goes on holds a larger symbol.
-
     Only ``walk``, for listing (``elements``), keeps every step's moves, so
     otherwise memory does not grow with the positions.  A path's witness
     terms grow as a chain of cells (``_element`` reads them), one per move
-    that uses a generator opened there, shared by the least and least ended
-    prefix when they coincide; an element handed out builds its block from
-    its left terms' tetris images and re-evaluates the right witness.
+    that uses a generator opened there; an element handed out builds its
+    block from its left terms' tetris images and re-evaluates the right
+    witness.  Whether the spans meet and their least element are
+    ``_Reach``'s, which counts no paths.
 
     A sweep without ``walk`` keeps one layer, the states after its last
     walked position at or below ``left``'s last ``max_support``, which a
@@ -415,18 +493,18 @@ class _Sweep:
     sweep writes to or clears a layer another one holds.  So its set-up
     grows with the positions it walks, and it takes its kept sweep's last
     rechecked peak element, which ``peak_element`` hands out again while
-    the peak path holds the same chain at the same F.  A kept layer holds
-    no least prefixes, so ``order`` is not asked of a resumed sweep.
+    the peak path holds the same chain at the same F, and its kept
+    sweep's table (``_joins``), whose ids its kept layer holds.
     """
 
-    def __init__(self, left, right, force=None, walk=False, resume=None, order=None):
+    def __init__(self, left, right, force=None, walk=False, resume=None):
         if left.k != right.k:
             raise MismatchedLevel(f"levels {left.k} and {right.k}")
         self.left, self.right, self.k = left, right, left.k
         force = force or {}
         k = self.k
-        self._joins = joins = _joins(k)
-        rows, states, zeros = joins.rows, joins.states, joins.zeros
+        self._joins = joins = _joins(k) if resume is None else resume._joins
+        rows, zeros = joins.rows, joins.zeros
         # with ``walk``, per step: the left generator opened there, or
         # None, and the right one; then (state id, moves) per state before it
         self.opened = [] if walk else None
@@ -444,13 +522,6 @@ class _Sweep:
         if resume is not None:
             walked, layer = resume._kept
         kept_pos, kept_layer = walked, layer
-        ordered, by_witness, base, bound = order is not None, order == "witness", k + 2, 1
-        if ordered:
-            # per left choice where a left generator opens: its symbol + 1
-            symbols = {e: 1 + (e if by_witness else k - e) for e in range(k)}
-            symbols[_UNUSED] = 1 + k if by_witness else 1
-            least, ended = {0: (0, None)}, {}
-        record = walk or ordered
         boundary = left.blocks[-1].pairs[-1][0] if left.blocks else -1
         for pos, lg, pid, rg in _sweep_steps(left, right, force, walked, joins):
             nxt = {}
@@ -460,7 +531,7 @@ class _Sweep:
                 moves = row.get(sid)
                 if moves is None:
                     moves = joins.join(sid, pid)
-                if record:
+                if walk:
                     seen.append((sid, moves))
                 for new, v, lused, rused in moves:
                     new_top = pos if v == k else top
@@ -495,14 +566,6 @@ class _Sweep:
             layer = nxt
             if pos <= boundary:
                 kept_pos, kept_layer = pos, layer
-            if ordered:
-                least, ended = _fold_least(
-                    seen, least, ended, lg, rg, states, symbols, base, by_witness
-                )
-                if lg is not None:
-                    bound *= base  # every key held stays below it
-                    if bound >> 64:
-                        bound = _ranked(least, ended)
             if walk:
                 self.opened.append((lg, rg))
                 self.moves.append(seen)
@@ -533,14 +596,10 @@ class _Sweep:
         self.count = count
         self.tail_reach = lreach, rreach
         self.last_zero = last_zero
-        self.peak = self.prefix_length = self.least = None
+        self.peak = self.prefix_length = None
         if accepting:
             self.peak, self._peak_chain = best[1], best[2]
             self.prefix_length = least_last + 1
-            if ordered:
-                # keys differ among accepting states: each is one element
-                held = ended if by_witness else least
-                self.least = self._element(min(map(held.get, accepting))[1])
 
     def _element(self, chain):
         """The common element of a path's chain of cells ``(rest, left
@@ -624,3 +683,93 @@ class _Sweep:
         if self.count:
             self.peak_element()
         return _filled_valuation(_new(HorizonValuation), self.peak, horizon, self.count)
+
+
+class _Reach:
+    """Whether two spans meet, and their least common element, from one
+    forward pass that keeps only which states each position reaches.
+
+    The pass walks the same positions as ``_Sweep``, from the same states
+    and moves, but a layer is the set of states reached, interned in the
+    level's table, and the layer after a position is the memo
+    ``nexts[steps id][layer id]``, shared by every pass at the level, so
+    where layers recur a position costs one lookup and no path is counted.
+    It keeps its trail, one stride id per position walked.  ``empty`` tells
+    whether no state of the last layer accepts.
+
+    ``least`` takes one pass back over the trail for each position's
+    co-value (``_Joins.back``), a greedy pass forward keeping the states
+    that the least live moves so far reach (``_Joins.least``), and one path
+    back through them, a state per position (``_Joins.pick``), all
+    memoized in the level's table.  Every value follows from the choice
+    made where a left window starts (0 outside every window), and T^e(p)
+    decreases lexicographically in e and stays above the zero vector; a
+    witness that ends is less than every one that goes on.  A skipped left
+    window is unused on every path, so it ranks nothing.
+    """
+
+    _element = _Sweep._element
+
+    def __init__(self, left, right, force=None):
+        if left.k != right.k:
+            raise MismatchedLevel(f"levels {left.k} and {right.k}")
+        self.left, self.right, self.k = left, right, left.k
+        self._joins = joins = _joins(self.k)
+        nexts, named, name = joins.nexts, joins.name_ids, joins.name
+        # per position walked, the id of its stride ``(gap from the
+        # position before, steps id, layer after)``, one byte each while
+        # the ids fit
+        trail, lid, pos = array("B"), 0, -1
+        for at, _, pid, _ in _sweep_steps(left, right, force or {}, None, joins):
+            nxt = nexts[pid].get(lid)
+            lid = joins.step(lid, pid) if nxt is None else nxt
+            stride = at - pos, pid, lid
+            got = named.get(stride)
+            got = name(stride) if got is None else got
+            try:
+                trail.append(got)
+            except OverflowError:
+                trail = array("i", trail)
+                trail.append(got)
+            pos = at
+        self._trail, self._last = trail, pos
+        self._accepting = frozenset(sid for sid in joins.names[lid] if joins.accepts[sid])
+        self.empty = not self._accepting
+
+    def least(self, order):
+        """The common element with the least value vector (``order``
+        "value") or left witness ("witness"), or None."""
+        if self.empty:
+            return None
+        joins, cids, mids, mode = self._joins, array("i"), array("i"), order
+        backs, leasts, picks = joins.backs, joins.leasts, joins.picks
+        # per position walked: its stride and the id of the layer before it
+        strides = list(map(joins.names.__getitem__, self._trail))
+        befores = [0]
+        befores += map(itemgetter(2), strides)
+        cid = joins.name((self._accepting, self._accepting))
+        for (_, pid, _), before in zip(reversed(strides), reversed(befores[:-1])):
+            cids.append(cid)
+            got = backs.get((before, pid, cid))
+            cid = joins.back(before, pid, cid) if got is None else got
+        mid = 0
+        for (_, pid, _), cid in zip(strides, reversed(cids)):
+            mids.append(mid)
+            key = mid, pid, cid, mode
+            got = leasts.get(key)
+            mid, mode = joins.least(*key) if got is None else got
+        # the states left end paths to the least element
+        y, chain, pos = min(joins.names[mid]), None, self._last
+        left, right = self.left.blocks, self.right.blocks
+        for (gap, pid, _), mid in zip(reversed(strides), reversed(mids)):
+            got = picks.get((mid, pid, y))
+            x, grows = joins.pick(mid, pid, y) if got is None else got
+            if grows:
+                # a side opens its generator where its step is a tuple, at
+                # the window that starts there
+                lstep, rstep = joins.pairs[pid]
+                lg = bisect_left(left, ((pos,),), key=_PAIRS) if lstep.__class__ is tuple else None
+                rg = bisect_left(right, ((pos,),), key=_PAIRS) if rstep.__class__ is tuple else None
+                chain = chain, lg, rg, y
+            y, pos = x, pos - gap
+        return self._element(chain)

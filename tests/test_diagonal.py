@@ -39,7 +39,7 @@ from fink import (
 from fink import diagonal as diagonal_module
 from fink import sweep as sweep_module
 from fink.structure import _tail_certificate
-from fink.sweep import _Sweep
+from fink.sweep import _Reach, _Sweep
 
 
 def blk(k, pairs):
@@ -101,23 +101,34 @@ class TestValidate:
 
     def test_one_sweep_per_unordered_pair(self, monkeypatch):
         built = []
-        init = _Sweep.__init__
+        init, reach, least = _Sweep.__init__, _Reach.__init__, _Reach.least
 
         def counting(self, *args, **kwargs):
-            built.append((kwargs.get("walk", False), kwargs.get("order")))
+            built.append(("sweep", kwargs.get("walk", False)))
             init(self, *args, **kwargs)
 
+        def reaching(self, *args, **kwargs):
+            built.append(("reach",))
+            reach(self, *args, **kwargs)
+
+        def ordering(self, order):
+            built.append(("least", order))
+            return least(self, order)
+
         monkeypatch.setattr(_Sweep, "__init__", counting)
+        monkeypatch.setattr(_Reach, "__init__", reaching)
+        monkeypatch.setattr(_Reach, "least", ordering)
         members = [make_builtin(name, 2) for name in ("example13_P", "example13_Q", "evens")]
         validate_family(members, tail_index=1, horizon=21)
-        assert built == [(False, None)] * math.comb(3, 2)
-        # a failing pair adds only its certificate's witness: one sweep
-        # ordered by left witness; no sweep records its moves
+        assert built == [("sweep", False)] * math.comb(3, 2)
+        # a failing pair adds only its certificate's witness: one pass of
+        # the tail, asked for its least element by left witness; no sweep
+        # records its moves
         p = make_builtin("example13_P", 2)
         built.clear()
         with pytest.raises(NotAlmostDisjoint) as info:
             validate_family([p, p], tail_index=1, horizon=21)
-        assert built == [(False, None), (False, "witness")]
+        assert built == [("sweep", False), ("reach",), ("least", "witness")]
         truncation = p.truncate(21)
         assert info.value.pair == (0, 1)
         assert info.value.certificate == _tail_certificate(truncation, truncation, 1, 21)

@@ -30,7 +30,7 @@ from fink import (
     run_diagonalization,
     validate_family,
 )
-from fink.sweep import _Sweep
+from fink.sweep import _Reach, _Sweep
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -161,8 +161,8 @@ def filled_records():
         records += [step, *step.checks]
         records += [v for check in step.checks for v in (check.before, check.after)]
     left, right = family.truncations[:2]
-    sweeps = [_Sweep(left, right), _Sweep(left, right, walk=True), _Sweep(left, right, order="value")]
-    elements = [sweeps[0].peak_element(), *sweeps[1].elements(), sweeps[2].least]
+    sweeps = [_Sweep(left, right), _Sweep(left, right, walk=True), _Reach(left, right)]
+    elements = [sweeps[0].peak_element(), *sweeps[1].elements(), sweeps[2].least("value")]
     records += [sweeps[0].valuation(21), _Sweep(left.prefix(0), right).valuation(21)]
     for element in elements:
         records += [element, element.left_witness, element.right_witness]

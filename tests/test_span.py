@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import oracle
 from conftest import make_overlapping_pair, make_random_sequence
 from fink import (
+    BUILTIN_NAMES,
     BlockSequence,
     Combination,
     CommonElement,
@@ -51,7 +52,7 @@ from fink import (
 from fink import span
 from fink import sweep as sweep_module
 from fink.cli import main
-from fink.sweep import _UNUSED, _Sweep
+from fink.sweep import _UNUSED, _Reach, _Sweep
 
 
 def blk(k, pairs):
@@ -680,7 +681,7 @@ def test_trusted_combinations_pass_the_checks(k, data):
             _assert_checked(membership_witness(block, left, starred=starred), starred)
     _assert_checked(membership_witness(Subblock._raw(k, ()), left, starred=True), True)
     found = [*intersect_spans(left, right), first_common_element(left, right)]
-    found.append(_Sweep(left, right, order="value").least)
+    found.append(_Reach(left, right).least("value"))
     sweep = _Sweep(left, right)
     if sweep.count:
         found.append(sweep.peak_element())
@@ -860,6 +861,35 @@ def partners(left):
     return st.lists(st.sampled_from(pool), min_size=1, max_size=4).map(assemble)
 
 
+def every_answer(left, right, force=None, listing=True):
+    """Every answer about the two spans, from the fold (``_Sweep``) and the
+    set pass (``_Reach``), in the order of ``reference_answers``; the peak
+    element is checked to attain F, and the listing is read only with
+    ``listing``."""
+    sweep, reach = _Sweep(left, right, force, walk=listing), _Reach(left, right, force)
+    if sweep.count:
+        assert peak(sweep.peak_element().block) == sweep.peak
+    return (
+        reach.empty, *fold_answers(sweep), reach.least("value"), reach.least("witness"),
+        set(sweep.elements()) if listing else None,
+    )
+
+
+def fold_answers(sweep):
+    return sweep.count, sweep.peak, sweep.last_zero, sweep.prefix_length, tuple(sweep.tail_reach)
+
+
+def reference_answers(left, right, force=None, listing=True):
+    """The same answers from the reference sweep, ``oracle._Sweep``."""
+    plain = oracle._Sweep(left, right, force)
+    return (
+        not plain.count, *fold_answers(plain),
+        oracle._Sweep(left, right, force, order="value").least,
+        oracle._Sweep(left, right, force, order="witness").least,
+        set(oracle._Sweep(left, right, force, walk=True).elements()) if listing else None,
+    )
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
 @given(data=st.data())
 def test_sweep_matches_oracle(k, data):
@@ -890,6 +920,12 @@ def test_sweep_matches_oracle(k, data):
     )
     if table:
         assert walking.peak_element() == sweep.peak_element()
+    # every answer equals the reference sweep's, also with one generator
+    # forced to a choice: unused, or at k <= 4 an exponent
+    assert every_answer(left, right) == reference_answers(left, right)
+    g = data.draw(st.integers(0, len(left) - 1))
+    choice = data.draw(st.sampled_from(range(_UNUSED, k if k <= 4 else 0)))
+    assert every_answer(left, right, {g: choice}) == reference_answers(left, right, {g: choice})
     # the last tail of each side that meets the other span, and the last
     # left generator used at exponent 0
     assert sweep.tail_reach == (
@@ -905,6 +941,7 @@ def test_sweep_matches_oracle(k, data):
         tail = _Sweep(BlockSequence(k, left.blocks[n:]), right)
         assert bool(tail.count) == bool(oracle.intersection_elements(gens_l[n:], gens_r, k))
         assert bool(tail.count) == (sweep.tail_reach[0] >= n)
+        assert _Reach(BlockSequence(k, left.blocks[n:]), right).empty == (not tail.count)
     for g in range(len(left)):
         for choice in range(_UNUSED, k):
             expected = sum(dict(a).get(g, _UNUSED) == choice for a, _ in table.values())
@@ -924,7 +961,7 @@ def test_sweep_matches_oracle(k, data):
         ce.left_witness.sort_key() for ce in listing
     )
     first = first_common_element(left, right)
-    least = _Sweep(left, right, order="value").least
+    least = _Reach(left, right).least("value")
     if not table:
         assert first is None and least is None and not listing
         return
@@ -948,8 +985,8 @@ def test_sweep_matches_oracle(k, data):
                 [key for key, (a, _) in table.items() if a[0][0] >= n],
             ),
         ):
-            by_value = _Sweep(within_left, right, order="value").least
-            by_witness = _Sweep(within_left, right, order="witness").least
+            by_value = _Reach(within_left, right).least("value")
+            by_witness = _Reach(within_left, right).least("witness")
             if not within:
                 assert by_value is None and by_witness is None
                 continue
@@ -967,11 +1004,33 @@ def test_sweep_matches_oracle(k, data):
                 )
 
 
+@pytest.mark.parametrize("horizon", [63, 1023, 8191])
+def test_sweep_matches_oracle_on_builtin_pairs(horizon):
+    # every ordered pair of builtins at levels 2 and 3, listed where the
+    # listing is short, and at the smallest horizon a chain of sweeps
+    # resumed one block at a time
+    for k in (2, 3):
+        truncations = [make_builtin(name, k).truncate(horizon) for name in BUILTIN_NAMES]
+        for left, right in itertools.permutations(truncations, 2):
+            listing = oracle._Sweep(left, right).count <= 64
+            assert every_answer(left, right, listing=listing) == reference_answers(
+                left, right, listing=listing
+            )
+            if horizon == 63:
+                chained = None
+                for m in range(len(left) + 1):
+                    chained = _Sweep(left.prefix(m), right, resume=chained)
+                    plain = oracle._Sweep(left.prefix(m), right)
+                    assert fold_answers(chained) == fold_answers(plain)
+                    if plain.count:
+                        assert peak(chained.peak_element().block) == chained.peak
+
+
 @pytest.mark.parametrize("k", [2, 4])
 def test_least_elements_after_many_positions(k):
-    # keys grow by a factor k + 2 per left generator opened and are
-    # re-ranked past 64 bits, so over 40 or more left generators the least
-    # elements are found by ranks
+    # over 40 or more left generators, every one opened, the greedy passes
+    # still find the least elements; the reference sweep's keys would pass
+    # 64 bits here and be re-ranked
     rng = random.Random(7 + k)
     for _ in range(4):
         left = make_random_sequence(rng, k, max_generators=60, max_position=120)
@@ -987,7 +1046,8 @@ def test_least_elements_after_many_positions(k):
             terms[i] = (terms[i][0], 0)
             groups.append(evaluate(left, Combination(tuple(terms))))
         right = BlockSequence(k, groups)
-        # more openings than 64 / log2(k + 2): the sweep over ``left`` re-ranks
+        # more openings than 64 / log2(k + 2), past which keys of k + 2
+        # symbols per opening would be re-ranked
         opened = [lg for lg, _ in _Sweep(left, right, walk=True).opened if lg is not None]
         assert opened == list(range(len(left)))
         assert len(opened) > 64 / math.log2(k + 2)
@@ -997,21 +1057,21 @@ def test_least_elements_after_many_positions(k):
             assert first_common_element(a, b) == min(
                 listing, key=lambda ce: ce.left_witness.sort_key()
             )
-            assert _Sweep(a, b, order="value").least == min(
+            assert _Reach(a, b).least("value") == min(
                 listing, key=lambda ce: oracle.value_vector(oracle.to_dict(ce.block))
             )
 
 
 def test_a_witness_ordered_sweep_grows_one_cell_per_move():
-    # example13_P and example13_Q over about 2^12 blocks each: with one
-    # cell per move that uses a generator the sweep peaks near 0.65 MiB on
-    # CPython 3.10-3.13, and near 1.9 MiB if each such move rebuilds both
-    # witnesses' term lists
+    # example13_P and example13_Q over about 2^12 blocks each: a least
+    # element built from one cell per move that uses a generator stays well
+    # under the bound, which a sweep that rebuilt both witnesses' term
+    # lists per such move passed (near 1.9 MiB)
     P, Q = (make_builtin(name, 2).truncate(8190) for name in ("example13_P", "example13_Q"))
-    _Sweep(P, Q, order="witness")  # builds the level's moves this sweep meets
+    _Reach(P, Q).least("witness")  # builds the level's memos this pass meets
     tracemalloc.start()
     try:
-        least = _Sweep(P, Q, order="witness").least
+        least = _Reach(P, Q).least("witness")
         _, peak_bytes = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1133,6 +1193,67 @@ def test_the_move_table_lives_with_its_level():
     assert 2048 not in sweep_module._JOINS
 
 
+def every_question(left, right):
+    """Each answer about two spans, from a fresh fold and a fresh pass."""
+    sweep, reach = _Sweep(left, right, walk=True), _Reach(left, right)
+    return (
+        *fold_answers(sweep), reach.empty, reach.least("value"), reach.least("witness"),
+        sorted(ce.left_witness.sort_key() for ce in sweep.elements()),
+    )
+
+
+def table_entries(joins):
+    """The entries a level's table holds, counted afresh."""
+    memos = joins.names, joins.backs, joins.leasts, joins.picks, *joins.rows, *joins.nexts
+    return sum(map(len, memos))
+
+
+def test_the_move_tables_stay_bounded(monkeypatch):
+    # many random sweeps at five levels, with room for two levels' tables
+    # of 300 entries: a fresh sweep starts on its level's table only while
+    # that table holds at most 300 entries, and at most two are kept
+    monkeypatch.setattr(sweep_module, "_JOINS", {})
+    monkeypatch.setattr(sweep_module, "_MAX_ENTRIES", 300)
+    monkeypatch.setattr(sweep_module, "_MAX_LEVELS", 2)
+    joins, started, replaced = sweep_module._joins, [], []
+
+    def starting(k):
+        prior = sweep_module._JOINS.get(k)
+        table = joins(k)
+        started.append((table, table.entries))
+        replaced.append(prior is not None and prior is not table)
+        return table
+
+    monkeypatch.setattr(sweep_module, "_joins", starting)
+    rng = random.Random(23)
+    for _ in range(150):
+        k = rng.randint(1, 5)
+        every_question(*make_overlapping_pair(rng, k, max_generators=6, max_position=20))
+        assert len(sweep_module._JOINS) <= 2
+    assert all(entries <= 300 for _, entries in started)
+    # tables grew past the cap and were replaced, and levels were dropped
+    tables = {id(table): table for table, _ in started}.values()
+    assert any(replaced) and len(tables) > 5 and max(t.entries for t in tables) > 300
+    # each table's running count is what it holds
+    assert all(table.entries == table_entries(table) for table in tables)
+
+
+def test_a_dropped_table_is_rebuilt_with_the_same_answers(monkeypatch):
+    rng = random.Random(29)
+    pairs = [make_overlapping_pair(rng, k, max_generators=6, max_position=20) for k in (1, 2, 3, 2)]
+    before = [every_question(*pair) for pair in pairs]
+    held = _Sweep(*pairs[1])
+    old = held._joins
+    # drop every table: each level's next sweep builds its table again
+    monkeypatch.setattr(sweep_module, "_JOINS", {})
+    assert [every_question(*pair) for pair in pairs] == before
+    assert sweep_module._JOINS[2] is not old
+    # a sweep made before keeps its table, whose ids its kept layer holds,
+    # and a sweep resumed from it reads that table too
+    resumed = _Sweep(*pairs[1], resume=held)
+    assert resumed._joins is old and fold_answers(resumed) == before[1][:5]
+
+
 def walked_positions(left, right, force=None):
     """The positions a fresh sweep of ``left`` against ``right`` walks."""
     joins = sweep_module._joins(left.k)
@@ -1189,7 +1310,7 @@ def test_resumed_sweep_matches_a_fresh_one(k, data):
     # straddle left blocks and widen a prefix's hull past its last block
     right = data.draw(st.one_of(generator_lists(k), partners(left)))
     g = data.draw(st.integers(0, len(left) - 1))
-    choice = data.draw(st.sampled_from([None, _UNUSED, 0]))
+    choice = data.draw(st.sampled_from([None, _UNUSED, *range(k)]))
     force = {} if choice is None else {g: choice}
 
     def last_zero(m, within):
@@ -1206,6 +1327,7 @@ def test_resumed_sweep_matches_a_fresh_one(k, data):
     fresh = _Sweep(left, right, force)
     answers = sweep_answers(fresh)
     assert fresh.last_zero == last_zero(len(left), force)
+    assert every_answer(left, right, force) == reference_answers(left, right, force)
     # every split point: one block, several blocks or none appended; the
     # kept layer's folds name generators of ``left`` too, so they hold
     # whether or not the resumed sweep walks the last generator
@@ -1221,6 +1343,7 @@ def test_resumed_sweep_matches_a_fresh_one(k, data):
         direct = _Sweep(left.prefix(m), right, within)
         assert sweep_answers(chained) == sweep_answers(direct)
         assert chained.last_zero == last_zero(m, within)
+        assert fold_answers(chained) == fold_answers(oracle._Sweep(left.prefix(m), right, within))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -1359,8 +1482,8 @@ def test_skipping_sweep_matches_oracle(k, data):
     assert walking.last_zero == max(
         (g for a, _ in table.values() for g, e in a if e == 0), default=-1
     )
-    by_value = _Sweep(left, right, order="value").least
-    by_witness = _Sweep(left, right, order="witness").least
+    by_value = _Reach(left, right).least("value")
+    by_witness = _Reach(left, right).least("witness")
     if not table:
         assert by_value is None and by_witness is None
     else:
@@ -1548,6 +1671,28 @@ def test_sweep_steps_match_the_reference_producer(k, data):
         assert named_steps(sweep_module._sweep_steps, left, right, force, walked) == (
             named_steps(oracle.sweep_steps, left, right, force, walked)
         )
+
+
+def test_the_producer_skips_a_run_of_windows_in_one_bisection():
+    # every evens window between 0 and 131070 holds no position of the
+    # other side, whose next position is 131070, so the producer skips the
+    # run by bisection, on either side and up to a forced window, reading
+    # a few dozen blocks instead of one per window
+    reads = []
+
+    class Counted(tuple):
+        def __getitem__(self, index):
+            reads.append(index)
+            return tuple.__getitem__(self, index)
+
+    evens, far = make_builtin("evens", 2).truncate(131070), seq(2, "0:2", "131070:2")
+    for left, right, force in ((evens, far, {}), (far, evens, {}), (evens, far, {40000: _UNUSED})):
+        counted = [BlockSequence._trusted(2, Counted(s.blocks)) for s in (left, right)]
+        reads.clear()
+        steps = named_steps(sweep_module._sweep_steps, *counted, force, None)
+        assert len(reads) < 200
+        assert steps == named_steps(oracle.sweep_steps, left, right, force, None)
+        assert [pos for pos, *_ in steps] == ([0, 80000, 131070] if force else [0, 131070])
 
 
 def test_diagonal_sweeps_step_as_the_reference_producer(monkeypatch):

@@ -31,7 +31,7 @@ from fink import (
     star,
     star_split,
 )
-from fink.sweep import _Sweep
+from fink.sweep import _Reach, _Sweep
 
 
 def blk(k, pairs):
@@ -347,25 +347,36 @@ def test_graph_observations_on_random_pairs():
 
 def test_least_elements_come_from_sweeps_that_record_no_moves(monkeypatch):
     built = []
-    init = _Sweep.__init__
+    init, reach, least = _Sweep.__init__, _Reach.__init__, _Reach.least
 
     def counting(self, *args, **kwargs):
-        built.append((kwargs.get("walk", False), kwargs.get("order")))
+        built.append(("sweep", kwargs.get("walk", False)))
         init(self, *args, **kwargs)
 
+    def reaching(self, *args, **kwargs):
+        built.append(("reach",))
+        reach(self, *args, **kwargs)
+
+    def ordering(self, order):
+        built.append(("least", order))
+        return least(self, order)
+
     monkeypatch.setattr(_Sweep, "__init__", counting)
+    monkeypatch.setattr(_Reach, "__init__", reaching)
+    monkeypatch.setattr(_Reach, "least", ordering)
     assert first_common_element(P3, Q3).left_witness.terms == ((0, 0),)
-    assert built == [(False, "witness")]
+    assert built == [("reach",), ("least", "witness")]
     built.clear()
     # the minimal prefix, then its least element by value
     assert extract_intertwined(P3, Q3).prefix_length == 1
-    assert built == [(False, None), (False, "value")]
+    assert built == [("sweep", False), ("reach",), ("least", "value")]
     built.clear()
-    # a nonempty verdict: the count, then the least left witness
+    # a nonempty verdict: one pass of the tail, then its least left
+    # witness; no path is counted
     p = make_builtin("example13_P", 2)
     cert = smallness_check(p, p, tail_index=1, horizon=15)
     assert cert.verdict == "nonempty"
-    assert built == [(False, None), (False, "witness")]
+    assert built == [("reach",), ("least", "witness")]
     built.clear()
     assert smallness_check(p, make_builtin("evens", 2), 1, 8).verdict == "empty_at_horizon"
-    assert built == [(False, None)]
+    assert built == [("reach",)]

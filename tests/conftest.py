@@ -1,8 +1,13 @@
-"""Shared fixtures and generators for randomized tests."""
+"""Shared fixtures, generators for randomized tests, and CLI runners."""
 
+import os
 import random
+import subprocess
+import sys
 
+import fink
 from fink import BlockSequence, Subblock, enumerate_span
+from fink.cli import main
 
 try:
     from hypothesis import settings
@@ -50,3 +55,19 @@ def make_overlapping_pair(rng, k, max_generators=5, max_position=12):
     picked.sort(key=lambda b: b.min_support)
     right = BlockSequence(k, picked) if picked else left
     return left, right
+
+
+def run(capsys, *argv):
+    """``cli.main``'s exit code and what it wrote to stdout and stderr."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run_module(*argv, optimize=False):
+    """``python [-O] -m fink`` with the package under test on the path."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fink.__file__)))
+    flags = ["-O"] if optimize else []
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "fink", *argv], capture_output=True, text=True, env=env
+    )

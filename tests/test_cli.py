@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ import tracemalloc
 import pytest
 
 import fink
+from conftest import run, run_module
 from fink import cli
 from fink.cli import main
 
@@ -35,12 +37,6 @@ def files(tmp_path):
         target.write_text(text, encoding="utf-8")
         paths[name] = str(target)
     return paths
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 class TestMember:
@@ -125,6 +121,27 @@ class TestEvalAndSpan:
         code, out, err = run(capsys, *argv, "--starred")
         assert (code, err) == (0, "")
         assert out == ("-\n" if form == "text" else '{"block": "-"}\n')
+
+    def test_eval_over_many_generators_is_read_back_by_member(self, capsys, tmp_path):
+        # generator i lies inside positions 3i..3i+2; about half of them are
+        # used, at exponents 0..2; the expected body is built here, without fink
+        rng, k = random.Random(19), 3
+        gens, terms, body = [], [], []
+        for i in range(10**4):
+            support = sorted(rng.sample(range(3 * i, 3 * i + 3), rng.randint(1, 3)))
+            values = {p: rng.randint(1, k) for p in support}
+            values[rng.choice(support)] = k
+            gens.append(",".join(f"{p}:{v}" for p, v in sorted(values.items())))
+            if rng.random() < 0.5:
+                e = 0 if not terms else rng.randrange(k)
+                terms.append(f"{i}^{e}")
+                body += [f"{p}:{v - e}" for p, v in sorted(values.items()) if v > e]
+        target = tmp_path / "long.seq"
+        target.write_text("k=3\n" + "\n".join(gens) + "\n", encoding="utf-8")
+        comb, body = " + ".join(terms), ",".join(body)
+        assert run(capsys, "eval", "--seq", str(target), "--comb", comb) == (0, body + "\n", "")
+        out = run(capsys, "member", "--seq", str(target), "--block", body)
+        assert out == (0, f"yes {comb}\n", "")
 
     def test_span_golden(self, capsys, tmp_path):
         target = tmp_path / "two.seq"
@@ -920,15 +937,6 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout == "yes 0^0 + 1^1 + 2^1\n"
 
 
-def run_module(*argv, optimize=False):
-    """``python [-O] -m fink`` with the package under test on the path."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fink.__file__)))
-    flags = ["-O"] if optimize else []
-    return subprocess.run(
-        [sys.executable, *flags, "-m", "fink", *argv], capture_output=True, text=True, env=env
-    )
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1046,6 +1054,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
             assert "fink.sweep" in modules, name
         else:
             assert not {"fink.sweep", "fink.streams", "fink.diagonal"} & set(modules), name
+    assert "fink.span" in loaded["eval"][1]
+    assert "fink.structure" not in loaded["eval"][1]
 
 
 def outcome(capsys, argv):

@@ -10,11 +10,12 @@ Everything here is exact and deterministic.  Enumeration walks index
 subsets depth first and lazily, so elements come out in witness order with
 no sort, and an unstarred listing steps only through exponent vectors it
 lists.  Membership is decided directly from the forced exponents.  A
-question about two spans at once is one position sweep, which lives in
+question about two spans at once is a position sweep, which lives in
 ``fink.sweep`` and is loaded on the first such question (``_sweeping``):
 ``intersect_spans``, ``first_common_element`` and ``structure`` reach it
 through that, so a program that asks only about one span never compiles
-it.  Every positive
+it.  A sweep fixes a common element's left witness, and
+``membership_witness`` gives and checks its right one.  Every positive
 answer carries a witness combination that evaluates back to the queried
 subblock.  Evaluation appends each term's lowered pairs to one list.  A
 combination whose terms the library made itself is built unchecked, while
@@ -232,9 +233,10 @@ class Combination(Record):
 
 
 # unchecked, inline: ``_span_walk``, ``membership_witness`` (which then
-# evaluates the witness) and ``sweep._Sweep._element`` (both witnesses of
-# an accepting path, which sees exponent 0 on both sides) fill a bare
-# Combination's slots from terms they made themselves
+# evaluates the witness) and ``sweep._element`` (the left witness of an
+# accepting path, which sees exponent 0 on the left, whose right witness
+# is ``membership_witness``'s) fill a bare Combination's slots from terms
+# they made themselves
 _set_terms, _set_starred = Combination._setters
 
 
@@ -602,12 +604,16 @@ def intersect_spans(left, right, cap_bits=DEFAULT_CAP_BITS):
     """All blocks common to both spans, each with a witness per side.
 
     Results are sorted by the left witness (index tuple, then exponents).
-    The exact count is known before listing: more than ``2^cap_bits``
-    elements raise EnumerationCapExceeded.
+    The exact count comes first, from the sweep that folds path counts
+    (``sweep._Sweep``): more than ``2^cap_bits`` elements raise
+    EnumerationCapExceeded before any is built.  The listing walks the
+    live moves of the pass that keeps only the states each position reaches
+    (``sweep._Reach.elements``), and each element's right witness comes
+    from ``membership_witness``.
     """
-    sweep = _sweeping()._Sweep(left, right, walk=True)
-    _check_listing(sweep.count, "common elements", cap_bits)
-    common = sweep.elements()
+    sweep = _sweeping()
+    _check_listing(sweep._Sweep(left, right).count, "common elements", cap_bits)
+    common = sweep._Reach(left, right).elements()
     common.sort(key=lambda ce: ce.left_witness.sort_key())
     return tuple(common)
 

@@ -22,8 +22,10 @@ the sweep module when called (``span._sweeping``), so ``graph``,
 graphs, never compile it.  Extraction takes the minimal prefix from a
 position sweep that folds indices (``sweep._Sweep``) and that prefix's
 least element from a pass that keeps only the states each position
-reaches (``sweep._Reach``); the smallness probe takes both its verdict
-and its witness from one such pass, so it never counts paths.
+reaches (``sweep._Reach``), whose left terms are read forward off that
+pass and whose right witness ``membership_witness`` finds; the smallness
+probe takes both its verdict and its witness from one such pass, so it
+never counts paths.
 """
 
 from bisect import bisect_left

@@ -1,19 +1,22 @@
 """The position sweep: every question about two spans at once.
 
-A question about the common elements of two spans (their count, listing,
-valuation F, minimal meeting prefix, the last tail that meets the other
-span, the last generator used at exponent 0) is one forward pass over both
-sequences' support positions that folds every answer (``_Sweep``).
-Whether the spans meet, and their least element by value or by left
-witness, come from a lighter pass (``_Reach``) that keeps only which states
-each position reaches, so those questions never build the path count,
-which at long horizons has tens of thousands of bits.  Both take their
-moves from one table per level, which joins both sides' choices on value
-and holds only the entries sweeps have met; it interns states, each
-position's pair of steps and the sets of states the lighter pass reaches
-as small ints, so a state's moves are one list indexing and one dict
-lookup away, and where the sets recur a position of the lighter pass costs
-one lookup.  A fold resumed from an earlier one over a prefix of the left
+A question about the common elements of two spans is a pass over both
+sequences' support positions.  The lighter pass (``_Reach``) keeps only
+which states each position reaches, so it never builds the path count,
+which at long horizons has tens of thousands of bits: its last layer tells
+whether the spans meet, and one pass back over its trail gives each
+position's live states, from which some path accepts.  Read forward off
+those, a greedy pass gives the least element by value or by left witness,
+and a depth-first walk through the live moves lists every element.  The
+fold (``_Sweep``) walks the same positions once and folds, per state, the
+count, the valuation F with a path attaining it, and the generator indices
+that minimal prefixes, tail verdicts and the diagonal read.  Both take
+their moves from one table per level, which joins both sides' choices on
+value and holds only the entries sweeps have met; it interns states, each
+position's pair of steps and the sets of states the lighter pass meets as
+small ints, so a state's moves are one list indexing and one dict lookup
+away, and where the sets recur a position of the lighter pass costs one
+lookup.  A fold resumed from an earlier one over a prefix of the left
 sequence shares that fold's kept layer instead of copying it, since a fold
 writes only the layer it builds and holds generator indices.  A pass skips
 whole every generator window ``[min_support, max_support]`` that holds no
@@ -25,12 +28,16 @@ run of windows, so its cost is polynomial in the positions where both
 sides' windows meet, plus one step per run of windows skipped (a run
 ends where the other side's next position lies: windows that interleave
 with the other side's are skipped one at a time), plus a set-up that
-follows the windows around its start.  A path's witness terms are one
-immutable cell per move that uses a generator, read off only for an
-element it hands out.  That element is built in one frame: its block
-joins its left terms' tetris images in one loop, its records are filled
-through their slot setters, and its right witness is re-evaluated against
-the block (``span.check_witness``).
+follows the windows around its start.
+
+Every element a pass hands out is built from its left terms alone
+(``_element``): the terms fix the block, and a span element has one
+witness per side.  The block joins the terms' tetris images in one loop,
+its records are filled through their slot setters, and its right witness
+is ``span.membership_witness``'s, which re-evaluates what it returns, so
+no pass decodes a right term.  A fold's path keeps its left terms as one
+immutable cell per move that uses a left generator, read off only for an
+element it hands out.
 
 The sweep is loaded on the first two-span question, so a command that asks
 only about one span never compiles it: ``span.intersect_spans``,
@@ -43,12 +50,11 @@ import math
 import sys
 from array import array
 from bisect import bisect_left
-from operator import itemgetter
 
 from .blocks import Subblock, _set_k, _set_pairs, peak, tetris
 from .errors import EnumerationCapExceeded, MismatchedLevel, WitnessMismatch
 from .span import _PAIRS, Combination, CommonElement, HorizonValuation, _filled_valuation, _new
-from .span import _set_starred, _set_terms, check_witness
+from .span import _set_starred, _set_terms, check_witness, membership_witness
 
 # a position sweep's choice for a generator it does not use
 _UNUSED = -1
@@ -100,8 +106,8 @@ class _Joins:
     pairs of them, and a walked position's stride ``(gap from the
     position before, steps id, layer after)``); the start layer ``{0}``
     has id 0.  ``nexts[pair id]`` maps a layer to the one after the steps
-    (``step``), and ``backs``, ``leasts`` and ``picks`` memoize the passes
-    of the same names.
+    (``step``), and ``backs`` and ``leasts`` memoize the passes of the
+    same names.
 
     An entry is built the first time a sweep needs it and kept for every
     later sweep at the level, so the table grows with the states, steps
@@ -118,7 +124,7 @@ class _Joins:
         self.k, self.entries = k, 0
         self.state_ids, self.states, self.accepts, self.zeros = {}, [], [], []
         self.pair_ids, self.pairs, self.rows, self.nexts = {}, [], [], []
-        self.name_ids, self.names, self.backs, self.leasts, self.picks = {}, [], {}, {}, {}
+        self.name_ids, self.names, self.backs, self.leasts = {}, [], {}, {}
         self.intern(_START)
         self.name(frozenset((0,)))
 
@@ -200,15 +206,18 @@ class _Joins:
     def least(self, mid, pid, cid, mode):
         """From the states ``mid`` before steps ``pid``, with co-value
         ``cid`` after: the id of the states that the least live moves by
-        ``mode`` reach, and the mode after.
+        ``mode`` reach, the mode after, and the exponent those moves give
+        the left generator that opens there, or ``_UNUSED``.
 
         Where a left generator opens, a move ranks by the choice it makes
         there: by "value", unused first, then the exponents from k - 1 down
         to 0; by "witness", unused into a quiet state first, which ends
         the witness (the mode becomes "ended"), then the exponents up from
-        0, then unused.  Elsewhere every live move ranks alike.  Once the
-        witness has ended, only moves into quiet states that use no left
-        generator count.  Built and kept (a pass reads ``leasts`` first)."""
+        0, then unused.  So the moves of the least rank make one choice.
+        Elsewhere every live move ranks alike and no generator opens.  Once
+        the witness has ended, only moves into quiet states that use no
+        left generator count.  Built and kept (a pass reads ``leasts``
+        first)."""
         (live, quiet), k, ranked = self.names[cid], self.k, {}
         opens = self.pairs[pid][0].__class__ is tuple
         for sid in self.names[mid]:
@@ -227,21 +236,10 @@ class _Joins:
                 if rank is not None:
                     ranked.setdefault(rank, set()).add(y)
         rank = min(ranked)
-        reached = self.name(frozenset(ranked[rank]))
-        got = self.leasts[mid, pid, cid, mode] = reached, "ended" if rank < 0 else mode
-        self.entries += 1
-        return got
-
-    def pick(self, lid, pid, y):
-        """The least state of layer ``lid`` with a move to state ``y`` at
-        steps ``pid``, and whether the move uses a generator.  Built and
-        kept (a pass reads ``picks`` first)."""
-        got = self.picks[lid, pid, y] = min(
-            (sid, lused or rused)
-            for sid in self.names[lid]
-            for new, _, lused, rused in self.moves(sid, pid)
-            if new == y
-        )
+        winners = ranked[rank]
+        taken = self.states[next(iter(winners))][0] if opens else _UNUSED
+        reached = self.name(frozenset(winners))
+        got = self.leasts[mid, pid, cid, mode] = reached, "ended" if rank < 0 else mode, taken
         self.entries += 1
         return got
 
@@ -430,8 +428,31 @@ def _sweep_steps(left, right, force, walked, joins):
         lopened = ropened = None
 
 
+def _element(left, right, terms):
+    """The common element whose left witness has ``terms``, ascending: its
+    block joins the terms' tetris images, and its right witness is
+    ``membership_witness``'s, re-evaluated there; a block outside the right
+    span raises WitnessMismatch."""
+    blocks, pairs = left.blocks, []
+    for g, e in terms:
+        pairs += tetris(blocks[g], e).pairs
+    block, witness = _new(Subblock), _new(Combination)
+    _set_k(block, left.k)
+    _set_pairs(block, tuple(pairs))
+    _set_terms(witness, terms)
+    _set_starred(witness, False)
+    other = membership_witness(block, right)
+    if other is None:
+        raise WitnessMismatch(f"block {block.render()} has no witness over the right sequence")
+    element = _new(CommonElement)
+    _set_block(element, block)
+    _set_left_witness(element, witness)
+    _set_right_witness(element, other)
+    return element
+
+
 class _Sweep:
-    """Every question about the common elements of two spans, in one pass.
+    """The questions about two spans that a fold answers, in one pass.
 
     The sweep walks both sequences' support positions inside the hull of
     the left windows (``_sweep_steps``), skipping every window that holds
@@ -457,7 +478,7 @@ class _Sweep:
     ``force`` maps left generator indices to a fixed choice, unused or one
     exponent, and its windows are never skipped.  The forward pass folds,
     per state and move by move, the number of paths, the largest last
-    position of value k (with the terms of a path attaining it: when
+    position of value k (with the left terms of a path attaining it: when
     several do, the fold order over the positions walked picks one), the
     smallest largest left index used, the largest least index used on each
     side (above every index before a side's first use) and the largest
@@ -467,19 +488,15 @@ class _Sweep:
     ``left.blocks[n:]`` still meets the right span, -1 when the spans are
     disjoint, and ``tail_reach[1]`` the same for the right; ``last_zero``
     is the largest left generator some common element uses at exponent 0,
-    or -1.
-
-    Only ``walk``, for listing (``elements``), keeps every step's moves, so
-    otherwise memory does not grow with the positions.  A path's witness
-    terms grow as a chain of cells (``_element`` reads them), one per move
-    that uses a generator opened there; an element handed out builds its
-    block from its left terms' tetris images and re-evaluates the right
-    witness.  Whether the spans meet and their least element are
+    or -1.  Emptiness, the least elements and the listing are
     ``_Reach``'s, which counts no paths.
 
-    A sweep without ``walk`` keeps one layer, the states after its last
-    walked position at or below ``left``'s last ``max_support``, which a
-    sweep over a longer left sequence shares: its later blocks start past
+    A path's left terms grow as a chain of cells ``(rest, left generator
+    opened, state id entered)``, one per move that uses a left generator
+    where it opens, the state's left choice being the exponent; no cell
+    holds a right term.  The sweep keeps one layer, the states after its
+    last walked position at or below ``left``'s last ``max_support``, which
+    a sweep over a longer left sequence shares: its later blocks start past
     that position, a left window skipped before it is skipped again, and a
     right window that reaches past it holds ``left``'s last position, so
     it is never skipped.  (The hull's last layer is not kept: a right
@@ -497,7 +514,7 @@ class _Sweep:
     sweep's table (``_joins``), whose ids its kept layer holds.
     """
 
-    def __init__(self, left, right, force=None, walk=False, resume=None):
+    def __init__(self, left, right, force=None, resume=None):
         if left.k != right.k:
             raise MismatchedLevel(f"levels {left.k} and {right.k}")
         self.left, self.right, self.k = left, right, left.k
@@ -505,10 +522,6 @@ class _Sweep:
         k = self.k
         self._joins = joins = _joins(k) if resume is None else resume._joins
         rows, zeros = joins.rows, joins.zeros
-        # with ``walk``, per step: the left generator opened there, or
-        # None, and the right one; then (state id, moves) per state before it
-        self.opened = [] if walk else None
-        self.moves = [] if walk else None
         # per state id of the current layer: [paths, last position of value k,
         # the cell chain of a path attaining it (None before its first
         # cell), largest left index used, least left index used, least
@@ -525,14 +538,11 @@ class _Sweep:
         boundary = left.blocks[-1].pairs[-1][0] if left.blocks else -1
         for pos, lg, pid, rg in _sweep_steps(left, right, force, walked, joins):
             nxt = {}
-            seen = []
             row = rows[pid]
             for sid, (paths, top, chain, last, lleast, rleast, zero) in layer.items():
                 moves = row.get(sid)
                 if moves is None:
                     moves = joins.join(sid, pid)
-                if walk:
-                    seen.append((sid, moves))
                 for new, v, lused, rused in moves:
                     new_top = pos if v == k else top
                     if lused:
@@ -545,8 +555,8 @@ class _Sweep:
                     new_rleast = rg if rused and rleast > rg else rleast
                     held = nxt.get(new)
                     if held is None:
-                        # a chain grows only when a witness gains a term
-                        grown = (chain, lg, rg, new) if lused or rused else chain
+                        # a chain grows only when the left witness gains a term
+                        grown = (chain, lg, new) if lused else chain
                         nxt[new] = [
                             paths, new_top, grown, new_last, new_lleast, new_rleast, new_zero
                         ]
@@ -554,7 +564,7 @@ class _Sweep:
                         held[0] += paths
                         if new_top > held[1]:
                             held[1] = new_top
-                            held[2] = (chain, lg, rg, new) if lused or rused else chain
+                            held[2] = (chain, lg, new) if lused else chain
                         if new_last < held[3]:
                             held[3] = new_last
                         if new_lleast > held[4]:
@@ -566,22 +576,17 @@ class _Sweep:
             layer = nxt
             if pos <= boundary:
                 kept_pos, kept_layer = pos, layer
-            if walk:
-                self.opened.append((lg, rg))
-                self.moves.append(seen)
         self._kept = kept_pos, kept_layer
         # one pass over the accepting states, in layer order: the first
         # one with the largest peak position is the peak entry; every
         # accepting path has used both sides, so no least index read here
         # is ``_NO_INDEX``
-        self.accepting = accepting = []
         count = 0
         best, least_last = _NO_PEAK, math.inf
         lreach = rreach = last_zero = -1
         accepts = joins.accepts
         for sid, held in layer.items():
             if accepts[sid]:
-                accepting.append(sid)
                 count += held[0]
                 if held[1] > best[1]:
                     best = held
@@ -597,64 +602,20 @@ class _Sweep:
         self.tail_reach = lreach, rreach
         self.last_zero = last_zero
         self.peak = self.prefix_length = None
-        if accepting:
+        if count:
             self.peak, self._peak_chain = best[1], best[2]
             self.prefix_length = least_last + 1
 
     def _element(self, chain):
-        """The common element of a path's chain of cells ``(rest, left
-        generator opened, right generator opened, state id entered)``,
-        walked either way, its right witness re-evaluated.  Per side, a
-        term is the generator where it opened, with the state's choice on
-        that side if that is an exponent."""
-        states, left_terms, right_terms = self._joins.states, [], []
+        """The common element of a path's chain of cells: a left term per
+        cell, the generator with the left choice of the state entered."""
+        states, terms = self._joins.states, []
         while chain is not None:
-            chain, lg, rg, sid = chain
-            cl, _, cr, _ = states[sid]
-            if lg is not None and cl >= 0:
-                left_terms.append((lg, cl))
-            if rg is not None and cr >= 0:
-                right_terms.append((rg, cr))
-        # generators differ, and a forward walk's chain holds them
-        # descending, which sorting reverses in one pass
-        left_terms, right_terms = tuple(sorted(left_terms)), tuple(sorted(right_terms))
-        blocks, pairs = self.left.blocks, []
-        for g, e in left_terms:
-            pairs += tetris(blocks[g], e).pairs
-        block, left, right = _new(Subblock), _new(Combination), _new(Combination)
-        _set_k(block, self.k)
-        _set_pairs(block, tuple(pairs))
-        _set_terms(left, left_terms)
-        _set_starred(left, False)
-        _set_terms(right, right_terms)
-        _set_starred(right, False)
-        element = _new(CommonElement)
-        _set_block(element, block)
-        _set_left_witness(element, left)
-        _set_right_witness(element, right)
-        check_witness(self.right, right, block)
-        return element
-
-    def elements(self):
-        """Every common element, in no particular order.
-
-        Walks the moves backward from the accepting states: every recorded
-        state is reachable from the start, so no partial path dies.
-        """
-        suffixes = {sid: [None] for sid in self.accepting}
-        for i in range(len(self.moves) - 1, -1, -1):
-            lg, rg = self.opened[i]
-            before = {}
-            for sid, moves in self.moves[i]:
-                for new, _, lused, rused in moves:
-                    found = suffixes.get(new)
-                    if found is None:
-                        continue
-                    if lused or rused:
-                        found = [(chain, lg, rg, new) for chain in found]
-                    before.setdefault(sid, []).extend(found)
-            suffixes = before
-        return [self._element(chain) for chain in suffixes.get(0, ())]
+            chain, g, sid = chain
+            terms.append((g, states[sid][0]))
+        # a forward walk's chain holds the generators descending
+        terms.reverse()
+        return _element(self.left, self.right, tuple(terms))
 
     def peak_element(self):
         """The recorded element attaining F, both witnesses re-evaluated.
@@ -686,8 +647,9 @@ class _Sweep:
 
 
 class _Reach:
-    """Whether two spans meet, and their least common element, from one
-    forward pass that keeps only which states each position reaches.
+    """Whether two spans meet, their least common elements and the listing
+    of them all, from one forward pass that keeps only which states each
+    position reaches.
 
     The pass walks the same positions as ``_Sweep``, from the same states
     and moves, but a layer is the set of states reached, interned in the
@@ -697,18 +659,21 @@ class _Reach:
     It keeps its trail, one stride id per position walked.  ``empty`` tells
     whether no state of the last layer accepts.
 
-    ``least`` takes one pass back over the trail for each position's
-    co-value (``_Joins.back``), a greedy pass forward keeping the states
-    that the least live moves so far reach (``_Joins.least``), and one path
-    back through them, a state per position (``_Joins.pick``), all
-    memoized in the level's table.  Every value follows from the choice
-    made where a left window starts (0 outside every window), and T^e(p)
-    decreases lexicographically in e and stays above the zero vector; a
-    witness that ends is less than every one that goes on.  A skipped left
-    window is unused on every path, so it ranks nothing.
+    The other answers take one pass back over the trail for each
+    position's co-value (``_covalues``, ``_Joins.back``), memoized in the
+    level's table.  ``least`` reads its element forward off them: a greedy
+    pass keeps the states that the least live moves so far reach
+    (``_Joins.least``, memoized), and where the least moves use a left
+    generator that opens, its index, bisected there, and their exponent
+    are the next term.  Every value follows from the choice made where a
+    left window starts (0 outside every window), and T^e(p) decreases
+    lexicographically in e and stays above the zero vector; a witness that
+    ends is less than every one that goes on.  A skipped left window is
+    unused on every path, so it ranks nothing.  ``elements`` walks the
+    live moves depth first from the start state: a move into a live state
+    lies on an accepting path, so no branch of the walk dies, and each path
+    it ends is one element.
     """
-
-    _element = _Sweep._element
 
     def __init__(self, left, right, force=None):
         if left.k != right.k:
@@ -732,44 +697,66 @@ class _Reach:
                 trail = array("i", trail)
                 trail.append(got)
             pos = at
-        self._trail, self._last = trail, pos
+        self._trail = trail
         self._accepting = frozenset(sid for sid in joins.names[lid] if joins.accepts[sid])
         self.empty = not self._accepting
+
+    def _covalues(self):
+        """The strides walked, in order, and per stride the id of the
+        co-value after it, from one pass back over the trail that starts
+        from the accepting states."""
+        joins = self._joins
+        backs, strides = joins.backs, list(map(joins.names.__getitem__, self._trail))
+        cids, cid = array("i"), joins.name((self._accepting, self._accepting))
+        for i in range(len(strides) - 1, -1, -1):
+            cids.append(cid)
+            # the layer before the stride is the one after the stride before
+            key = strides[i - 1][2] if i else 0, strides[i][1], cid
+            got = backs.get(key)
+            cid = joins.back(*key) if got is None else got
+        cids.reverse()
+        return strides, cids
 
     def least(self, order):
         """The common element with the least value vector (``order``
         "value") or left witness ("witness"), or None."""
         if self.empty:
             return None
-        joins, cids, mids, mode = self._joins, array("i"), array("i"), order
-        backs, leasts, picks = joins.backs, joins.leasts, joins.picks
-        # per position walked: its stride and the id of the layer before it
-        strides = list(map(joins.names.__getitem__, self._trail))
-        befores = [0]
-        befores += map(itemgetter(2), strides)
-        cid = joins.name((self._accepting, self._accepting))
-        for (_, pid, _), before in zip(reversed(strides), reversed(befores[:-1])):
-            cids.append(cid)
-            got = backs.get((before, pid, cid))
-            cid = joins.back(before, pid, cid) if got is None else got
-        mid = 0
-        for (_, pid, _), cid in zip(strides, reversed(cids)):
-            mids.append(mid)
+        joins, blocks = self._joins, self.left.blocks
+        leasts, mid, mode, terms, pos = joins.leasts, 0, order, [], -1
+        strides, cids = self._covalues()
+        for (gap, pid, _), cid in zip(strides, cids):
+            pos += gap
             key = mid, pid, cid, mode
             got = leasts.get(key)
-            mid, mode = joins.least(*key) if got is None else got
-        # the states left end paths to the least element
-        y, chain, pos = min(joins.names[mid]), None, self._last
-        left, right = self.left.blocks, self.right.blocks
-        for (gap, pid, _), mid in zip(reversed(strides), reversed(mids)):
-            got = picks.get((mid, pid, y))
-            x, grows = joins.pick(mid, pid, y) if got is None else got
-            if grows:
-                # a side opens its generator where its step is a tuple, at
-                # the window that starts there
-                lstep, rstep = joins.pairs[pid]
-                lg = bisect_left(left, ((pos,),), key=_PAIRS) if lstep.__class__ is tuple else None
-                rg = bisect_left(right, ((pos,),), key=_PAIRS) if rstep.__class__ is tuple else None
-                chain = chain, lg, rg, y
-            y, pos = x, pos - gap
-        return self._element(chain)
+            mid, mode, taken = joins.least(*key) if got is None else got
+            if taken >= 0:
+                # the left generator opened here is the one whose window starts here
+                terms.append((bisect_left(blocks, ((pos,),), key=_PAIRS), taken))
+        return _element(self.left, self.right, tuple(terms))
+
+    def elements(self):
+        """Every common element, in no particular order."""
+        if self.empty:
+            return []
+        joins, blocks = self._joins, self.left.blocks
+        names, states, moves = joins.names, joins.states, joins.moves
+        # per position walked: its steps id, the live states after it and
+        # the left generator that opens there, or None
+        steps, pos = [], -1
+        for (gap, pid, _), cid in zip(*self._covalues()):
+            pos += gap
+            opens = joins.pairs[pid][0].__class__ is tuple
+            g = bisect_left(blocks, ((pos,),), key=_PAIRS) if opens else None
+            steps.append((pid, names[cid][0], g))
+        found, stack, end = [], [(0, 0, ())], len(steps)
+        while stack:
+            i, sid, terms = stack.pop()
+            if i == end:
+                found.append(_element(self.left, self.right, terms))
+                continue
+            pid, live, g = steps[i]
+            for y, _, lused, _ in moves(sid, pid):
+                if y in live:
+                    stack.append((i + 1, y, terms + ((g, states[y][0]),) if lused else terms))
+        return found

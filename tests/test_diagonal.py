@@ -102,9 +102,10 @@ class TestValidate:
     def test_one_sweep_per_unordered_pair(self, monkeypatch):
         built = []
         init, reach, least = _Sweep.__init__, _Reach.__init__, _Reach.least
+        listing = _Reach.elements
 
         def counting(self, *args, **kwargs):
-            built.append(("sweep", kwargs.get("walk", False)))
+            built.append(("sweep",))
             init(self, *args, **kwargs)
 
         def reaching(self, *args, **kwargs):
@@ -115,20 +116,25 @@ class TestValidate:
             built.append(("least", order))
             return least(self, order)
 
+        def listing_all(self):
+            built.append(("elements",))
+            return listing(self)
+
         monkeypatch.setattr(_Sweep, "__init__", counting)
         monkeypatch.setattr(_Reach, "__init__", reaching)
         monkeypatch.setattr(_Reach, "least", ordering)
+        monkeypatch.setattr(_Reach, "elements", listing_all)
         members = [make_builtin(name, 2) for name in ("example13_P", "example13_Q", "evens")]
         validate_family(members, tail_index=1, horizon=21)
-        assert built == [("sweep", False)] * math.comb(3, 2)
+        assert built == [("sweep",)] * math.comb(3, 2)
         # a failing pair adds only its certificate's witness: one pass of
-        # the tail, asked for its least element by left witness; no sweep
-        # records its moves
+        # the tail, asked for its least element by left witness; no pass
+        # walks a listing
         p = make_builtin("example13_P", 2)
         built.clear()
         with pytest.raises(NotAlmostDisjoint) as info:
             validate_family([p, p], tail_index=1, horizon=21)
-        assert built == [("sweep", False), ("reach",), ("least", "witness")]
+        assert built == [("sweep",), ("reach",), ("least", "witness")]
         truncation = p.truncate(21)
         assert info.value.pair == (0, 1)
         assert info.value.certificate == _tail_certificate(truncation, truncation, 1, 21)
@@ -365,13 +371,20 @@ class TestRun:
         t0 = seq(2, "0:2", "3:2")
         family = doctored_family(t0, seq(2, "0:2", "1:2", "3:2"))
         checked = []
-        check = sweep_module.check_witness
+        check, member = diagonal_module.check_witness, sweep_module.membership_witness
 
         def checking(sequence, witness, block):
             checked.append((sequence, witness.render(), block.render_body()))
             check(sequence, witness, block)
 
-        monkeypatch.setattr(sweep_module, "check_witness", checking)
+        def finding(block, sequence):
+            witness = member(block, sequence)
+            checked.append((sequence, witness.render(), block.render_body()))
+            return witness
+
+        # the right witness is found, and re-evaluated, by the membership
+        # test; the left one is re-evaluated by the abort path
+        monkeypatch.setattr(sweep_module, "membership_witness", finding)
         monkeypatch.setattr(diagonal_module, "check_witness", checking)
         with pytest.raises(ClaimViolation):
             run_diagonalization(family, cycles=1)
@@ -451,8 +464,8 @@ class TestRun:
     def test_a_peak_element_not_attaining_f_is_refused(self):
         sweep = _Sweep(seq(2, "0:2", "3:2"), seq(2, "0:2", "3:2", "5:2"))
         assert sweep.peak == 3
-        # one cell naming the common element 0:2 (both witnesses 0^0), whose F is 0
-        sweep._peak_chain = (None, 0, 0, sweep._joins.intern((0, True, 0, True)))
+        # one cell naming the common element 0:2 (left witness 0^0), whose F is 0
+        sweep._peak_chain = (None, 0, sweep._joins.intern((0, True, 0, True)))
         with pytest.raises(WitnessMismatch) as info:
             sweep.peak_element()
         assert str(info.value) == "element k=2|0:2 does not attain F=3"
@@ -462,12 +475,19 @@ class TestRun:
         kept = _Sweep(seq(2, "0:2"), right)
         rechecked = kept.peak_element()
         checked = []
-        check = sweep_module.check_witness
+        check, member = sweep_module.check_witness, sweep_module.membership_witness
 
         def checking(sequence, witness, block):
             checked.append((sequence, block.render_body()))
             check(sequence, witness, block)
 
+        def finding(block, sequence):
+            checked.append((sequence, block.render_body()))
+            return member(block, sequence)
+
+        # the right witness is found and re-evaluated by the membership
+        # test, then the left one is re-evaluated
+        monkeypatch.setattr(sweep_module, "membership_witness", finding)
         monkeypatch.setattr(sweep_module, "check_witness", checking)
         # position 1 is in no right generator: the peak element stays 0:2
         same = _Sweep(seq(2, "0:2", "1:2"), right, resume=kept)

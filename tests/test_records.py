@@ -161,9 +161,9 @@ def filled_records():
         records += [step, *step.checks]
         records += [v for check in step.checks for v in (check.before, check.after)]
     left, right = family.truncations[:2]
-    sweeps = [_Sweep(left, right), _Sweep(left, right, walk=True), _Reach(left, right)]
-    elements = [sweeps[0].peak_element(), *sweeps[1].elements(), sweeps[2].least("value")]
-    records += [sweeps[0].valuation(21), _Sweep(left.prefix(0), right).valuation(21)]
+    sweep, reach = _Sweep(left, right), _Reach(left, right)
+    elements = [sweep.peak_element(), *reach.elements(), reach.least("value")]
+    records += [sweep.valuation(21), _Sweep(left.prefix(0), right).valuation(21)]
     for element in elements:
         records += [element, element.left_witness, element.right_witness]
     return records, [element.block for element in elements]

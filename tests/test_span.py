@@ -866,12 +866,12 @@ def every_answer(left, right, force=None, listing=True):
     set pass (``_Reach``), in the order of ``reference_answers``; the peak
     element is checked to attain F, and the listing is read only with
     ``listing``."""
-    sweep, reach = _Sweep(left, right, force, walk=listing), _Reach(left, right, force)
+    sweep, reach = _Sweep(left, right, force), _Reach(left, right, force)
     if sweep.count:
         assert peak(sweep.peak_element().block) == sweep.peak
     return (
         reach.empty, *fold_answers(sweep), reach.least("value"), reach.least("witness"),
-        set(sweep.elements()) if listing else None,
+        set(reach.elements()) if listing else None,
     )
 
 
@@ -912,14 +912,14 @@ def test_sweep_matches_oracle(k, data):
     assert sweep.peak == oracle.valuation_value([dict(key) for key in table], k)
     if table:
         assert peak(sweep.peak_element().block) == sweep.peak
-    # only a walking sweep keeps its steps; both agree on everything else
-    walking = _Sweep(left, right, walk=True)
-    assert sweep.moves is None and len(walking.moves) == len(walking.opened)
-    assert (walking.count, walking.peak, walking.prefix_length) == (
-        sweep.count, sweep.peak, sweep.prefix_length
-    )
+    # the set pass keeps one stride per position the fold walks, and lists
+    # one element per path the fold counts, the peak element among them
+    reach = _Reach(left, right)
+    listed = reach.elements()
+    assert len(reach._trail) == len(walked_positions(left, right))
+    assert len(listed) == len(set(listed)) == sweep.count
     if table:
-        assert walking.peak_element() == sweep.peak_element()
+        assert sweep.peak_element() in listed
     # every answer equals the reference sweep's, also with one generator
     # forced to a choice: unused, or at k <= 4 an exponent
     assert every_answer(left, right) == reference_answers(left, right)
@@ -1048,7 +1048,8 @@ def test_least_elements_after_many_positions(k):
         right = BlockSequence(k, groups)
         # more openings than 64 / log2(k + 2), past which keys of k + 2
         # symbols per opening would be re-ranked
-        opened = [lg for lg, _ in _Sweep(left, right, walk=True).opened if lg is not None]
+        steps = sweep_module._sweep_steps(left, right, {}, None, sweep_module._joins(k))
+        opened = [lg for _, lg, _, _ in steps if lg is not None]
         assert opened == list(range(len(left)))
         assert len(opened) > 64 / math.log2(k + 2)
         for a, b in ((left, right), (right, left)):
@@ -1062,9 +1063,23 @@ def test_least_elements_after_many_positions(k):
             )
 
 
+def test_an_element_without_a_right_witness_is_refused(monkeypatch):
+    # every path that hands out an element takes its right witness from
+    # the membership test, and hands out nothing when that finds none
+    left, right = seq(2, "0:2", "3:2"), seq(2, "0:2", "3:2", "5:2")
+    reach, sweep = _Reach(left, right), _Sweep(left, right)
+    monkeypatch.setattr(sweep_module, "membership_witness", lambda block, seq: None)
+    for hand_out in (
+        lambda: reach.least("value"), lambda: reach.least("witness"), reach.elements,
+        sweep.peak_element,
+    ):
+        with pytest.raises(WitnessMismatch, match="has no witness over the right sequence"):
+            hand_out()
+
+
 def test_a_witness_ordered_sweep_grows_one_cell_per_move():
     # example13_P and example13_Q over about 2^12 blocks each: a least
-    # element built from one cell per move that uses a generator stays well
+    # element read forward, one term per left generator it uses, stays well
     # under the bound, which a sweep that rebuilt both witnesses' term
     # lists per such move passed (near 1.9 MiB)
     P, Q = (make_builtin(name, 2).truncate(8190) for name in ("example13_P", "example13_Q"))
@@ -1195,16 +1210,16 @@ def test_the_move_table_lives_with_its_level():
 
 def every_question(left, right):
     """Each answer about two spans, from a fresh fold and a fresh pass."""
-    sweep, reach = _Sweep(left, right, walk=True), _Reach(left, right)
+    sweep, reach = _Sweep(left, right), _Reach(left, right)
     return (
         *fold_answers(sweep), reach.empty, reach.least("value"), reach.least("witness"),
-        sorted(ce.left_witness.sort_key() for ce in sweep.elements()),
+        sorted(ce.left_witness.sort_key() for ce in reach.elements()),
     )
 
 
 def table_entries(joins):
     """The entries a level's table holds, counted afresh."""
-    memos = joins.names, joins.backs, joins.leasts, joins.picks, *joins.rows, *joins.nexts
+    memos = joins.names, joins.backs, joins.leasts, *joins.rows, *joins.nexts
     return sum(map(len, memos))
 
 
@@ -1264,16 +1279,16 @@ def test_sweep_walks_only_the_usable_left_hull():
     evens = make_builtin("evens", 2).truncate(20001)
     left = seq(2, "0:2", "2:2,3:1", "40000:2")
     # the hull of the first two generators is [0, 3]: positions 0, 2 and 3
-    sweep = _Sweep(left.prefix(2), evens, walk=True)
-    assert len(sweep.moves) == 3
+    sweep = _Reach(left.prefix(2), evens)
+    assert len(sweep._trail) == 3
     assert walked_positions(left.prefix(2), evens) == [0, 2, 3]
     assert {ce.block for ce in sweep.elements()} == {blk(2, [(0, 2)]), blk(2, [(0, 2), (2, 1)])}
     # with the last generator usable the hull is [0, 40000], but the evens
     # window [4, 4] holds no left position and is skipped, as is every
     # later one, and the left window [40000, 40000] holds no evens position
-    usable = _Sweep(left, evens, walk=True)
+    usable = _Reach(left, evens)
     assert walked_positions(left, evens) == [0, 2, 3]
-    assert len(usable.moves) == 3
+    assert len(usable._trail) == 3
     assert {ce.block for ce in usable.elements()} == {ce.block for ce in sweep.elements()}
     # the right window [0, 2] cuts the hull [1, 1], which widens to it; it
     # holds the left position 1, while the left window [1, 1] holds no
@@ -1466,20 +1481,20 @@ def test_skipping_sweep_matches_oracle(k, data):
         table = {key: (a, b) for key, b, a in oracle.iter_common(gens_r, gens_l, k)}
     else:
         table = {key: (a, b) for key, a, b in oracle.iter_common(gens_l, gens_r, k)}
-    walking = _Sweep(left, right, walk=True)
-    assert walking.count == len(table)
-    assert walking.peak == oracle.valuation_value([dict(key) for key in table], k)
+    sweep = _Sweep(left, right)
+    assert sweep.count == len(table)
+    assert sweep.peak == oracle.valuation_value([dict(key) for key in table], k)
     assert {
         (oracle.as_key(oracle.to_dict(ce.block)), ce.left_witness.terms, ce.right_witness.terms)
-        for ce in walking.elements()
+        for ce in _Reach(left, right).elements()
     } == {(key, a, b) for key, (a, b) in table.items()}
     meets = [n for n in range(1, len(left) + 1) if any(a[-1][0] < n for a, _ in table.values())]
-    assert walking.prefix_length == (meets[0] if meets else None)
-    assert walking.tail_reach == (
+    assert sweep.prefix_length == (meets[0] if meets else None)
+    assert sweep.tail_reach == (
         max((a[0][0] for a, _ in table.values()), default=-1),
         max((b[0][0] for _, b in table.values()), default=-1),
     )
-    assert walking.last_zero == max(
+    assert sweep.last_zero == max(
         (g for a, _ in table.values() for g, e in a if e == 0), default=-1
     )
     by_value = _Reach(left, right).least("value")
@@ -1491,11 +1506,11 @@ def test_skipping_sweep_matches_oracle(k, data):
             table, key=lambda key: oracle.value_vector(dict(key))
         )
         assert by_witness.left_witness.terms == min(a for a, _ in table.values())
-        for ce in (by_value, by_witness, walking.peak_element()):
+        for ce in (by_value, by_witness, sweep.peak_element()):
             assert table[oracle.as_key(oracle.to_dict(ce.block))] == (
                 ce.left_witness.terms, ce.right_witness.terms
             )
-        assert peak(walking.peak_element().block) == walking.peak
+        assert peak(sweep.peak_element().block) == sweep.peak
     for g in range(len(left)):
         for choice in range(_UNUSED, k):
             expected = sum(dict(a).get(g, _UNUSED) == choice for a, _ in table.values())
